@@ -1,15 +1,17 @@
 """Time evolution: unitary split-step, Doebner-Goldin diffusion, non-Fisher
 nonlinear perturbation, and density-level advection-diffusion.
 
-All wavefunction steppers are Strang compositions around the same spectral
-kinetic factor; the DG and beta variants reduce bitwise to the linear step at
-D = 0 and beta = 0.
+Every wavefunction stepper, evolve and the batched superposition evolution
+run one Strang kernel, _strang, on states stacked as (*batch, *grid.shape).
+The DG and beta variants add a state-dependent half-step kick that is absent
+at D = 0 and beta = 0, so there they are the linear step bit for bit.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -29,7 +31,11 @@ __all__ = [
     "evolve_density_diffusion",
 ]
 
-_KINDS = ("linear", "dg_diffusion", "beta_nonlinear", "density_diffusion")
+_WAVE_KINDS = ("linear", "dg_diffusion", "beta_nonlinear")
+_KINDS = _WAVE_KINDS + ("density_diffusion",)
+
+# DG regularisation scale relative to max rho (see _dg_exponent)
+_DG_EPS_MASK = 1e-8
 
 
 class NumericalAbort(RuntimeError):
@@ -84,14 +90,71 @@ def _kinetic_factor(grid: Grid, dt: float, c: PhysicalConstants) -> np.ndarray:
     return np.exp(-1j * c.hbar * grid._k2 * dt / (2.0 * c.m))
 
 
+def _grid_axes(grid: Grid) -> tuple[int, ...]:
+    """The trailing axes of a (*batch, *grid.shape) stack of states."""
+    return tuple(range(-grid.dim, 0))
+
+
+def _over_grid(transform, values: np.ndarray, grid: Grid) -> np.ndarray:
+    """np.fft.fft or ifft over the grid axes of a stack, in the order of
+    np.fft.fftn (same bits) without its per-call argument handling, which
+    costs several percent of a 1D step."""
+    for axis in reversed(_grid_axes(grid)):
+        values = transform(values, axis=axis)
+    return values
+
+
+def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, kind: str = "linear",
+            D: float = 0.0, beta: float = 0.0, eps_reg: float = 1e-6, eps_mask: float = _DG_EPS_MASK):
+    """The Strang step of every wavefunction kind, as advance(values, n_steps).
+
+    values stacks states as (*batch, *grid.shape).  One step is kick,
+    exp(-iV dt/2h), F^-1 exp(-i h k^2 dt/2m) F over the grid axes,
+    exp(-iV dt/2h), kick; the potential and kinetic factors are built once.
+    The kick is the half-step factor of the state-dependent term, evaluated
+    per state: exp((D/4) dt Lap rho/rho) for DG, exp(-i U_beta dt/2h) for
+    beta.  The linear kind, D = 0 and beta = 0 have no kick, so they are the
+    linear step bit for bit.
+    """
+    if kind not in _WAVE_KINDS:
+        raise ValueError(f"kind {kind!r} is not a wavefunction evolution")
+    kick = None
+    if kind == "dg_diffusion" and D != 0.0:
+        def kick(values):
+            return np.exp((D / 4.0) * dt * _dg_exponent(values, grid, eps_mask))
+    elif kind == "beta_nonlinear" and beta != 0.0:
+        def kick(values):
+            return np.exp(-1j * beta_potential(values, grid, beta, eps_reg) * dt / (2.0 * constants.hbar))
+    half_v = np.exp(-1j * V * dt / (2.0 * constants.hbar))
+    kin = _kinetic_factor(grid, dt, constants)
+
+    def advance(values: np.ndarray, n_steps: int) -> np.ndarray:
+        for _ in range(n_steps):
+            if kick is not None:
+                values = values * kick(values)
+            values = half_v * values
+            # np.multiply, not `*`: numpy may evaluate `*` on a large temporary
+            # in place with swapped operands, and a complex product is not
+            # bitwise commutative (FMA), so `*` would make a state's step depend
+            # on its batch.  The beta kick keeps `*` (ROADMAP item 2).
+            values = _over_grid(np.fft.ifft, np.multiply(kin, _over_grid(np.fft.fft, values, grid)), grid)
+            values = half_v * values
+            if kick is not None:
+                values = values * kick(values)
+        return values
+
+    return advance
+
+
+def _step(psi: WaveField, V: np.ndarray, dt: float, constants: PhysicalConstants, kind: str = "linear",
+          **coupling) -> WaveField:
+    values = _strang(V, psi.grid, dt, constants, kind, **coupling)(psi.values, 1)
+    return WaveField(psi.grid, values, psi.time + dt)
+
+
 def step_linear(psi: WaveField, V: np.ndarray, dt: float, constants: PhysicalConstants) -> WaveField:
     """One Strang step exp(-iV dt/2h) F^-1 exp(-i h k^2 dt/2m) F exp(-iV dt/2h)."""
-    grid = psi.grid
-    half_v = np.exp(-1j * V * dt / (2.0 * constants.hbar))
-    values = half_v * psi.values
-    values = np.fft.ifftn(_kinetic_factor(grid, dt, constants) * np.fft.fftn(values))
-    values = half_v * values
-    return WaveField(grid, values, psi.time + dt)
+    return _step(psi, V, dt, constants)
 
 
 def _dg_exponent(values: np.ndarray, grid: Grid, eps_mask: float) -> np.ndarray:
@@ -100,10 +163,11 @@ def _dg_exponent(values: np.ndarray, grid: Grid, eps_mask: float) -> np.ndarray:
     A hard mask cutoff would imprint a kink at the mask edge every step and
     ring under the spectral diagnostics; Delta rho / (rho + eps max rho)
     matches Delta rho / rho in the bulk and rolls off smoothly in the tails.
+    values may stack states along leading axes; max rho is taken per state.
     """
     rho = values.real**2 + values.imag**2
-    lap = spectral_laplacian(rho, grid)
-    return lap / (rho + eps_mask * rho.max())
+    lap = _over_grid(np.fft.ifft, -grid._k2 * _over_grid(np.fft.fft, rho, grid), grid).real
+    return lap / (rho + eps_mask * rho.max(axis=_grid_axes(grid), keepdims=True))
 
 
 def step_dg(
@@ -112,7 +176,7 @@ def step_dg(
     dt: float,
     D: float,
     constants: PhysicalConstants,
-    eps_mask: float = 1e-8,
+    eps_mask: float = _DG_EPS_MASK,
 ) -> WaveField:
     """Strang composition of the linear step with the DG factor exp((D/2)(Lap rho/rho) dt).
 
@@ -122,24 +186,25 @@ def step_dg(
     regularisation scale sits below the diagnostic mask so its bias stays
     under the PDE-residual tolerance.
     """
-    if D == 0.0:
-        return step_linear(psi, V, dt, constants)
-    grid = psi.grid
-    values = psi.values * np.exp((D / 4.0) * dt * _dg_exponent(psi.values, grid, eps_mask))
-    mid = step_linear(WaveField(grid, values, psi.time), V, dt, constants)
-    values = mid.values * np.exp((D / 4.0) * dt * _dg_exponent(mid.values, grid, eps_mask))
-    return WaveField(grid, values, psi.time + dt)
+    return _step(psi, V, dt, constants, "dg_diffusion", D=D, eps_mask=eps_mask)
 
 
 def beta_potential(values: np.ndarray, grid: Grid, beta: float, eps_reg: float) -> np.ndarray:
     """Non-Fisher perturbation U_beta = beta |grad rho|^2 / (rho + eps)^2.
 
-    eps is eps_reg relative to the instantaneous max of rho.
+    eps is eps_reg relative to the instantaneous max of rho.  values may
+    stack states along leading axes; each state gets its own eps.
     """
     rho = values.real**2 + values.imag**2
-    grad = spectral_gradient(rho, grid)
-    eps = eps_reg * rho.max()
-    return beta * np.sum(grad**2, axis=0) / (rho + eps) ** 2
+    rho_hat = _over_grid(np.fft.fft, rho, grid)
+    spectra = [1j * k * rho_hat for k in grid._kmesh]
+    # One large array fewer alive through the inverse transforms, and no
+    # 0 + grad^2 start as sum() would add: with the glibc allocator each
+    # large temporary costs page faults, about 10% of a batched 1D beta step.
+    del rho_hat
+    grad_sq = reduce(np.add, (_over_grid(np.fft.ifft, s, grid).real ** 2 for s in spectra))
+    eps = eps_reg * rho.max(axis=_grid_axes(grid), keepdims=True)
+    return beta * grad_sq / (rho + eps) ** 2
 
 
 def step_beta(
@@ -155,66 +220,32 @@ def step_beta(
     U_beta is real and state-dependent, so the step stays norm-preserving but
     nonlinear.  Exactly step_linear at beta = 0.
     """
-    if beta == 0.0:
-        return step_linear(psi, V, dt, constants)
-    grid = psi.grid
-    u = beta_potential(psi.values, grid, beta, eps_reg)
-    values = psi.values * np.exp(-1j * u * dt / (2.0 * constants.hbar))
-    mid = step_linear(WaveField(grid, values, psi.time), V, dt, constants)
-    u = beta_potential(mid.values, grid, beta, eps_reg)
-    values = mid.values * np.exp(-1j * u * dt / (2.0 * constants.hbar))
-    return WaveField(grid, values, psi.time + dt)
-
-
-def _stepper(spec: EvolutionSpec, V: np.ndarray, constants: PhysicalConstants):
-    if spec.kind == "linear":
-        return lambda wf, dt: step_linear(wf, V, dt, constants)
-    if spec.kind == "dg_diffusion":
-        return lambda wf, dt: step_dg(wf, V, dt, spec.D, constants)
-    if spec.kind == "beta_nonlinear":
-        return lambda wf, dt: step_beta(wf, V, dt, spec.beta, spec.eps_reg, constants)
-    raise ValueError(f"spec kind {spec.kind!r} is not a wavefunction evolution")
+    return _step(psi, V, dt, constants, "beta_nonlinear", beta=beta, eps_reg=eps_reg)
 
 
 def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: PhysicalConstants,
            potential_id: str = "") -> Trajectory:
     """Repeated stepping with snapshot recording every record_stride steps.
 
-    Aborts with NumericalAbort on non-finite values.  For the linear kind the
-    inner loop uses cached Strang factors; the nonlinear kinds rebuild their
-    state-dependent factor each step.
+    Every kind runs the Strang kernel of step_linear, step_dg (default
+    eps_mask) and step_beta, with its factors built once, one record_stride
+    chunk at a time.  The snapshot k steps in is stamped k * dt.  Aborts with
+    NumericalAbort on non-finite values.
     """
     psi0.check_finite()
     grid = psi0.grid
-    snapshots: list[tuple[float, WaveField]] = [(0.0, WaveField(grid, psi0.values.copy(), 0.0))]
-    n = spec.n_steps
-    if n == 0:
-        return Trajectory(snapshots, spec, potential_id)
-
-    if spec.kind == "linear":
-        half_v = np.exp(-1j * V * spec.dt / (2.0 * constants.hbar))
-        kin = _kinetic_factor(grid, spec.dt, constants)
-        values = psi0.values.copy()
-        for step in range(1, n + 1):
-            values = half_v * values
-            values = np.fft.ifftn(kin * np.fft.fftn(values))
-            values = half_v * values
-            if step % spec.record_stride == 0 or step == n:
-                t = step * spec.dt
-                wf = WaveField(grid, values.copy(), t)
-                if not np.all(np.isfinite(values.view(float))):
-                    raise NumericalAbort(f"non-finite state at t={t:g}")
-                snapshots.append((t, wf))
-        return Trajectory(snapshots, spec, potential_id)
-
-    stepper = _stepper(spec, V, constants)
-    wf = WaveField(grid, psi0.values.copy(), 0.0)
-    for step in range(1, n + 1):
-        wf = stepper(wf, spec.dt)
-        if step % spec.record_stride == 0 or step == n:
-            if not np.all(np.isfinite(wf.values.view(float))):
-                raise NumericalAbort(f"non-finite state at t={wf.time:g}")
-            snapshots.append((wf.time, WaveField(grid, wf.values.copy(), wf.time)))
+    advance = _strang(V, grid, spec.dt, constants, spec.kind, spec.D, spec.beta, spec.eps_reg)
+    values = psi0.values.copy()
+    snapshots: list[tuple[float, WaveField]] = [(0.0, WaveField(grid, values, 0.0))]
+    step = 0
+    while step < spec.n_steps:
+        chunk = min(spec.record_stride, spec.n_steps - step)
+        values = advance(values, chunk)
+        step += chunk
+        t = step * spec.dt
+        if not np.all(np.isfinite(values.view(float))):
+            raise NumericalAbort(f"non-finite state at t={t:g}")
+        snapshots.append((t, WaveField(grid, values, t)))
     return Trajectory(snapshots, spec, potential_id)
 
 
@@ -231,15 +262,9 @@ def symmetric_pair(
     Produced fresh at diagnostic time rather than from stored history, so the
     stencil spacing is independent of the snapshot stride.
     """
-    if kind == "linear":
-        minus = step_linear(psi, V, -dt, constants)
-        plus = step_linear(psi, V, dt, constants)
-    elif kind == "dg_diffusion":
-        minus = step_dg(psi, V, -dt, D, constants)
-        plus = step_dg(psi, V, dt, D, constants)
-    else:
+    if kind not in ("linear", "dg_diffusion"):
         raise ValueError(f"no symmetric pair for kind {kind!r}")
-    return minus, plus
+    return _step(psi, V, -dt, constants, kind, D=D), _step(psi, V, dt, constants, kind, D=D)
 
 
 def _advection_diffusion_rhs(rho: np.ndarray, v: np.ndarray | None, D: float, grid: Grid) -> np.ndarray:

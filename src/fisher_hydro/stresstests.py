@@ -17,7 +17,7 @@ from .fields import (
     polar_decompose,
 )
 from .grid import Grid, make_grid, norm_l2, spectral_gradient, spectral_laplacian
-from .propagate import EvolutionSpec, evolve
+from .propagate import EvolutionSpec, _strang, evolve
 from .states import harmonic_potential
 
 __all__ = [
@@ -84,39 +84,6 @@ def _packet(grid: Grid, center: float, momentum: float, sigma: float, hbar: floa
     )
 
 
-def _evolve_batch(
-    batch: np.ndarray,
-    V: np.ndarray,
-    grid: Grid,
-    dt: float,
-    n_steps: int,
-    beta: float,
-    eps_reg: float,
-    constants: PhysicalConstants,
-) -> np.ndarray:
-    """Strang split-step on a stack of states; the beta kick is recomputed per
-    half step exactly as in the scalar stepper so beta = 0 stays bitwise linear."""
-    kin = np.exp(-1j * constants.hbar * grid._k2[None, :] * dt / (2.0 * constants.m))
-    half_v = np.exp(-1j * V[None, :] * dt / (2.0 * constants.hbar))
-    ik = 1j * grid.wavenumbers
-
-    def u_beta(b: np.ndarray) -> np.ndarray:
-        rho = b.real**2 + b.imag**2
-        grad = np.fft.ifft(ik[None, :] * np.fft.fft(rho, axis=-1), axis=-1).real
-        eps = eps_reg * rho.max(axis=-1, keepdims=True)
-        return beta * grad**2 / (rho + eps) ** 2
-
-    for _ in range(n_steps):
-        if beta:
-            batch = batch * np.exp(-0.5j * u_beta(batch) * dt / constants.hbar)
-        batch = half_v * batch
-        batch = np.fft.ifft(kin * np.fft.fft(batch, axis=-1), axis=-1)
-        batch = half_v * batch
-        if beta:
-            batch = batch * np.exp(-0.5j * u_beta(batch) * dt / constants.hbar)
-    return batch
-
-
 def projective_residual(a: np.ndarray, b: np.ndarray, grid: Grid) -> tuple[float, float]:
     """(residual, theta): min over global phase of || a/|a| - e^{i theta} b/|b| ||_2.
 
@@ -149,9 +116,9 @@ def superposition_residual(
     batch = np.stack([p1, p2, (p1 + p2) / np.sqrt(2.0)])
     batch /= np.sqrt(np.sum(np.abs(batch) ** 2, axis=-1, keepdims=True) * grid.cell_volume)
     n_steps = int(round(config.t_final / dt))
-    out = _evolve_batch(
-        batch, V, grid, dt, n_steps, beta, config.eps_reg if eps_reg is None else eps_reg, c
-    )
+    advance = _strang(V, grid, dt, c, "beta_nonlinear", beta=beta,
+                      eps_reg=config.eps_reg if eps_reg is None else eps_reg)
+    out = advance(batch, n_steps)
     residual, _ = projective_residual(out[2], out[0] + out[1], grid)
     return residual
 

@@ -8,17 +8,26 @@ from fisher_hydro.fields import WaveField, polar_decompose
 from fisher_hydro.grid import integrate, norm_l2, spectral_gradient, spectral_laplacian
 from fisher_hydro.propagate import (
     NumericalAbort,
+    _strang,
     evolve_density_diffusion,
     step_beta,
     step_dg,
     step_linear,
     symmetric_pair,
 )
-from fisher_hydro.states import gaussian_packet, harmonic_potential, oscillator_state
+from fisher_hydro.states import gaussian_packet, harmonic_potential, oscillator_state, vortex_state
 
 
 def coherent_state(grid, x0, omega, constants):
     return gaussian_packet(grid, grid.length / 2 + x0, np.sqrt(constants.hbar / (constants.m * omega)) / np.sqrt(2) * np.sqrt(2), 0.0, constants)
+
+
+def moving_packet(grid, constants):
+    """An off-centre packet with momentum: a Gaussian in 1D, a winding-1 vortex in 2D."""
+    if grid.dim == 1:
+        return gaussian_packet(grid, 21.0, 1.0, 0.3, constants)
+    vortex = vortex_state(grid, 1, 1.5, (9.0, 10.5))
+    return WaveField(grid, vortex.values * np.exp(0.3j * grid.coords()[0] / constants.hbar))
 
 
 def test_ground_state_one_period_fidelity(grid1d, constants):
@@ -103,9 +112,11 @@ def test_reversibility(grid1d, constants):
     assert norm_l2(wf.values - psi0.values, grid1d) <= 1e-9
 
 
-def test_dg_zero_diffusion_bitwise(grid1d, constants):
-    V = harmonic_potential(grid1d, 1.0, constants)
-    psi = gaussian_packet(grid1d, 21.0, 1.0, 0.3, constants)
+@pytest.mark.parametrize("grid_name", ["grid1d", "grid2d"])
+def test_dg_zero_diffusion_bitwise(grid_name, request, constants):
+    grid = request.getfixturevalue(grid_name)
+    V = harmonic_potential(grid, 1.0, constants)
+    psi = moving_packet(grid, constants)
     a = step_dg(psi, V, 0.01, 0.0, constants)
     b = step_linear(psi, V, 0.01, constants)
     assert np.array_equal(a.values, b.values)
@@ -142,9 +153,11 @@ def test_dg_matches_pde_under_refinement(constants):
     assert pde_residual(2e-3) / pde_residual(1e-3) == pytest.approx(4.0, rel=0.2)
 
 
-def test_beta_zero_bitwise(grid1d, constants):
-    V = harmonic_potential(grid1d, 1.0, constants)
-    psi = gaussian_packet(grid1d, 21.0, 1.0, 0.3, constants)
+@pytest.mark.parametrize("grid_name", ["grid1d", "grid2d"])
+def test_beta_zero_bitwise(grid_name, request, constants):
+    grid = request.getfixturevalue(grid_name)
+    V = harmonic_potential(grid, 1.0, constants)
+    psi = moving_packet(grid, constants)
     a = step_beta(psi, V, 0.01, 0.0, 1e-6, constants)
     b = step_linear(psi, V, 0.01, constants)
     assert np.array_equal(a.values, b.values)
@@ -245,6 +258,47 @@ def test_trajectory_times_strictly_increasing(grid1d, constants):
     assert times[0] == 0.0
     assert all(b > a for a, b in zip(times, times[1:]))
     assert abs(times[-1] - spec.t_final) <= spec.dt / 2
+
+
+@pytest.mark.parametrize("kind", ["linear", "dg_diffusion", "beta_nonlinear"])
+def test_trajectory_times_are_step_multiples(grid1d, constants, kind):
+    psi = gaussian_packet(grid1d, 20.0, 1.0, 0.3, constants)
+    V = harmonic_potential(grid1d, 1.0, constants)
+    spec = EvolutionSpec(kind=kind, dt=0.01, t_final=0.4, record_stride=7, D=0.05, beta=0.01)
+    traj = evolve(psi, V, spec, constants)
+    expected = [k * spec.dt for k in (0, 7, 14, 21, 28, 35, 40)]
+    assert traj.times() == expected
+    assert [wf.time for _, wf in traj.snapshots] == expected
+
+
+@pytest.mark.parametrize("kind,dim,n", [
+    ("beta_nonlinear", 1, 512),
+    ("beta_nonlinear", 2, 128),
+    ("dg_diffusion", 2, 128),
+    pytest.param("beta_nonlinear", 1, 8192, marks=pytest.mark.xfail(
+        reason="the batch is past numpy's 256 KiB temporary-elision size and the lone state is not, so "
+               "the beta kick product runs with swapped operands (ROADMAP item 2)")),
+])
+def test_batch_rows_match_solo_evolution(kind, dim, n, constants):
+    """Each row of a (3, *shape) batch, two packets of different norm and
+    their superposition, evolves bit for bit as that state alone: the
+    state-dependent kick takes max rho per state, not over the batch."""
+    if dim == 1:
+        grid = make_grid(1, n, 40.0)
+        p1 = gaussian_packet(grid, 15.0, 1.0, 0.2, constants).values
+        p2 = 0.5 * gaussian_packet(grid, 25.0, 1.5, -0.2, constants).values
+    else:
+        grid = make_grid(2, n, 20.0)
+        p1 = vortex_state(grid, 0, 1.0, (7.0, 10.0)).values
+        p2 = 0.5 * vortex_state(grid, 0, 1.5, (13.0, 10.0)).values
+    V = harmonic_potential(grid, 0.5, constants)
+    spec = EvolutionSpec(kind=kind, dt=0.01, t_final=0.2, record_stride=20, D=0.05, beta=0.02)
+    batch = np.stack([p1, p2, (p1 + p2) / np.sqrt(2.0)])
+    advance = _strang(V, grid, spec.dt, constants, kind, D=spec.D, beta=spec.beta, eps_reg=spec.eps_reg)
+    rows = advance(batch, spec.n_steps)
+    for row, state in zip(rows, batch):
+        solo = evolve(WaveField(grid, state), V, spec, constants).snapshots[-1][1]
+        assert np.array_equal(row, solo.values)
 
 
 def test_density_diffusion_velocity_callable_matches_fixed(grid1d):

@@ -181,18 +181,19 @@ def test_eps_reg_sensitivity_documented():
 
 
 def test_batched_beta_evolution_matches_scalar_stepper():
-    # the batched superposition path and the scalar step_beta implement the
-    # same Strang composition; they must agree to round-off
-    from fisher_hydro.propagate import step_beta
+    # the batched kernel that superposition_residual runs and the scalar
+    # step_beta must agree to round-off.  Both run the same kernel, so this is
+    # an identity; test_batch_rows_match_solo_evolution is its partner.
+    from fisher_hydro.propagate import _strang, step_beta
     from fisher_hydro.states import harmonic_potential
-    from fisher_hydro.stresstests import _evolve_batch
 
     grid = make_grid(1, 512, 40.0)
     V = harmonic_potential(grid, 0.3, C)
     psi0 = gaussian_packet(grid, 22.0, 1.2, 0.0, C)
     beta, eps_reg, dt, n = 0.01, 1e-6, 0.01, 40
 
-    batch = _evolve_batch(psi0.values[None, :].copy(), V, grid, dt, n, beta, eps_reg, C)
+    advance = _strang(V, grid, dt, C, "beta_nonlinear", beta=beta, eps_reg=eps_reg)
+    batch = advance(psi0.values[None, :].copy(), n)
     wf = psi0
     for _ in range(n):
         wf = step_beta(wf, V, dt, beta, eps_reg, C)
