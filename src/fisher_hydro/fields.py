@@ -6,7 +6,7 @@ off-mask entries are zeroed and excluded from every norm downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,12 +82,11 @@ class WaveField:
 
 @dataclass
 class HydroFields:
-    """Madelung fields rho, S, v, j with node mask and consistency metrics.
+    """Madelung fields rho, S, v, j with node mask.
 
     v is j/rho on the mask (zero off-mask).  S is unwrapped phase times hbar,
     defined up to a global constant; consumers must use only grad S or S
-    differences.  v_gap records the masked discrepancy between the two velocity
-    definitions j/rho and grad S / m (a health metric, not an error).
+    differences.
     """
 
     grid: Grid
@@ -98,7 +97,6 @@ class HydroFields:
     mask: np.ndarray
     eps_mask: float
     time: float = 0.0
-    v_gap: float = field(default=0.0)
 
 
 def masked_mean(f: np.ndarray, mask: np.ndarray) -> float:
@@ -171,15 +169,7 @@ def polar_decompose(
 
     anchor = np.unravel_index(int(np.argmax(rho)), rho.shape)
     S = c.hbar * _unwrap_from_anchor(np.angle(psi.values), anchor)
-
-    grad_S = fd_gradient4(S, grid)
-    gap_field = np.abs(grad_S / c.m - v)
-    v_gap = float(np.max(gap_field[:, mask])) if mask.any() else 0.0
-
-    return HydroFields(
-        grid=grid, rho=rho, S=S, v=v, j=j, mask=mask,
-        eps_mask=eps_mask, time=psi.time, v_gap=v_gap,
-    )
+    return HydroFields(grid=grid, rho=rho, S=S, v=v, j=j, mask=mask, eps_mask=eps_mask, time=psi.time)
 
 
 def quantum_potential(

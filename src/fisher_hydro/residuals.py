@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .grid import Grid, fd_divergence4, fd_gradient4, fd_laplacian4, integrate, 
 from .states import harmonic_potential, oscillator_energy, oscillator_state
 
 __all__ = [
-    "ResidualSample",
     "ScanResult",
     "continuity_residual",
     "hj_residual",
@@ -40,21 +38,11 @@ __all__ = [
     "multi_mass_scan",
     "momentum_balance_residual",
     "scan_to_csv",
-    "scan_verdict_json",
 ]
 
 
 class EmptyMaskError(ValueError):
     pass
-
-
-@dataclass
-class ResidualSample:
-    time: float
-    r_cont: float
-    r_hj: float
-    alpha_used: float
-    mask_fraction: float
 
 
 @dataclass
@@ -73,7 +61,6 @@ class ScanResult:
     min_value: float
     r_cont_mean: float
     boundary: bool = False
-    samples: list[ResidualSample] = field(default_factory=list)
 
 
 def _spectral_shift(f: np.ndarray, grid: Grid, displacement: float, axis: int = 0) -> np.ndarray:
@@ -269,9 +256,8 @@ def alpha_scan(
 
     curves = []
     r_conts = []
-    samples = []
     alpha_star = constants.alpha_star
-    for t, wf in interior:
+    for _, wf in interior:
         parts = _hj_parts(wf, V, constants, eps_mask, smooth_st)
         curves.append([_hj_from_parts(parts, r * alpha_star) for r in ratios])
         if triple_builder is not None:
@@ -279,11 +265,7 @@ def alpha_scan(
         else:
             minus, plus = symmetric_pair(wf, V, dt, constants)
             triple = (minus, wf, plus)
-        rc = continuity_residual(triple, constants, eps_mask)
-        r_conts.append(rc)
-        mask_fraction = float(np.count_nonzero(parts[4])) / parts[4].size
-        mid = len(ratios) // 2
-        samples.append(ResidualSample(t, rc, curves[-1][mid], ratios[mid] * alpha_star, mask_fraction))
+        r_conts.append(continuity_residual(triple, constants, eps_mask))
 
     curve = np.array([math.fsum(col) / len(curves) for col in zip(*curves)])
     r_cont_mean = math.fsum(r_conts) / len(r_conts)
@@ -298,7 +280,6 @@ def alpha_scan(
         min_value=float(curve[i]),
         r_cont_mean=float(r_cont_mean),
         boundary=boundary,
-        samples=samples,
     )
 
 
@@ -436,10 +417,3 @@ def scan_to_csv(result: ScanResult) -> str:
     for a, r in zip(result.alphas, result.residuals):
         writer.writerow([f"{a:.17g}", f"{r:.17g}", f"{result.r_cont_mean:.17g}"])
     return buf.getvalue()
-
-
-def scan_verdict_json(result: ScanResult, pass_flag: bool) -> str:
-    return json.dumps(
-        {"argmin": result.argmin, "min": result.min_value, "pass": bool(pass_flag)},
-        indent=2,
-    )

@@ -4,17 +4,23 @@ import os
 
 import pytest
 
+from fisher_hydro import cli
 from fisher_hydro.cli import (
+    CHECKS,
     EXIT_CONFIG,
     EXIT_FALSIFIED,
+    EXIT_NUMERICAL,
     EXIT_PASS,
     ConfigError,
     DEFAULTS,
+    evaluate_checks,
     load_config,
     main,
     run_all,
     run_one,
 )
+from fisher_hydro.propagate import NumericalAbort
+from fisher_hydro.stresstests import FalsifierFired
 
 
 def test_load_config_defaults():
@@ -101,7 +107,7 @@ def test_verdict_json_schema(tmp_path):
     assert payload["test"] == "circulation"
     assert set(payload) >= {"measured", "thresholds", "pass", "runtime_s", "grid", "config"}
     for entry in payload["thresholds"].values():
-        assert "value" in entry and "source" in entry
+        assert set(entry) == {"value", "source", "op", "measured", "pass"}
     assert payload["grid"]["n"] == DEFAULTS["circulation"]["n"]
 
 
@@ -143,6 +149,16 @@ def test_run_all_summary(tmp_path, monkeypatch):
     assert code in (EXIT_PASS, EXIT_FALSIFIED)
     # per-test artefacts landed in per-test directories
     assert os.path.exists(tmp_path / "out" / "scan_alpha" / "scan-alpha.verdict.json")
+    # every verdict's pass is read from its checks, and only table rows appear
+    for name in small:
+        payload = json.loads((tmp_path / "out" / name.replace("-", "_") / f"{name}.verdict.json").read_text())
+        checks = payload["thresholds"]
+        assert set(checks) <= {row[0] for row in CHECKS[name]}
+        assert payload["pass"] == all(check["pass"] for check in checks.values())
+    galilei = json.loads((tmp_path / "out" / "galilei" / "galilei.json").read_text())
+    verdict = json.loads((tmp_path / "out" / "galilei" / "galilei.verdict.json").read_text())
+    assert list(verdict["thresholds"]) == ["bracket_gap_over_tolerance"]
+    assert verdict["pass"] == galilei["pass"]
 
 
 def test_beta_flag_appends_to_superposition_list(tmp_path):
@@ -162,3 +178,139 @@ def test_superposition_requires_canonical_betas(tmp_path):
     p.write_text(json.dumps(cfg))
     code = main(["superposition", "--config", str(p), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
+
+
+def test_beta_flag_appends_to_config_beta_list(tmp_path, monkeypatch):
+    # --beta extends the effective list (config file included), not the defaults
+    seen = []
+
+    def fake_curve(config, constants):
+        seen.append(config.beta_list)
+        return [{"beta": b, "base": 1.3, "refined": 1.3} for b in config.beta_list]
+
+    monkeypatch.setattr(cli, "superposition_curve", fake_curve)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"beta_list": [0, 0.005, 0.02, 0.05, 0.1]}))
+    main(["superposition", "--beta", "0.003", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert seen == [(0, 0.003, 0.005, 0.02, 0.05, 0.1)]
+    body = (tmp_path / "out" / "superposition.csv").read_text().splitlines()
+    assert [float(row.split(",")[0]) for row in body[1:]] == [0, 0.003, 0.005, 0.02, 0.05, 0.1]
+
+
+def _partial_verdict(outdir, test):
+    payload = json.loads((outdir / f"{test}.verdict.json").read_text())
+    assert set(payload) == {"test", "pass", "exit_code", "error", "runtime_s", "grid", "config",
+                            "version", "timestamp"}
+    assert payload["pass"] is False
+    return payload
+
+
+def test_falsifier_fired_writes_partial_verdict(tmp_path, monkeypatch):
+    def fired(config, constants):
+        raise FalsifierFired("residual not monotone in beta")
+
+    monkeypatch.setattr(cli, "superposition_curve", fired)
+    code, verdict = run_one("superposition", None, str(tmp_path), {})
+    assert (code, verdict) == (EXIT_FALSIFIED, None)
+    payload = _partial_verdict(tmp_path, "superposition")
+    assert payload["exit_code"] == EXIT_FALSIFIED
+    assert payload["error"] == "residual not monotone in beta"
+    assert payload["config"] == DEFAULTS["superposition"]
+
+
+def test_numerical_abort_writes_partial_verdict(tmp_path, monkeypatch):
+    def abort(*args, **kwargs):
+        raise NumericalAbort("non-finite state at t=0.1")
+
+    monkeypatch.setattr(cli, "evolve", abort)
+    code, verdict = run_one("continuity", None, str(tmp_path), {"n": 1024})
+    assert (code, verdict) == (EXIT_NUMERICAL, None)
+    payload = _partial_verdict(tmp_path, "continuity")
+    assert payload["exit_code"] == EXIT_NUMERICAL
+    assert payload["error"] == "non-finite state at t=0.1"
+    assert payload["grid"] == {"n": 1024, "dt": 0.02, "length": 122.88}
+
+
+@pytest.mark.parametrize("test, overrides, row", [
+    ("continuity", {"n": 1024}, "mean_r_cont"),
+    ("circulation", {"n": 128}, "max_line_area_rel_gap"),
+])
+def test_failed_check_is_named_on_disk(tmp_path, monkeypatch, test, overrides, row):
+    # a bound moved past its measured value fails that check alone, with exit 1
+    rows = [(name, op, -1.0 if name == row else bound, source) for name, op, bound, source in CHECKS[test]]
+    monkeypatch.setitem(CHECKS, test, rows)
+    code, verdict = run_one(test, None, str(tmp_path), overrides)
+    assert code == EXIT_FALSIFIED and not verdict.passed
+    payload = json.loads((tmp_path / f"{test}.verdict.json").read_text())
+    assert payload["pass"] is False
+    assert {name for name, check in payload["thresholds"].items() if not check["pass"]} == {row}
+    assert payload["thresholds"][row]["value"] == -1.0
+
+
+# Every row of the check table.  Rows marked with a criterion repeat the
+# literal bound of that criterion in tests/test_acceptance.py.
+EXPECTED_CHECKS = {
+    ("scan-alpha", "argmin_tol"): ("<=", 0.025),  # criterion 1
+    ("scan-alpha", "min_r_hj_low"): (">=", 1e-4),  # criterion 1
+    ("scan-alpha", "min_r_hj_high"): ("<=", 1e-2),  # criterion 1
+    ("scan-alpha", "mean_r_cont"): ("<=", 1e-6),  # criterion 1
+    ("scan-alpha", "boundary"): ("==", False),
+    ("scan-alpha", "argmin_refined_tol"): ("<=", 0.025),  # criterion 1
+    ("continuity", "mean_r_cont"): ("<=", 1e-6),  # criterion 1
+    ("continuity", "mean_r_cont_broken"): (">", 1e-3),
+    ("dg-entropy", "max_rel_rate_error"): ("<=", 1e-4),  # criterion 5
+    ("dg-entropy", "zero_diffusion_rate"): ("<=", 1e-10),  # criterion 5
+    ("dg-entropy", "dg_identity_rel_error"): ("<=", 1e-6),  # criterion 5
+    ("dg-entropy", "min_entropy_rate"): (">", 0.0),
+    ("circulation", "max_integer_gap"): ("<=", 1e-6),  # criterion 10
+    ("circulation", "max_line_area_rel_gap"): ("<=", 1e-6),  # criterion 10
+    ("fisher-el", "fisher_worst_residual"): ("<=", 1e-9),  # criterion 7
+    ("fisher-el", "non_fisher_best_residual"): (">=", 1e-3),  # criterion 7
+    ("fisher-el", "excited_scan_argmin"): ("<=", 0.01),  # criterion 7
+    ("fisher-el", "multi_mass_argmins"): ("<=", 0.01),
+    ("time-reversal", "defect_d0"): ("<=", 1e-10),  # criterion 9
+    ("time-reversal", "floor_ratio"): (">=", 1e3),  # criterion 9
+    ("galilei", "bracket_gap_over_tolerance"): ("<=", 1.0),  # criterion 6, per-entry tolerances
+    ("complexifier", "argmin_polar_cell"): ("==", True),  # criterion 8
+    ("complexifier", "minimum_cells"): ("==", 1),  # criterion 8
+    ("complexifier", "floor"): ("<=", 1e-6),  # criterion 8
+    ("complexifier", "off_cell_wall"): (">", 1e-2),  # criterion 8
+    ("complexifier", "uninformative"): ("==", False),
+    ("superposition", "linear_floor"): ("<=", 1e-10),  # criterion 4
+    ("superposition", "linear_floor_refined"): ("<=", 1e-10),  # criterion 4
+    ("superposition", "beta_0.005_low"): (">=", 0.08),  # criterion 4
+    ("superposition", "beta_0.005"): ("<=", 0.35),  # criterion 4
+    ("superposition", "beta_0.02_0.05_low"): (">=", 1.2),  # criterion 4
+    ("superposition", "beta_0.02_0.05"): ("<=", 1.45),  # criterion 4
+    ("superposition", "refinement_ratio"): (">=", 0.9),  # criterion 4
+}
+
+
+def test_check_table_matches_acceptance_bounds():
+    table = {(test, name): (op, bound) for test, rows in CHECKS.items() for name, op, bound, _ in rows}
+    assert table == EXPECTED_CHECKS
+    assert set(CHECKS) == set(DEFAULTS)
+
+
+@pytest.mark.parametrize("op, bound, inside, outside", [
+    ("<=", 1.0, 1.0, 1.5),
+    (">=", 1.0, 1.0, 0.5),
+    ("<", 1.0, 0.5, 1.0),
+    (">", 1.0, 1.5, 1.0),
+    ("==", 1, 1, 2),
+])
+def test_each_op_fails_on_wrong_side(monkeypatch, op, bound, inside, outside):
+    monkeypatch.setitem(CHECKS, "probe", [("x", op, bound, "probe row")])
+    assert evaluate_checks("probe", {"x": inside})["x"]["pass"] is True
+    assert evaluate_checks("probe", {"x": outside})["x"]["pass"] is False
+    assert evaluate_checks("probe", {"x": float("nan")})["x"]["pass"] is False
+
+
+def test_check_values_must_match_rows():
+    with pytest.raises(ValueError):
+        evaluate_checks("circulation", {"max_integer_gap": 0.0})
+    with pytest.raises(ValueError):
+        evaluate_checks("circulation", {"max_integer_gap": 0.0, "max_line_area_rel_gap": 0.0, "extra": 0.0})
+    # a row whose value is None does not apply to this run and is left out
+    checks = evaluate_checks("continuity", {"mean_r_cont": 0.5, "mean_r_cont_broken": None})
+    assert list(checks) == ["mean_r_cont"] and checks["mean_r_cont"]["pass"] is False
