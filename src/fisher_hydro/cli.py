@@ -259,7 +259,7 @@ def evaluate_checks(test: str, values: dict) -> dict:
     rows = CHECKS[test]
     names = {row[0] for row in rows}
     if set(values) != names:
-        raise ValueError(f"{test}: values {sorted(values)} do not match the check rows {sorted(names)}")
+        raise RuntimeError(f"{test}: values {sorted(values)} do not match the check rows {sorted(names)}")
     return {
         name: {"value": bound, "source": source, "op": op, "measured": values[name],
                "pass": bool(_OPS[op](values[name], bound))}
@@ -694,24 +694,39 @@ def run_superposition(cfg: dict, outdir: str) -> tuple[dict, dict]:
 
 
 def run_one(test: str, config_path: str | None, outdir: str, overrides: dict) -> tuple[int, Verdict | None]:
+    code, verdict, _ = _run(test, config_path, outdir, overrides)
+    return code, verdict
+
+
+def _run(test: str, config_path: str | None, outdir: str,
+         overrides: dict) -> tuple[int, Verdict | None, float | None]:
+    """run_one, plus the runtime that its verdict, full or partial, records
+    (None on a config error, which writes no verdict)."""
     t0 = time.perf_counter()
     try:
         cfg = load_config(test, config_path, overrides)
         verdict = RUNNERS[test](cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG, None
-    except (NumericalAbort, FalsifierFired) as exc:
-        aborted = isinstance(exc, NumericalAbort)
-        code = EXIT_NUMERICAL if aborted else EXIT_FALSIFIED
-        print(f"{'numerical abort' if aborted else 'falsifier fired'}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG, None, None
+    except (ValueError, NumericalAbort, FalsifierFired) as exc:
+        # A ValueError from a runner is a config it cannot measure, such as
+        # a t_final that leaves a trajectory no interior snapshots.
+        if isinstance(exc, NumericalAbort):
+            code, label = EXIT_NUMERICAL, "numerical abort"
+        elif isinstance(exc, FalsifierFired):
+            code, label = EXIT_FALSIFIED, "falsifier fired"
+        else:
+            code, label = EXIT_CONFIG, "config error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        runtime_s = time.perf_counter() - t0
         _write(outdir, f"{test}.verdict.json", _verdict_json({
             "test": test, "pass": False, "exit_code": code, "error": str(exc),
-            "runtime_s": time.perf_counter() - t0, "grid": _fingerprint(cfg), "config": cfg,
+            "runtime_s": runtime_s, "grid": _fingerprint(cfg), "config": cfg,
         }))
-        return code, None
+        return code, None, runtime_s
     _write(outdir, f"{test}.verdict.json", verdict.to_json())
-    return (EXIT_PASS if verdict.passed else EXIT_FALSIFIED), verdict
+    return (EXIT_PASS if verdict.passed else EXIT_FALSIFIED), verdict, verdict.runtime_s
 
 
 def run_all(config_dir: str, outdir: str) -> int:
@@ -720,11 +735,11 @@ def run_all(config_dir: str, outdir: str) -> int:
         return EXIT_CONFIG
     workers = int(os.environ.get("FISHER_HYDRO_WORKERS", "1"))
 
-    def job(test: str) -> tuple[str, int, Verdict | None]:
+    def job(test: str) -> tuple[str, int, float | None]:
         path = os.path.join(config_dir, f"{test}.json")
-        code, verdict = run_one(test, path if os.path.exists(path) else None,
-                                os.path.join(outdir, test.replace("-", "_")), {})
-        return test, code, verdict
+        code, _, runtime_s = _run(test, path if os.path.exists(path) else None,
+                                  os.path.join(outdir, test.replace("-", "_")), {})
+        return test, code, runtime_s
 
     names = sorted(RUNNERS)
     if workers > 1:
@@ -736,12 +751,11 @@ def run_all(config_dir: str, outdir: str) -> int:
     results.sort(key=lambda r: r[0])
     summary = []
     print(f"{'test':<14} {'status':<8} runtime")
-    for test, code, verdict in results:
+    for test, code, runtime_s in results:
         status = {EXIT_PASS: "pass", EXIT_FALSIFIED: "FAIL", EXIT_CONFIG: "config", EXIT_NUMERICAL: "abort"}[code]
-        runtime = f"{verdict.runtime_s:.1f}s" if verdict else "-"
+        runtime = "-" if runtime_s is None else f"{runtime_s:.1f}s"
         print(f"{test:<14} {status:<8} {runtime}")
-        summary.append({"test": test, "exit_code": code, "pass": code == EXIT_PASS,
-                        "runtime_s": verdict.runtime_s if verdict else None})
+        summary.append({"test": test, "exit_code": code, "pass": code == EXIT_PASS, "runtime_s": runtime_s})
     _write(outdir, "summary.json", json.dumps(summary, indent=2))
     return EXIT_PASS if all(r["pass"] for r in summary) else EXIT_FALSIFIED
 

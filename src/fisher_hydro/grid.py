@@ -53,6 +53,7 @@ class Grid:
             kmesh = [k1[:, None], k1[None, :]]
             object.__setattr__(self, "_k2", k1[:, None] ** 2 + k1[None, :] ** 2)
         object.__setattr__(self, "_kmesh", kmesh)
+        object.__setattr__(self, "_ik", [1j * k for k in kmesh])
 
     @property
     def shape(self) -> tuple[int, ...]:

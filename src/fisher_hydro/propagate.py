@@ -4,14 +4,17 @@ nonlinear perturbation, and density-level advection-diffusion.
 Every wavefunction stepper, evolve and the batched superposition evolution
 run one Strang kernel, _strang, on states stacked as (*batch, *grid.shape).
 The DG and beta variants add a state-dependent half-step kick that is absent
-at D = 0 and beta = 0, so there they are the linear step bit for bit.
+at D = 0 and beta = 0, so there they are the linear step bit for bit.  The
+kernel steps a copy of its input in place: transforms and products write
+into the state, and the kicks into work arrays built once per call, so a
+step allocates no array of the stack's size: with glibc's allocator, fresh
+temporaries of that size cost a page fault per page on every step.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -96,12 +99,33 @@ def _grid_axes(grid: Grid) -> tuple[int, ...]:
 
 
 def _over_grid(transform, values: np.ndarray, grid: Grid) -> np.ndarray:
-    """np.fft.fft or ifft over the grid axes of a stack, in the order of
-    np.fft.fftn (same bits) without its per-call argument handling, which
-    costs several percent of a 1D step."""
+    """np.fft.fft or ifft of a complex stack over its grid axes, in place, in
+    the order of np.fft.fftn (same bits) without its per-call argument
+    handling, which costs several percent of a 1D step."""
     for axis in reversed(_grid_axes(grid)):
-        values = transform(values, axis=axis)
+        transform(values, axis=axis, out=values)
     return values
+
+
+class _Work:
+    """Arrays shaped like a stack of states, which the kicks of one advance
+    call reuse across its steps: real rho and scratch, a complex spectrum and,
+    for beta only, a complex gradient component.  Each call builds its own,
+    so threads never share one."""
+
+    def __init__(self, shape: tuple[int, ...], gradient: bool) -> None:
+        self.rho, self.real = np.empty(shape), np.empty(shape)
+        self.spectrum = np.empty(shape, complex)
+        self.gradient = np.empty(shape, complex) if gradient else None
+
+
+def _density_spectrum(values: np.ndarray, grid: Grid, work: _Work) -> tuple[np.ndarray, np.ndarray]:
+    """rho = |values|^2 in work.rho and its spectrum in work.spectrum.  The
+    transform runs in place on rho copied to complex: given a real array,
+    np.fft.fft allocates that copy itself."""
+    rho = np.add(np.square(values.real, out=work.rho), np.square(values.imag, out=work.real), out=work.rho)
+    np.copyto(work.spectrum, rho)
+    return rho, _over_grid(np.fft.fft, work.spectrum, grid)
 
 
 def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, kind: str = "linear",
@@ -115,32 +139,44 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
     per state: exp((D/4) dt Lap rho/rho) for DG, exp(-i U_beta dt/2h) for
     beta.  The linear kind, D = 0 and beta = 0 have no kick, so they are the
     linear step bit for bit.
+
+    advance copies values once and then steps the copy in place, with the
+    kicks in work arrays built once per call: it never writes into its
+    argument, so a caller may pass back an array it keeps.
     """
     if kind not in _WAVE_KINDS:
         raise ValueError(f"kind {kind!r} is not a wavefunction evolution")
     kick = None
     if kind == "dg_diffusion" and D != 0.0:
-        def kick(values):
-            return np.exp((D / 4.0) * dt * _dg_exponent(values, grid, eps_mask))
+        neg_k2 = -grid._k2
+
+        def kick(values, work):
+            factor = np.multiply((D / 4.0) * dt, _dg_exponent(values, grid, eps_mask, neg_k2, work), out=work.rho)
+            np.multiply(values, np.exp(factor, out=factor), out=values)
     elif kind == "beta_nonlinear" and beta != 0.0:
-        def kick(values):
-            return np.exp(-1j * beta_potential(values, grid, beta, eps_reg) * dt / (2.0 * constants.hbar))
+        def kick(values, work):
+            phase = np.multiply(-1j, beta_potential(values, grid, beta, eps_reg, work), out=work.spectrum)
+            np.divide(np.multiply(phase, dt, out=phase), 2.0 * constants.hbar, out=phase)
+            np.multiply(values, np.exp(phase, out=phase), out=values)
     half_v = np.exp(-1j * V * dt / (2.0 * constants.hbar))
     kin = _kinetic_factor(grid, dt, constants)
 
     def advance(values: np.ndarray, n_steps: int) -> np.ndarray:
+        values = np.array(values, dtype=complex)
+        work = None if kick is None else _Work(values.shape, gradient=kind == "beta_nonlinear")
+        # Every product is np.multiply with a fixed operand order: numpy may
+        # evaluate `*` on a large temporary in place with swapped operands,
+        # and a complex product is not bitwise commutative (FMA), so `*`
+        # would make a state's step depend on its batch.
         for _ in range(n_steps):
             if kick is not None:
-                values = values * kick(values)
-            values = half_v * values
-            # np.multiply, not `*`: numpy may evaluate `*` on a large temporary
-            # in place with swapped operands, and a complex product is not
-            # bitwise commutative (FMA), so `*` would make a state's step depend
-            # on its batch.  The beta kick keeps `*` (ROADMAP item 2).
-            values = _over_grid(np.fft.ifft, np.multiply(kin, _over_grid(np.fft.fft, values, grid)), grid)
-            values = half_v * values
+                kick(values, work)
+            np.multiply(half_v, values, out=values)
+            np.multiply(kin, _over_grid(np.fft.fft, values, grid), out=values)
+            _over_grid(np.fft.ifft, values, grid)
+            np.multiply(half_v, values, out=values)
             if kick is not None:
-                values = values * kick(values)
+                kick(values, work)
         return values
 
     return advance
@@ -157,17 +193,19 @@ def step_linear(psi: WaveField, V: np.ndarray, dt: float, constants: PhysicalCon
     return _step(psi, V, dt, constants)
 
 
-def _dg_exponent(values: np.ndarray, grid: Grid, eps_mask: float) -> np.ndarray:
-    """Smoothly regularised Delta rho / rho for the DG amplitude factor.
+def _dg_exponent(values: np.ndarray, grid: Grid, eps_mask: float, neg_k2: np.ndarray, work: _Work) -> np.ndarray:
+    """Smoothly regularised Delta rho / rho for the DG amplitude factor, in
+    work.rho; neg_k2 is -grid._k2.
 
     A hard mask cutoff would imprint a kink at the mask edge every step and
     ring under the spectral diagnostics; Delta rho / (rho + eps max rho)
     matches Delta rho / rho in the bulk and rolls off smoothly in the tails.
     values may stack states along leading axes; max rho is taken per state.
     """
-    rho = values.real**2 + values.imag**2
-    lap = _over_grid(np.fft.ifft, -grid._k2 * _over_grid(np.fft.fft, rho, grid), grid).real
-    return lap / (rho + eps_mask * rho.max(axis=_grid_axes(grid), keepdims=True))
+    rho, rho_hat = _density_spectrum(values, grid, work)
+    lap = _over_grid(np.fft.ifft, np.multiply(neg_k2, rho_hat, out=rho_hat), grid).real
+    np.add(rho, eps_mask * rho.max(axis=_grid_axes(grid), keepdims=True), out=rho)
+    return np.divide(lap, rho, out=rho)
 
 
 def step_dg(
@@ -189,22 +227,28 @@ def step_dg(
     return _step(psi, V, dt, constants, "dg_diffusion", D=D, eps_mask=eps_mask)
 
 
-def beta_potential(values: np.ndarray, grid: Grid, beta: float, eps_reg: float) -> np.ndarray:
+def beta_potential(values: np.ndarray, grid: Grid, beta: float, eps_reg: float,
+                   work: _Work | None = None) -> np.ndarray:
     """Non-Fisher perturbation U_beta = beta |grad rho|^2 / (rho + eps)^2.
 
     eps is eps_reg relative to the instantaneous max of rho.  values may
-    stack states along leading axes; each state gets its own eps.
+    stack states along leading axes; each state gets its own eps.  The Strang
+    kernel passes its work arrays: the result is then work.real, and
+    work.spectrum is free.  By default the work arrays are fresh.
     """
-    rho = values.real**2 + values.imag**2
-    rho_hat = _over_grid(np.fft.fft, rho, grid)
-    spectra = [1j * k * rho_hat for k in grid._kmesh]
-    # One large array fewer alive through the inverse transforms, and no
-    # 0 + grad^2 start as sum() would add: with the glibc allocator each
-    # large temporary costs page faults, about 10% of a batched 1D beta step.
-    del rho_hat
-    grad_sq = reduce(np.add, (_over_grid(np.fft.ifft, s, grid).real ** 2 for s in spectra))
-    eps = eps_reg * rho.max(axis=_grid_axes(grid), keepdims=True)
-    return beta * grad_sq / (rho + eps) ** 2
+    if work is None:
+        work = _Work(values.shape, gradient=True)
+    rho, rho_hat = _density_spectrum(values, grid, work)
+    grad_sq = work.real
+    for axis, ik in enumerate(grid._ik):
+        component = _over_grid(np.fft.ifft, np.multiply(ik, rho_hat, out=work.gradient), grid).real
+        if axis:
+            np.add(grad_sq, np.square(component, out=component), out=grad_sq)
+        else:
+            np.square(component, out=grad_sq)
+    np.add(rho, eps_reg * rho.max(axis=_grid_axes(grid), keepdims=True), out=rho)
+    np.square(rho, out=rho)
+    return np.divide(np.multiply(beta, grad_sq, out=grad_sq), rho, out=grad_sq)
 
 
 def step_beta(

@@ -256,10 +256,10 @@ def test_criterion_6_bargmann_closure():
            f"|{{P,K}}+m|={pk:.2e} <= 1e-10")
 
 
-def test_criterion_7_fisher_el_necessity():
+def test_criterion_7_fisher_el_necessity(tmp_path):
     from fisher_hydro.cli import DEFAULTS, run_fisher_el
 
-    verdict = run_fisher_el(dict(DEFAULTS["fisher-el"]), "/tmp/acceptance_fisher_el")
+    verdict = run_fisher_el(dict(DEFAULTS["fisher-el"]), str(tmp_path))
     m = verdict.measured
     ok = (
         m["fisher_worst_residual"] <= 1e-9

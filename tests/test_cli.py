@@ -205,7 +205,7 @@ def _partial_verdict(outdir, test):
     return payload
 
 
-def test_falsifier_fired_writes_partial_verdict(tmp_path, monkeypatch):
+def test_falsifier_fired_writes_partial_verdict(tmp_path, monkeypatch, capsys):
     def fired(config, constants):
         raise FalsifierFired("residual not monotone in beta")
 
@@ -216,6 +216,28 @@ def test_falsifier_fired_writes_partial_verdict(tmp_path, monkeypatch):
     assert payload["exit_code"] == EXIT_FALSIFIED
     assert payload["error"] == "residual not monotone in beta"
     assert payload["config"] == DEFAULTS["superposition"]
+    # run-all's summary and table carry the runtime that the partial verdict records
+    monkeypatch.setattr(cli, "RUNNERS", {"superposition": cli.RUNNERS["superposition"]})
+    capsys.readouterr()
+    assert run_all(str(tmp_path), str(tmp_path / "all")) == EXIT_FALSIFIED
+    [row] = json.loads((tmp_path / "all" / "summary.json").read_text())
+    payload = _partial_verdict(tmp_path / "all" / "superposition", "superposition")
+    assert row["runtime_s"] == payload["runtime_s"] > 0
+    table_row = capsys.readouterr().out.splitlines()[1]
+    assert table_row.split() == ["superposition", "FAIL", f"{payload['runtime_s']:.1f}s"]
+
+
+def test_runner_value_error_writes_partial_verdict(tmp_path):
+    # t_final 0.2 leaves the alpha scan no interior snapshot: alpha_scan raises ValueError
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"n": 1024, "t_final": 0.2}))
+    code, verdict = run_one("scan-alpha", str(p), str(tmp_path), {})
+    assert (code, verdict) == (EXIT_CONFIG, None)
+    payload = _partial_verdict(tmp_path, "scan-alpha")
+    assert payload["exit_code"] == EXIT_CONFIG
+    assert payload["error"] == "trajectory has no interior snapshots"
+    assert payload["config"]["t_final"] == 0.2
+    assert main(["scan-alpha", "--config", str(p), "--out", str(tmp_path / "main")]) == EXIT_CONFIG
 
 
 def test_numerical_abort_writes_partial_verdict(tmp_path, monkeypatch):
@@ -307,9 +329,11 @@ def test_each_op_fails_on_wrong_side(monkeypatch, op, bound, inside, outside):
 
 
 def test_check_values_must_match_rows():
-    with pytest.raises(ValueError):
+    # a drift between a runner and its rows is a fault of the program, not a
+    # config error: it must not be a ValueError, which run_one reports as exit 2
+    with pytest.raises(RuntimeError):
         evaluate_checks("circulation", {"max_integer_gap": 0.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError):
         evaluate_checks("circulation", {"max_integer_gap": 0.0, "max_line_area_rel_gap": 0.0, "extra": 0.0})
     # a row whose value is None does not apply to this run and is left out
     checks = evaluate_checks("continuity", {"mean_r_cont": 0.5, "mean_r_cont_broken": None})

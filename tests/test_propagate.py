@@ -275,9 +275,7 @@ def test_trajectory_times_are_step_multiples(grid1d, constants, kind):
     ("beta_nonlinear", 1, 512),
     ("beta_nonlinear", 2, 128),
     ("dg_diffusion", 2, 128),
-    pytest.param("beta_nonlinear", 1, 8192, marks=pytest.mark.xfail(
-        reason="the batch is past numpy's 256 KiB temporary-elision size and the lone state is not, so "
-               "the beta kick product runs with swapped operands (ROADMAP item 2)")),
+    ("beta_nonlinear", 1, 8192),
 ])
 def test_batch_rows_match_solo_evolution(kind, dim, n, constants):
     """Each row of a (3, *shape) batch, two packets of different norm and
@@ -295,10 +293,43 @@ def test_batch_rows_match_solo_evolution(kind, dim, n, constants):
     spec = EvolutionSpec(kind=kind, dt=0.01, t_final=0.2, record_stride=20, D=0.05, beta=0.02)
     batch = np.stack([p1, p2, (p1 + p2) / np.sqrt(2.0)])
     advance = _strang(V, grid, spec.dt, constants, kind, D=spec.D, beta=spec.beta, eps_reg=spec.eps_reg)
+    kept = batch.copy()
     rows = advance(batch, spec.n_steps)
+    assert np.array_equal(batch, kept)
     for row, state in zip(rows, batch):
         solo = evolve(WaveField(grid, state), V, spec, constants).snapshots[-1][1]
         assert np.array_equal(row, solo.values)
+
+
+@pytest.mark.parametrize("kind", ["linear", "dg_diffusion", "beta_nonlinear"])
+@pytest.mark.parametrize("grid_name", ["grid1d", "grid2d"])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_in_place_kernel_never_aliases(kind, grid_name, stride, request, constants):
+    """The kernel steps in place: evolve must leave psi0 alone and give each
+    snapshot its own memory, equal bit for bit to a fresh evolve to its time,
+    and a single step must leave its input alone."""
+    grid = request.getfixturevalue(grid_name)
+    if grid.dim == 1:
+        psi0 = gaussian_packet(grid, 20.0, 1.0, 0.3, constants)
+    else:
+        psi0 = WaveField(grid, vortex_state(grid, 0, 1.5, (9.0, 10.5)).values * np.exp(0.3j * grid.coords()[0]))
+    kept = psi0.values.copy()
+    V = harmonic_potential(grid, 1.0, constants)
+    spec = EvolutionSpec(kind=kind, dt=0.01, t_final=0.1, record_stride=stride, D=0.05, beta=0.02)
+    snapshots = evolve(psi0, V, spec, constants).snapshots
+    assert np.array_equal(psi0.values, kept)
+    arrays = [psi0.values] + [wf.values for _, wf in snapshots]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+    for t, wf in snapshots[1:]:
+        steps = int(round(t / spec.dt))
+        fresh = EvolutionSpec(kind=kind, dt=spec.dt, t_final=t, record_stride=steps, D=spec.D, beta=spec.beta)
+        assert np.array_equal(evolve(psi0, V, fresh, constants).snapshots[-1][1].values, wf.values)
+    for step in (lambda: step_linear(psi0, V, 0.01, constants),
+                 lambda: step_dg(psi0, V, 0.01, 0.05, constants),
+                 lambda: step_beta(psi0, V, 0.01, 0.02, 1e-6, constants),
+                 lambda: symmetric_pair(psi0, V, 0.01, constants, "dg_diffusion", D=0.05)):
+        step()
+        assert np.array_equal(psi0.values, kept)
 
 
 def test_density_diffusion_velocity_callable_matches_fixed(grid1d):
