@@ -188,6 +188,23 @@ DEFAULTS: dict[str, dict] = {
 }
 
 
+# Every CLI flag and its help text.  A subcommand has the flag when its
+# DEFAULTS hold the key (--beta: beta_list, to which it appends one coupling),
+# and the flag's type is that of the default.
+_FLAGS = {
+    "refine": "repeat on the refined grid",
+    "n": "grid points per axis (power of two)",
+    "dt": "time step",
+    "alpha_min": "lower end of the alpha/alpha_star scan",
+    "alpha_max": "upper end of the alpha/alpha_star scan",
+    "alpha_steps": "number of alpha scan cells",
+    "boost": "initial packet momentum",
+    "diffusion": "Doebner-Goldin diffusion coefficient D",
+    "beta": "single nonlinear coupling to append to the beta list",
+    "mask_eps": "node mask threshold relative to max rho",
+}
+
+
 # Every gate of every suite: (name, op, bound, source).  A verdict passes when
 # all rows its runner applies pass; a bracket lo <= x <= hi is two rows.
 CHECKS: dict[str, list[tuple[str, str, object, str]]] = {
@@ -377,7 +394,7 @@ def _table1_trajectory(cfg: dict, constants: PhysicalConstants, refined: bool = 
     stride = max(1, int(round(cfg["snapshot_interval"] / dt)))
     spec = EvolutionSpec(kind="linear", dt=dt, t_final=cfg["t_final"], record_stride=stride)
     V = np.zeros(grid.shape)
-    return evolve(psi, V, spec, constants, potential_id="free"), V, grid
+    return evolve(psi, V, spec, constants), V, grid
 
 
 @_suite("scan-alpha")
@@ -624,7 +641,7 @@ def run_complexifier(cfg: dict, outdir: str) -> tuple[dict, dict]:
     )
     stride = max(1, int(round(cfg["snapshot_interval"] / cfg["dt"])))
     spec = EvolutionSpec(kind="linear", dt=cfg["dt"], t_final=cfg["t_final"], record_stride=stride)
-    traj = evolve(psi, V, spec, constants, potential_id=f"harmonic(omega={cfg['omega']:g})")
+    traj = evolve(psi, V, spec, constants)
     snapshots = [wf for _, wf in traj.snapshots[1:]]
 
     p_grid = np.array(cfg["p_grid"], dtype=float)
@@ -733,7 +750,11 @@ def run_all(config_dir: str, outdir: str) -> int:
     if not os.path.isdir(config_dir):
         print(f"config error: {config_dir} is not a directory", file=sys.stderr)
         return EXIT_CONFIG
-    workers = int(os.environ.get("FISHER_HYDRO_WORKERS", "1"))
+    try:
+        workers = int(os.environ.get("FISHER_HYDRO_WORKERS", "1"))
+    except ValueError as exc:
+        print(f"config error: FISHER_HYDRO_WORKERS: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     def job(test: str) -> tuple[str, int, float | None]:
         path = os.path.join(config_dir, f"{test}.json")
@@ -772,16 +793,16 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=RUNNERS[name].__doc__)
         p.add_argument("--config", help="JSON config file (schema-checked)")
         p.add_argument("--out", default="out", help="artefact output directory")
-        p.add_argument("--refine", action="store_true", default=None, help="repeat on the refined grid")
-        p.add_argument("--n", type=int, help="grid points per axis (power of two)")
-        p.add_argument("--dt", type=float, help="time step")
-        p.add_argument("--alpha-min", type=float, dest="alpha_min")
-        p.add_argument("--alpha-max", type=float, dest="alpha_max")
-        p.add_argument("--alpha-steps", type=int, dest="alpha_steps")
-        p.add_argument("--boost", type=float)
-        p.add_argument("--diffusion", type=float)
-        p.add_argument("--beta", type=float, help="single nonlinear coupling to append to the beta list")
-        p.add_argument("--mask-eps", type=float, dest="mask_eps")
+        for flag, text in _FLAGS.items():
+            key = "beta_list" if flag == "beta" else flag
+            if key not in DEFAULTS[name]:
+                continue
+            default = DEFAULTS[name][key]
+            option = "--" + flag.replace("_", "-")
+            if isinstance(default, bool):
+                p.add_argument(option, action="store_true", default=None, help=text)
+            else:  # --beta takes one element of the list
+                p.add_argument(option, type=type(default[0] if key == "beta_list" else default), help=text)
     runall = sub.add_parser("run-all", help="run all nine suites from a config directory")
     runall.add_argument("config_dir", nargs="?", default="configs")
     runall.add_argument("--out", default="out")
@@ -792,11 +813,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.test == "run-all":
         return run_all(args.config_dir, args.out)
-    overrides = {
-        key: getattr(args, key, None)
-        for key in ("refine", "n", "dt", "alpha_min", "alpha_max", "alpha_steps",
-                    "boost", "diffusion", "mask_eps", "beta")
-    }
+    overrides = {flag: getattr(args, flag, None) for flag in _FLAGS}
     code, verdict = run_one(args.test, args.config, args.out, overrides)
     if verdict is not None:
         print(f"{args.test}: {'pass' if verdict.passed else 'FAIL'} ({verdict.runtime_s:.1f}s)")

@@ -34,28 +34,22 @@ _RHO_GUARD = 1e-300
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Action scale hbar, mass m, and the regulariser coefficient alpha.
+    """Action scale hbar and mass m.
 
-    alpha defaults to the Fisher scale hbar^2/(2m); alpha_star is always
-    derived, never stored independently.
+    The Fisher scale alpha_star = hbar^2/(2m) is always derived; a candidate
+    regulariser coefficient alpha is passed explicitly wherever it is used.
     """
 
     hbar: float = 1.0
     m: float = 1.0
-    alpha: float = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.hbar <= 0 or self.m <= 0:
             raise ValueError("hbar and m must be positive")
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", self.alpha_star)
 
     @property
     def alpha_star(self) -> float:
         return self.hbar**2 / (2.0 * self.m)
-
-    def with_alpha(self, alpha: float) -> "PhysicalConstants":
-        return PhysicalConstants(hbar=self.hbar, m=self.m, alpha=alpha)
 
 
 @dataclass

@@ -12,7 +12,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -44,41 +43,33 @@ _REL_FLOOR = 1e-13
 class RegulariserSpec:
     """Convex local regulariser family f(rho) entering F[rho] = int f |grad rho|^2.
 
-    Families: fisher(C) with f = C/rho, power(p, C) with f = C rho^p,
-    constant(C), or custom with supplied f and f'.
+    Families: fisher(C) with f = C/rho, power(p, C) with f = C rho^p, or
+    constant(C).
     """
 
     family: str
     coefficient: float = 1.0
     power: float = 0.0
-    f_custom: Callable[[np.ndarray], np.ndarray] | None = None
-    fprime_custom: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in ("fisher", "power", "constant", "custom"):
+        if self.family not in ("fisher", "power", "constant"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.coefficient <= 0:
             raise ValueError("coefficient must be positive")
-        if self.family == "custom" and (self.f_custom is None or self.fprime_custom is None):
-            raise ValueError("custom family needs f and f'")
 
     def f(self, rho: np.ndarray) -> np.ndarray:
         if self.family == "fisher":
             return self.coefficient / rho
         if self.family == "power":
             return self.coefficient * rho**self.power
-        if self.family == "constant":
-            return self.coefficient * np.ones_like(rho)
-        return self.f_custom(rho)
+        return self.coefficient * np.ones_like(rho)
 
     def fprime(self, rho: np.ndarray) -> np.ndarray:
         if self.family == "fisher":
             return -self.coefficient / rho**2
         if self.family == "power":
             return self.coefficient * self.power * rho ** (self.power - 1.0)
-        if self.family == "constant":
-            return np.zeros_like(rho)
-        return self.fprime_custom(rho)
+        return np.zeros_like(rho)
 
     @property
     def is_fisher(self) -> bool:

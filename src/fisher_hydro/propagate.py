@@ -76,7 +76,6 @@ class EvolutionSpec:
 class Trajectory:
     snapshots: list[tuple[float, WaveField]]
     spec: EvolutionSpec
-    potential_id: str = ""
 
     def times(self) -> list[float]:
         return [t for t, _ in self.snapshots]
@@ -129,7 +128,7 @@ def _density_spectrum(values: np.ndarray, grid: Grid, work: _Work) -> tuple[np.n
 
 
 def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, kind: str = "linear",
-            D: float = 0.0, beta: float = 0.0, eps_reg: float = 1e-6, eps_mask: float = _DG_EPS_MASK):
+            D: float = 0.0, beta: float = 0.0, eps_reg: float = 1e-6):
     """The Strang step of every wavefunction kind, as advance(values, n_steps).
 
     values stacks states as (*batch, *grid.shape).  One step is kick,
@@ -151,7 +150,7 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
         neg_k2 = -grid._k2
 
         def kick(values, work):
-            factor = np.multiply((D / 4.0) * dt, _dg_exponent(values, grid, eps_mask, neg_k2, work), out=work.rho)
+            factor = np.multiply((D / 4.0) * dt, _dg_exponent(values, grid, neg_k2, work), out=work.rho)
             np.multiply(values, np.exp(factor, out=factor), out=values)
     elif kind == "beta_nonlinear" and beta != 0.0:
         def kick(values, work):
@@ -193,38 +192,32 @@ def step_linear(psi: WaveField, V: np.ndarray, dt: float, constants: PhysicalCon
     return _step(psi, V, dt, constants)
 
 
-def _dg_exponent(values: np.ndarray, grid: Grid, eps_mask: float, neg_k2: np.ndarray, work: _Work) -> np.ndarray:
+def _dg_exponent(values: np.ndarray, grid: Grid, neg_k2: np.ndarray, work: _Work) -> np.ndarray:
     """Smoothly regularised Delta rho / rho for the DG amplitude factor, in
     work.rho; neg_k2 is -grid._k2.
 
     A hard mask cutoff would imprint a kink at the mask edge every step and
-    ring under the spectral diagnostics; Delta rho / (rho + eps max rho)
-    matches Delta rho / rho in the bulk and rolls off smoothly in the tails.
-    values may stack states along leading axes; max rho is taken per state.
+    ring under the spectral diagnostics; Delta rho / (rho + eps max rho),
+    eps = _DG_EPS_MASK, matches Delta rho / rho in the bulk and rolls off
+    smoothly in the tails.  values may stack states along leading axes; max
+    rho is taken per state.
     """
     rho, rho_hat = _density_spectrum(values, grid, work)
     lap = _over_grid(np.fft.ifft, np.multiply(neg_k2, rho_hat, out=rho_hat), grid).real
-    np.add(rho, eps_mask * rho.max(axis=_grid_axes(grid), keepdims=True), out=rho)
+    np.add(rho, _DG_EPS_MASK * rho.max(axis=_grid_axes(grid), keepdims=True), out=rho)
     return np.divide(lap, rho, out=rho)
 
 
-def step_dg(
-    psi: WaveField,
-    V: np.ndarray,
-    dt: float,
-    D: float,
-    constants: PhysicalConstants,
-    eps_mask: float = _DG_EPS_MASK,
-) -> WaveField:
+def step_dg(psi: WaveField, V: np.ndarray, dt: float, D: float, constants: PhysicalConstants) -> WaveField:
     """Strang composition of the linear step with the DG factor exp((D/2)(Lap rho/rho) dt).
 
     The DG term is the imaginary i(hbar D/2)(Lap rho/rho) psi addition to the
     Schrodinger equation; it acts multiplicatively on the amplitude and drives
-    the density by D Lap rho.  Exactly step_linear at D = 0.  The default
-    regularisation scale sits below the diagnostic mask so its bias stays
-    under the PDE-residual tolerance.
+    the density by D Lap rho.  Exactly step_linear at D = 0.  The
+    regularisation scale _DG_EPS_MASK sits below the diagnostic mask so its
+    bias stays under the PDE-residual tolerance.
     """
-    return _step(psi, V, dt, constants, "dg_diffusion", D=D, eps_mask=eps_mask)
+    return _step(psi, V, dt, constants, "dg_diffusion", D=D)
 
 
 def beta_potential(values: np.ndarray, grid: Grid, beta: float, eps_reg: float,
@@ -267,14 +260,14 @@ def step_beta(
     return _step(psi, V, dt, constants, "beta_nonlinear", beta=beta, eps_reg=eps_reg)
 
 
-def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: PhysicalConstants,
-           potential_id: str = "") -> Trajectory:
+def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: PhysicalConstants) -> Trajectory:
     """Repeated stepping with snapshot recording every record_stride steps.
 
-    Every kind runs the Strang kernel of step_linear, step_dg (default
-    eps_mask) and step_beta, with its factors built once, one record_stride
-    chunk at a time.  The snapshot k steps in is stamped k * dt.  Aborts with
-    NumericalAbort on non-finite values.
+    Every kind runs the Strang kernel of step_linear, step_dg and step_beta,
+    with its factors built once, one record_stride chunk at a time.  The
+    snapshot k steps in is stamped k * dt.  Aborts with NumericalAbort on
+    non-finite values; for DG the message gives dt*D/h^2, since the explicit
+    DG kick blows up once that number is large.
     """
     psi0.check_finite()
     grid = psi0.grid
@@ -288,9 +281,10 @@ def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: Physi
         step += chunk
         t = step * spec.dt
         if not np.all(np.isfinite(values.view(float))):
-            raise NumericalAbort(f"non-finite state at t={t:g}")
+            cause = f" (dt*D/h^2 = {spec.dt * spec.D / grid.spacing**2:.3g})" if spec.kind == "dg_diffusion" else ""
+            raise NumericalAbort(f"non-finite state at t={t:g}{cause}")
         snapshots.append((t, WaveField(grid, values, t)))
-    return Trajectory(snapshots, spec, potential_id)
+    return Trajectory(snapshots, spec)
 
 
 def symmetric_pair(
@@ -324,32 +318,29 @@ def _advection_diffusion_rhs(rho: np.ndarray, v: np.ndarray | None, D: float, gr
 
 def evolve_density_diffusion(
     rho0: np.ndarray,
-    v_field,
+    v_field: np.ndarray | None,
     D: float,
     spec: EvolutionSpec,
     grid: Grid,
 ) -> DensityTrajectory:
     """Explicit RK4 for rho_t = -div(rho v) + D Lap rho with spectral derivatives.
 
-    v_field is a fixed stacked vector field (dim, *shape), a callable t -> such
-    a field (velocity supplied per step), or None for pure diffusion.  Warns
-    when dt * D / h^2 exceeds 0.25.
+    v_field is a fixed stacked vector field (dim, *shape), or None for pure
+    diffusion.  Warns when dt * D / h^2 exceeds 0.25.
     """
     if spec.dt * D / grid.spacing**2 > 0.25:
         warnings.warn(
             f"dt*D/h^2 = {spec.dt * D / grid.spacing**2:.3f} > 0.25: explicit step may be unstable",
             RuntimeWarning,
         )
-    v_of_t = v_field if callable(v_field) else (lambda t: v_field)
     rho = np.array(rho0, dtype=float)
     snapshots = [(0.0, rho.copy())]
     dt = spec.dt
     for step in range(1, spec.n_steps + 1):
-        t = (step - 1) * dt
-        k1 = _advection_diffusion_rhs(rho, v_of_t(t), D, grid)
-        k2 = _advection_diffusion_rhs(rho + 0.5 * dt * k1, v_of_t(t + 0.5 * dt), D, grid)
-        k3 = _advection_diffusion_rhs(rho + 0.5 * dt * k2, v_of_t(t + 0.5 * dt), D, grid)
-        k4 = _advection_diffusion_rhs(rho + dt * k3, v_of_t(t + dt), D, grid)
+        k1 = _advection_diffusion_rhs(rho, v_field, D, grid)
+        k2 = _advection_diffusion_rhs(rho + 0.5 * dt * k1, v_field, D, grid)
+        k3 = _advection_diffusion_rhs(rho + 0.5 * dt * k2, v_field, D, grid)
+        k4 = _advection_diffusion_rhs(rho + dt * k3, v_field, D, grid)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if step % spec.record_stride == 0 or step == spec.n_steps:
             if not np.all(np.isfinite(rho)):

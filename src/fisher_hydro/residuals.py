@@ -133,7 +133,6 @@ def _hj_parts(
     V: np.ndarray,
     constants: PhysicalConstants,
     eps_mask: float,
-    smooth_st: bool = False,
 ):
     """alpha-independent pieces of the HJ residual for one snapshot."""
     grid = wavefield.grid
@@ -141,8 +140,6 @@ def _hj_parts(
     if not hydro.mask.any():
         raise EmptyMaskError("hj residual: empty mask")
     s_t = phase_time_derivative(wavefield, V, constants)
-    if smooth_st:
-        s_t = _savitzky5(s_t)
     grad_s = fd_gradient4(hydro.S, grid)
     kin = np.sum(grad_s**2, axis=0) / (2.0 * constants.m)
     # the Laplacian quotient uses the spectral square-root route: the fd4
@@ -177,7 +174,6 @@ def hj_residual(
     alpha: float,
     constants: PhysicalConstants,
     eps_mask: float = DEFAULT_EPS_MASK,
-    smooth_st: bool = False,
 ) -> float:
     """Dimensionless Hamilton-Jacobi defect for a candidate coefficient alpha.
 
@@ -187,20 +183,7 @@ def hj_residual(
     square root makes the response near the minimum linear in the coefficient
     perturbation, matching the eigenstate perturbation law.
     """
-    parts = _hj_parts(wavefield, V, constants, eps_mask, smooth_st)
-    return _hj_from_parts(parts, alpha)
-
-
-def _savitzky5(f: np.ndarray) -> np.ndarray:
-    # window-5 quadratic Savitzky-Golay smoothing along each axis, periodic
-    w = np.array([-3.0, 12.0, 17.0, 12.0, -3.0]) / 35.0
-    out = f
-    for axis in range(f.ndim):
-        acc = np.zeros_like(f)
-        for offset, c in zip(range(-2, 3), w):
-            acc += c * np.roll(out, offset, axis=axis)
-        out = acc
-    return out
+    return _hj_from_parts(_hj_parts(wavefield, V, constants, eps_mask), alpha)
 
 
 def _refine_argmin(x: np.ndarray, y: np.ndarray, i: int) -> float:
@@ -230,16 +213,12 @@ def alpha_scan(
     alpha_grid: np.ndarray,
     constants: PhysicalConstants,
     eps_mask: float = DEFAULT_EPS_MASK,
-    smooth_st: bool = False,
-    triple_builder=None,
 ) -> ScanResult:
     """Time-averaged HJ residual per alpha over interior snapshots.
 
     alpha_grid is in units of alpha/alpha_star, strictly increasing, covering
-    at least [0.5, 1.5].  r_cont is alpha-independent and averaged once.
-    triple_builder(wf) -> (minus, center, plus) supplies the centered pair for
-    the continuity residual; by default single linear steps at the trajectory's
-    own dt.
+    at least [0.5, 1.5].  r_cont is alpha-independent and averaged once; its
+    centered pair is single linear steps at the trajectory's own dt.
     """
     from .propagate import symmetric_pair
 
@@ -258,14 +237,10 @@ def alpha_scan(
     r_conts = []
     alpha_star = constants.alpha_star
     for _, wf in interior:
-        parts = _hj_parts(wf, V, constants, eps_mask, smooth_st)
+        parts = _hj_parts(wf, V, constants, eps_mask)
         curves.append([_hj_from_parts(parts, r * alpha_star) for r in ratios])
-        if triple_builder is not None:
-            triple = triple_builder(wf)
-        else:
-            minus, plus = symmetric_pair(wf, V, dt, constants)
-            triple = (minus, wf, plus)
-        r_conts.append(continuity_residual(triple, constants, eps_mask))
+        minus, plus = symmetric_pair(wf, V, dt, constants)
+        r_conts.append(continuity_residual((minus, wf, plus), constants, eps_mask))
 
     curve = np.array([math.fsum(col) / len(curves) for col in zip(*curves)])
     r_cont_mean = math.fsum(r_conts) / len(r_conts)

@@ -103,7 +103,6 @@ def superposition_residual(
     beta: float,
     refined: bool = False,
     constants: PhysicalConstants | None = None,
-    eps_reg: float | None = None,
 ) -> float:
     """Evolve psi1, psi2 separately and (psi1+psi2)/sqrt(2) jointly; return the
     phase-optimised L2 distance between the joint state and the summed state."""
@@ -116,8 +115,7 @@ def superposition_residual(
     batch = np.stack([p1, p2, (p1 + p2) / np.sqrt(2.0)])
     batch /= np.sqrt(np.sum(np.abs(batch) ** 2, axis=-1, keepdims=True) * grid.cell_volume)
     n_steps = int(round(config.t_final / dt))
-    advance = _strang(V, grid, dt, c, "beta_nonlinear", beta=beta,
-                      eps_reg=config.eps_reg if eps_reg is None else eps_reg)
+    advance = _strang(V, grid, dt, c, "beta_nonlinear", beta=beta, eps_reg=config.eps_reg)
     out = advance(batch, n_steps)
     residual, _ = projective_residual(out[2], out[0] + out[1], grid)
     return residual
@@ -125,19 +123,17 @@ def superposition_residual(
 
 # Two states are orthogonal to within the residual-overlap noise once the
 # projective distance reaches this plateau; ordering of two such measurements
-# carries no information about the beta dependence.
+# carries no information about the beta dependence.  Below the plateau a
+# decrease beyond round-off breaks monotonicity.
 _SATURATION_BAND = 1.30
 _PLATEAU_JITTER = 0.05
+_MONOTONE_TOL = 1e-12
 
 
-def superposition_curve(
-    config: SuperpositionConfig,
-    constants: PhysicalConstants | None = None,
-    monotone_tol: float = 1e-12,
-) -> list[dict]:
+def superposition_curve(config: SuperpositionConfig, constants: PhysicalConstants | None = None) -> list[dict]:
     """Residuals over the beta list on base and refined grids.
 
-    Raises FalsifierFired on non-monotone growth in beta beyond the tolerance
+    Raises FalsifierFired on non-monotone growth in beta beyond _MONOTONE_TOL
     (on either grid): monotone growth of the projective defect with the
     non-Fisher coupling is the prediction under test.  On the saturation
     plateau, where consecutive residuals are both orthogonality measurements
@@ -155,7 +151,7 @@ def superposition_curve(
     for col in ("base", "refined"):
         vals = [r[col] for r in rows]
         for i in range(len(vals) - 1):
-            tol = monotone_tol
+            tol = _MONOTONE_TOL
             if vals[i] >= _SATURATION_BAND and vals[i + 1] >= _SATURATION_BAND:
                 tol = _PLATEAU_JITTER
             if vals[i + 1] < vals[i] - tol:

@@ -1,4 +1,5 @@
 """CLI surface: configs, exit codes, artefact determinism, verdict round-trip."""
+import argparse
 import json
 import os
 
@@ -11,8 +12,11 @@ from fisher_hydro.cli import (
     EXIT_FALSIFIED,
     EXIT_NUMERICAL,
     EXIT_PASS,
+    RUNNERS,
     ConfigError,
     DEFAULTS,
+    _FLAGS,
+    build_parser,
     evaluate_checks,
     load_config,
     main,
@@ -111,9 +115,47 @@ def test_verdict_json_schema(tmp_path):
     assert payload["grid"]["n"] == DEFAULTS["circulation"]["n"]
 
 
-def test_beta_flag_only_for_superposition(capsys):
-    code = main(["scan-alpha", "--beta", "0.01", "--out", "/tmp/nope"])
-    assert code == EXIT_CONFIG
+def test_beta_flag_only_for_superposition(tmp_path, capsys):
+    # scan-alpha has no --beta: argparse refuses it with the usage status
+    with pytest.raises(SystemExit) as exc:
+        main(["scan-alpha", "--beta", "0.01", "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG
+    # callers other than argparse still get the config error
+    with pytest.raises(ConfigError, match="not applicable"):
+        load_config("scan-alpha", None, {"beta": 0.01})
+
+
+def _subparser_options(suite):
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {opt for action in sub.choices[suite]._actions for opt in action.option_strings} - {"-h", "--help"}
+
+
+@pytest.mark.parametrize("suite", sorted(RUNNERS))
+def test_subcommand_has_only_its_own_flags(suite):
+    own = {"--" + flag.replace("_", "-") for flag in _FLAGS
+           if ("beta_list" if flag == "beta" else flag) in DEFAULTS[suite]}
+    assert _subparser_options(suite) == {"--config", "--out"} | own
+
+
+def test_flags_reach_effective_config(tmp_path, monkeypatch):
+    # 35 of the 10 x 9 subcommand x flag slots apply
+    assert sum(len(_subparser_options(suite)) - 2 for suite in RUNNERS) == 35
+    assert main(["galilei", "--boost", "2.0", "--n", "1024", "--out", str(tmp_path)]) == EXIT_PASS
+    config = json.loads((tmp_path / "galilei.verdict.json").read_text())["config"]
+    assert (config["boost"], config["n"]) == (2.0, 1024) and isinstance(config["n"], int)
+
+    monkeypatch.setattr(cli, "superposition_curve",
+                        lambda config, constants: [{"beta": b, "base": 1.3, "refined": 1.3} for b in config.beta_list])
+    main(["superposition", "--beta", "0.003", "--out", str(tmp_path)])
+    config = json.loads((tmp_path / "superposition.verdict.json").read_text())["config"]
+    assert config["beta_list"] == [0.0, 0.003, 0.005, 0.01, 0.02, 0.05]
+
+
+def test_run_all_malformed_worker_count(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FISHER_HYDRO_WORKERS", "two")
+    assert main(["run-all", str(tmp_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config error: FISHER_HYDRO_WORKERS" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_diffusive_continuity_breaks_drift_form(tmp_path):

@@ -207,26 +207,11 @@ def test_gateaux_constant_family_exact(grid1d_fine):
     assert abs(fd - analytic) <= 1e-10 * max(abs(analytic), 1.0)
 
 
-def test_custom_family(grid1d_fine):
-    rho = gaussian_rho(grid1d_fine)
-    mask = rho > 1e-6 * rho.max()
-    custom = RegulariserSpec(
-        "custom", 1.0,
-        f_custom=lambda r: 0.7 / r,
-        fprime_custom=lambda r: -0.7 / r**2,
-    )
-    ref = el_derivative(RegulariserSpec("fisher", 0.7), rho, grid1d_fine, mask)
-    out = el_derivative(custom, rho, grid1d_fine, mask)
-    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
 def test_regulariser_spec_validation():
     with pytest.raises(ValueError):
         RegulariserSpec("nope", 1.0)
     with pytest.raises(ValueError):
         RegulariserSpec("fisher", -1.0)
-    with pytest.raises(ValueError):
-        RegulariserSpec("custom", 1.0)
 
 
 def test_shannon_offmask_bound_reported(grid1d_fine):

@@ -195,6 +195,17 @@ def test_evolve_nan_aborts(grid1d, constants):
         evolve(psi, bad_v, spec, constants)
 
 
+def test_dg_abort_states_diffusion_number(constants):
+    # a DG run far past the explicit kick's limit aborts, and the message
+    # names the cause: dt*D/h^2 = 0.01 * 0.05 / (40/16384)^2 = 83.9
+    grid = make_grid(1, 16384, 40.0)
+    psi = gaussian_packet(grid, 20.0, 1.0, 0.3, constants)
+    spec = EvolutionSpec(kind="dg_diffusion", dt=0.01, t_final=0.1, D=0.05)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalAbort, match=r"^non-finite state at t=0\.04 \(dt\*D/h\^2 = 83\.9\)$"):
+        evolve(psi, harmonic_potential(grid, 1.0, constants), spec, constants)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         EvolutionSpec(kind="nope")
@@ -330,13 +341,3 @@ def test_in_place_kernel_never_aliases(kind, grid_name, stride, request, constan
                  lambda: symmetric_pair(psi0, V, 0.01, constants, "dg_diffusion", D=0.05)):
         step()
         assert np.array_equal(psi0.values, kept)
-
-
-def test_density_diffusion_velocity_callable_matches_fixed(grid1d):
-    x = grid1d.axes[0] - 20.0
-    rho0 = np.exp(-(x**2)) / integrate(np.exp(-(x**2)), grid1d)
-    v = (0.1 * np.exp(-(x**2) / 16.0))[None, :]
-    spec = EvolutionSpec(kind="density_diffusion", dt=0.005, t_final=0.2, record_stride=10, D=0.01)
-    fixed = evolve_density_diffusion(rho0, v, 0.01, spec, grid1d)
-    supplied = evolve_density_diffusion(rho0, lambda t: v, 0.01, spec, grid1d)
-    assert np.array_equal(fixed.snapshots[-1][1], supplied.snapshots[-1][1])

@@ -197,15 +197,6 @@ def test_momentum_balance_detects_wrong_alpha():
     assert r_off >= 10.0 * r_star
 
 
-def test_smoothing_toggle_leaves_scan_invariant():
-    # optional S_t smoothing must not move the scan by more than 5% of the min
-    traj, V, grid = table1_trajectory(n=2048, dt=0.02, t_final=1.2)
-    plain = alpha_scan(traj, V, default_alpha_grid(), C, smooth_st=False)
-    smoothed = alpha_scan(traj, V, default_alpha_grid(), C, smooth_st=True)
-    assert smoothed.argmin_grid == plain.argmin_grid
-    assert abs(smoothed.min_value - plain.min_value) <= 0.05 * plain.min_value
-
-
 def test_alpha_scan_boundary_flagged():
     traj, V, grid = table1_trajectory(n=1024, t_final=0.6)
     shifted = np.linspace(1.2, 2.2, 21)  # true minimum sits below the window

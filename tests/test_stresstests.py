@@ -1,4 +1,6 @@
 """Superposition, complexifier rigidity, time reversal, circulation."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -170,14 +172,15 @@ def test_circulation_rejects_loop_through_masked_region(grid2d):
 def test_eps_reg_sensitivity_documented():
     """The regulariser scale check: saturated rows and the linear floor are
     stable across eps_reg in {1e-5, 1e-7}; the knife-edge beta = 0.005 row is
-    chaotic under refinement and is reported, not asserted (see ledger)."""
+    chaotic under refinement and is reported, not asserted (ROADMAP item 3
+    measures its round-off growth against eps_reg)."""
     cfg = SuperpositionConfig()
     base = superposition_residual(cfg, 0.05)
-    lo = superposition_residual(cfg, 0.05, eps_reg=1e-5)
-    hi = superposition_residual(cfg, 0.05, eps_reg=1e-7)
+    lo = superposition_residual(dataclasses.replace(cfg, eps_reg=1e-5), 0.05)
+    hi = superposition_residual(dataclasses.replace(cfg, eps_reg=1e-7), 0.05)
     assert abs(lo - base) / base <= 0.1
     assert abs(hi - base) / base <= 0.1
-    assert superposition_residual(cfg, 0.0, eps_reg=1e-5) <= 1e-10
+    assert superposition_residual(dataclasses.replace(cfg, eps_reg=1e-5), 0.0) <= 1e-10
 
 
 def test_batched_beta_evolution_matches_scalar_stepper():
