@@ -25,13 +25,24 @@ __all__ = [
     "generator_derivs",
     "generator_value",
     "bargmann_check",
-    "angular_momentum_check",
     "EdgeProximityError",
 ]
 
 # grad S from j/rho is trustworthy down to roughly this fraction of max(rho);
 # beyond it both numerator and denominator are round-off.
 _DEEP_GUARD = 1e-13
+
+# bargmann_check tolerances, relative to each entry's scale: {H, P_i} for a
+# flat and a non-flat potential, {H, K_i} + P_i, and {P_i, K_j} + m delta_ij N
+_TOL_HP_FLAT = 1e-10
+_TOL_HP_FORCED = 1e-8
+_TOL_HK = 1e-8
+_TOL_PK = 1e-10
+
+# _centered_coords refuses a state with more than _SEAM_MASS of its mass
+# within _SEAM_CELLS cells of the coordinate branch seam
+_SEAM_CELLS = 5
+_SEAM_MASS = 1e-9
 
 
 class EdgeProximityError(ValueError):
@@ -52,7 +63,7 @@ def poisson_bracket(f: FunctionalDerivs, g: FunctionalDerivs, grid: Grid) -> flo
     return float(integrate(f.d_rho * g.d_S - f.d_S * g.d_rho, grid))
 
 
-def _centered_coords(hydro: HydroFields, edge_cells: int = 5, tol: float = 1e-9) -> np.ndarray:
+def _centered_coords(hydro: HydroFields) -> np.ndarray:
     """Packet-centered coordinates, shape (dim, *shape); refuses seam-touching mass."""
     grid = hydro.grid
     rho = hydro.rho
@@ -62,10 +73,10 @@ def _centered_coords(hydro: HydroFields, edge_cells: int = 5, tol: float = 1e-9)
     for axis in range(grid.dim):
         center = coords[axis][anchor]
         out[axis] = (coords[axis] - center + 0.5 * grid.length) % grid.length - 0.5 * grid.length
-        seam = np.abs(np.abs(out[axis]) - 0.5 * grid.length) < edge_cells * grid.spacing
-        if float(np.sum(rho[seam]) * grid.cell_volume) > tol:
+        seam = np.abs(np.abs(out[axis]) - 0.5 * grid.length) < _SEAM_CELLS * grid.spacing
+        if float(np.sum(rho[seam]) * grid.cell_volume) > _SEAM_MASS:
             raise EdgeProximityError(
-                "packet mass within 5 cells of the coordinate seam; moment integrals would "
+                f"packet mass within {_SEAM_CELLS} cells of the coordinate seam; moment integrals would "
                 "be corrupted by periodic images"
             )
     return out
@@ -88,9 +99,9 @@ def generator_derivs(
     constants: PhysicalConstants,
     t: float = 0.0,
 ) -> FunctionalDerivs:
-    """Analytic functional derivatives of H, P_i, K_i, or L_z on the grid.
+    """Analytic functional derivatives of H, P_i or K_i on the grid.
 
-    Names: "H", "P0", "P1", "K0", "K1", "Lz" (axis suffix by dimension).
+    Names: "H", "P0", "P1", "K0", "K1" (axis suffix by dimension).
     """
     grid = hydro.grid
     rho = hydro.rho
@@ -117,16 +128,6 @@ def generator_derivs(
             d_rho=-t * grad_s[axis] + constants.m * x[axis],
             d_S=t * grad_rho[axis],
             label=name,
-        )
-
-    if name == "Lz":
-        if grid.dim != 2:
-            raise ValueError("Lz requires a 2D state")
-        x = _centered_coords(hydro)
-        return FunctionalDerivs(
-            d_rho=x[0] * grad_s[1] - x[1] * grad_s[0],
-            d_S=x[0] * grad_rho[1] - x[1] * grad_rho[0],
-            label="Lz",
         )
 
     raise ValueError(f"unknown generator {name!r}")
@@ -163,9 +164,6 @@ def generator_value(
         absolute = x[axis] + grid.coords()[axis][anchor]
         p = constants.m * float(integrate(hydro.j[axis], grid))
         return constants.m * float(integrate(rho * absolute, grid)) - t * p
-    if name == "Lz":
-        x = _centered_coords(hydro)
-        return constants.m * float(integrate(x[0] * hydro.j[1] - x[1] * hydro.j[0], grid))
     raise ValueError(f"unknown generator {name!r}")
 
 
@@ -195,9 +193,6 @@ def bargmann_check(
     alpha: float,
     constants: PhysicalConstants,
     t: float = 0.0,
-    tol_hp: float = 1e-10,
-    tol_hk: float = 1e-8,
-    tol_pk: float = 1e-10,
 ) -> AlgebraReport:
     """Verify {H,P_i} (or its -int rho dV value), {H,K_i} = -P_i, {P_i,K_j} = -m delta_ij int rho."""
     grid = hydro.grid
@@ -208,6 +203,7 @@ def bargmann_check(
 
     flat_v = bool(np.max(V) - np.min(V) < 1e-300)
     grad_v = None if flat_v else spectral_gradient(V, grid)
+    tol_hp = _TOL_HP_FLAT if flat_v else _TOL_HP_FORCED
 
     for i in range(grid.dim):
         p_i = generator_derivs(f"P{i}", hydro, V, alpha, c, t)
@@ -221,8 +217,8 @@ def bargmann_check(
         report.entries[f"hp{i}"] = {
             "value": hp,
             "expected": expected_hp,
-            "tolerance": tol_hp * scale_hp if flat_v else 1e-8 * scale_hp,
-            "pass": bool(abs(hp - expected_hp) <= (tol_hp if flat_v else 1e-8) * scale_hp),
+            "tolerance": tol_hp * scale_hp,
+            "pass": bool(abs(hp - expected_hp) <= tol_hp * scale_hp),
             "closure": flat_v,
         }
 
@@ -231,8 +227,8 @@ def bargmann_check(
         report.entries[f"hk_plus_p{i}"] = {
             "value": hk + p_val,
             "expected": 0.0,
-            "tolerance": tol_hk * scale_p,
-            "pass": bool(abs(hk + p_val) <= tol_hk * scale_p),
+            "tolerance": _TOL_HK * scale_p,
+            "pass": bool(abs(hk + p_val) <= _TOL_HK * scale_p),
             "closure": True,
         }
 
@@ -243,41 +239,8 @@ def bargmann_check(
             report.entries[f"pk_plus_m{i}{jx}"] = {
                 "value": pk - central,
                 "expected": 0.0,
-                "tolerance": tol_pk * max(c.m, 1.0),
-                "pass": bool(abs(pk - central) <= tol_pk * max(c.m, 1.0)),
+                "tolerance": _TOL_PK * max(c.m, 1.0),
+                "pass": bool(abs(pk - central) <= _TOL_PK * max(c.m, 1.0)),
                 "closure": True,
             }
     return report
-
-
-def angular_momentum_check(
-    hydro: HydroFields,
-    V_central: np.ndarray,
-    alpha: float,
-    constants: PhysicalConstants,
-    tol: float = 1e-9,
-) -> dict:
-    """2D rotational closure: |{H, L_z}| <= tol for a central potential.
-
-    The torque -int rho (x dV/dy - y dV/dx) dx is reported; a non-central V is
-    flagged rather than silently passed.
-    """
-    grid = hydro.grid
-    if grid.dim != 2:
-        raise ValueError("angular momentum check requires 2D fields")
-    x = _centered_coords(hydro)
-    grad_v = spectral_gradient(V_central, grid)
-    torque = -float(integrate(hydro.rho * (x[0] * grad_v[1] - x[1] * grad_v[0]), grid))
-    central = abs(torque) <= 1e-8
-
-    h = generator_derivs("H", hydro, V_central, alpha, constants)
-    lz = generator_derivs("Lz", hydro, V_central, alpha, constants)
-    hl = poisson_bracket(h, lz, grid)
-    lz_value = generator_value("Lz", hydro, V_central, alpha, constants)
-    return {
-        "h_lz_bracket": hl,
-        "lz_value": lz_value,
-        "torque": torque,
-        "central": central,
-        "pass": bool(central and abs(hl) <= tol),
-    }

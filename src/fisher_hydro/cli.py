@@ -29,7 +29,6 @@ from .functionals import (
     RegulariserSpec,
     entropy_production_identity,
     fisher_el_necessity_report,
-    necessity_report_csv,
     shannon_entropy_rate,
 )
 from .grid import make_grid
@@ -42,7 +41,6 @@ from .residuals import (
     eigen_coefficient_curve,
     momentum_balance_residual,
     multi_mass_scan,
-    scan_to_csv,
 )
 from .states import (
     boost,
@@ -430,7 +428,8 @@ def run_scan_alpha(cfg: dict, outdir: str) -> tuple[dict, dict]:
         measured["min_r_hj_refined_run"] = result2.min_value
         refined_gap = abs(result2.argmin - 1.0)
 
-    _write(outdir, "scan_alpha.csv", scan_to_csv(result))
+    rows = [[a, r, result.r_cont_mean] for a, r in zip(result.alphas, result.residuals)]
+    _write(outdir, "scan_alpha.csv", _csv_body(["alpha_ratio", "r_hj_mean", "r_cont_mean"], rows))
     return measured, {
         "argmin_tol": abs(result.argmin - 1.0),
         "min_r_hj_low": result.min_value,
@@ -485,12 +484,12 @@ def run_dg_entropy(cfg: dict, outdir: str) -> tuple[dict, dict]:
     spec = EvolutionSpec(kind="density_diffusion", dt=cfg["dt"], t_final=cfg["t_final"],
                          record_stride=stride, D=D)
 
-    traj = evolve_density_diffusion(rho0, None, D, spec, grid)
+    traj = evolve_density_diffusion(rho0, D, spec, grid)
     times, measured_rate, predicted_rate = shannon_entropy_rate(traj, D)
     rel = np.abs(measured_rate - predicted_rate) / np.abs(predicted_rate)
     worst_rel = float(np.max(rel))
 
-    traj0 = evolve_density_diffusion(rho0, None, 0.0, spec, grid)
+    traj0 = evolve_density_diffusion(rho0, 0.0, spec, grid)
     _, measured0, _ = shannon_entropy_rate(traj0, 0.0)
     zero_rate = float(np.max(np.abs(measured0)))
 
@@ -502,7 +501,7 @@ def run_dg_entropy(cfg: dict, outdir: str) -> tuple[dict, dict]:
     identity_rel = 0.0
     for t, wf in wtraj.snapshots[1:]:
         hydro = polar_decompose(wf, cfg["mask_eps"], constants)
-        _, production, fisher_pred = entropy_production_identity(hydro.rho, hydro.v, D, grid)
+        production, fisher_pred = entropy_production_identity(hydro.rho, D, grid)
         identity_rel = max(identity_rel, abs(production - fisher_pred) / abs(fisher_pred))
 
     rows = [[float(t), float(m), float(p)] for t, m, p in zip(times, measured_rate, predicted_rate)]
@@ -584,7 +583,8 @@ def run_fisher_el(cfg: dict, outdir: str) -> tuple[dict, dict]:
     multi_argmins = {f"{m:g}": r.argmin for m, r in multi.items()}
     mass_gaps = [abs(v - 1.0) for v in multi_argmins.values()]
 
-    _write(outdir, "fisher_el.csv", necessity_report_csv(rows))
+    el_rows = [[r["rho_id"], r["family"], r["coefficient"], r["residual"]] for r in rows]
+    _write(outdir, "fisher_el.csv", _csv_body(["rho_id", "family", "coefficient", "residual"], el_rows))
     _write(outdir, "fisher_el_scan.csv", _csv_body(["c", "residual"], [[float(c), float(r)] for c, r in zip(c_grid, curve)]))
     residuals = {"fisher_worst_residual": fisher_worst, "non_fisher_best_residual": other_best}
     measured = dict(residuals, excited_scan_argmin=c_min, multi_mass_argmins=multi_argmins)

@@ -27,8 +27,8 @@ __all__ = [
 
 DEFAULT_EPS_MASK = 1e-6
 
-# Division guard relative to max(rho): below this the quotient fields j/rho and
-# Delta sqrt(rho)/sqrt(rho) are round-off noise rather than data.
+# Division guard relative to max(rho): below this the quotient fields
+# Delta sqrt(rho)/sqrt(rho) and H psi/psi are round-off noise rather than data.
 _RHO_GUARD = 1e-300
 
 
@@ -76,21 +76,17 @@ class WaveField:
 
 @dataclass
 class HydroFields:
-    """Madelung fields rho, S, v, j with node mask.
+    """Madelung fields rho, S, j with node mask.
 
-    v is j/rho on the mask (zero off-mask).  S is unwrapped phase times hbar,
-    defined up to a global constant; consumers must use only grad S or S
-    differences.
+    S is unwrapped phase times hbar, defined up to a global constant;
+    consumers must use only grad S or S differences.
     """
 
     grid: Grid
     rho: np.ndarray
     S: np.ndarray
-    v: np.ndarray
     j: np.ndarray
     mask: np.ndarray
-    eps_mask: float
-    time: float = 0.0
 
 
 def masked_mean(f: np.ndarray, mask: np.ndarray) -> float:
@@ -140,7 +136,7 @@ def polar_decompose(
     eps_mask: float = DEFAULT_EPS_MASK,
     constants: PhysicalConstants | None = None,
 ) -> HydroFields:
-    """Extract (rho, S, v, j, mask) from a wavefield.
+    """Extract (rho, S, j, mask) from a wavefield.
 
     j uses the spectral gradient of psi, so it stays smooth through regions
     where the unwrapped phase is meaningless.  The unwrap is anchored at the
@@ -156,14 +152,9 @@ def polar_decompose(
     grad_psi = spectral_gradient(psi.values, grid)
     j = (c.hbar / c.m) * (np.conj(psi.values)[None] * grad_psi).imag
 
-    safe = rho > _RHO_GUARD
-    v = np.zeros_like(j)
-    np.divide(j, rho[None], out=v, where=safe[None])
-    v[:, ~mask] = 0.0
-
     anchor = np.unravel_index(int(np.argmax(rho)), rho.shape)
     S = c.hbar * _unwrap_from_anchor(np.angle(psi.values), anchor)
-    return HydroFields(grid=grid, rho=rho, S=S, v=v, j=j, mask=mask, eps_mask=eps_mask, time=psi.time)
+    return HydroFields(grid=grid, rho=rho, S=S, j=j, mask=mask)
 
 
 def quantum_potential(

@@ -1,5 +1,5 @@
-"""Energy, entropy, Fisher information, convex regularisers and their
-Euler-Lagrange derivatives, with the entropy-production and EL-necessity checks.
+"""Entropy, Fisher information, convex regularisers and their Euler-Lagrange
+derivatives, with the entropy-production and EL-necessity checks.
 
 The directional (Gateaux) derivative test is the module's ground truth for the
 EL formulas: every analytic variational derivative here is checked against
@@ -8,21 +8,16 @@ symmetric finite differences of the functional value in the test suite.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import HydroFields, PhysicalConstants
 from .grid import Grid, integrate, spectral_gradient, spectral_laplacian
 from .propagate import DensityTrajectory
 
 __all__ = [
     "RegulariserSpec",
-    "EnergyReport",
-    "energy",
     "fisher_information",
     "shannon_entropy",
     "shannon_entropy_rate",
@@ -76,17 +71,6 @@ class RegulariserSpec:
         return self.family == "fisher" or (self.family == "power" and self.power == -1.0)
 
 
-@dataclass
-class EnergyReport:
-    kinetic: float
-    potential: float
-    curvature: float
-    total: float
-    fisher_info: float
-    shannon: float
-    shannon_offmask_bound: float = 0.0
-
-
 def fisher_information(rho: np.ndarray, grid: Grid) -> float:
     """I_F = int |grad rho|^2 / rho dx, guarded where rho underflows.
 
@@ -106,54 +90,6 @@ def shannon_entropy(rho: np.ndarray, grid: Grid) -> float:
     positive = rho > 0
     out[positive] = -rho[positive] * np.log(rho[positive])
     return float(integrate(out, grid))
-
-
-def energy(
-    hydro: HydroFields,
-    V: np.ndarray,
-    alpha: float,
-    constants: PhysicalConstants,
-) -> EnergyReport:
-    """Quadrature of the kinetic, potential, and curvature densities.
-
-    The kinetic density rho |grad S|^2 / 2m is assembled from the current
-    (j^2 / rho) so it needs no unwrapped phase; rho-only densities integrate
-    over the full grid with an underflow guard, since their tails are clean.
-    The off-mask Shannon contribution is bounded and reported, not dropped.
-    """
-    if not hydro.mask.any():
-        raise ValueError("energy: empty mask")
-    grid = hydro.grid
-    rho = hydro.rho
-    rho_max = rho.max()
-    safe = rho > _REL_FLOOR * rho_max
-
-    j_sq = np.sum(hydro.j**2, axis=0)
-    kin_density = np.zeros_like(rho)
-    np.divide(constants.m * j_sq, 2.0 * rho, out=kin_density, where=safe)
-    kinetic = float(integrate(kin_density, grid))
-
-    potential = float(integrate(V * rho, grid))
-
-    grad_rho = spectral_gradient(rho, grid)
-    grad_sq = np.sum(grad_rho**2, axis=0)
-    curv_density = np.zeros_like(rho)
-    np.divide(grad_sq, 4.0 * rho, out=curv_density, where=safe)
-    fisher = float(integrate(np.where(safe, grad_sq / np.maximum(rho, _REL_FLOOR * rho_max), 0.0), grid))
-    curvature = alpha * float(integrate(curv_density, grid))
-
-    eps = hydro.eps_mask
-    offmask_bound = float(eps * rho_max * math.log(1.0 / max(eps * rho_max, 1e-300)) * grid.length**grid.dim)
-
-    return EnergyReport(
-        kinetic=kinetic,
-        potential=potential,
-        curvature=curvature,
-        total=kinetic + potential + curvature,
-        fisher_info=fisher,
-        shannon=shannon_entropy(rho, grid),
-        shannon_offmask_bound=abs(offmask_bound),
-    )
 
 
 def shannon_entropy_rate(
@@ -179,31 +115,19 @@ def shannon_entropy_rate(
     return np.array(times), np.array(measured), np.array(predicted)
 
 
-def entropy_production_identity(
-    rho: np.ndarray,
-    v: np.ndarray | None,
-    D: float,
-    grid: Grid,
-) -> tuple[float, float, float]:
-    """(advective_rate, diffusive_rate, fisher_prediction) for the H-functional.
+def entropy_production_identity(rho: np.ndarray, D: float, grid: Grid) -> tuple[float, float]:
+    """(production, fisher_prediction) for the H-functional.
 
-    Along the DG continuity law rho_t = -div(rho v) + D Lap rho the rate of
-    S_Sh splits into a reversible advective part, int rho div v dx, and an
-    irreversible production, -D int (1 + ln rho) Lap rho dx, which equals
-    D * I_F up to quadrature; the pair (production, D*I_F) is the discrete
-    form of the entropy identity checked along dg trajectories.
+    Along the diffusive part of the DG continuity law, rho_t = D Lap rho, the
+    rate of S_Sh is the irreversible production -D int (1 + ln rho) Lap rho dx,
+    which equals D * I_F up to quadrature; the pair is the discrete form of the
+    entropy identity checked along dg trajectories.
     """
     positive = rho > _REL_FLOOR * rho.max()
     log_term = np.zeros_like(rho)
     log_term[positive] = 1.0 + np.log(rho[positive])
-    advective = 0.0
-    if v is not None:
-        div_v = np.zeros(grid.shape)
-        for axis in range(grid.dim):
-            div_v += spectral_gradient(v[axis], grid)[axis]
-        advective = float(integrate(rho * div_v, grid))
-    diffusive = -D * float(integrate(log_term * spectral_laplacian(rho, grid), grid))
-    return advective, diffusive, D * fisher_information(rho, grid)
+    production = -D * float(integrate(log_term * spectral_laplacian(rho, grid), grid))
+    return production, D * fisher_information(rho, grid)
 
 
 def regulariser_value(spec: RegulariserSpec, rho: np.ndarray, grid: Grid, mask: np.ndarray) -> float:
@@ -289,12 +213,3 @@ def fisher_el_necessity_report(
                 }
             )
     return rows
-
-
-def necessity_report_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rho_id", "family", "coefficient", "residual"])
-    for row in rows:
-        writer.writerow([row["rho_id"], row["family"], f"{row['coefficient']:.17g}", f"{row['residual']:.17g}"])
-    return buf.getvalue()

@@ -1,5 +1,5 @@
 """Time evolution: unitary split-step, Doebner-Goldin diffusion, non-Fisher
-nonlinear perturbation, and density-level advection-diffusion.
+nonlinear perturbation, and density-level diffusion.
 
 Every wavefunction stepper, evolve and the batched superposition evolution
 run one Strang kernel, _strang, on states stacked as (*batch, *grid.shape).
@@ -13,13 +13,14 @@ temporaries of that size cost a page fault per page on every step.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import PhysicalConstants, WaveField
-from .grid import Grid, spectral_gradient, spectral_laplacian
+from .grid import Grid, spectral_laplacian
 
 __all__ = [
     "EvolutionSpec",
@@ -43,6 +44,14 @@ _DG_EPS_MASK = 1e-8
 
 class NumericalAbort(RuntimeError):
     """Raised when an evolution produces non-finite values (unstable parameters)."""
+
+
+class _NonFinite(NumericalAbort):
+    """A kick met a non-finite state after `steps` steps of its advance call."""
+
+    def __init__(self, steps: int) -> None:
+        super().__init__(f"non-finite state after {steps} steps")
+        self.steps = steps
 
 
 @dataclass(frozen=True)
@@ -85,7 +94,7 @@ class Trajectory:
 class DensityTrajectory:
     snapshots: list[tuple[float, np.ndarray]]
     spec: EvolutionSpec
-    grid: Grid = None  # type: ignore[assignment]
+    grid: Grid
 
 
 def _kinetic_factor(grid: Grid, dt: float, c: PhysicalConstants) -> np.ndarray:
@@ -109,13 +118,15 @@ def _over_grid(transform, values: np.ndarray, grid: Grid) -> np.ndarray:
 class _Work:
     """Arrays shaped like a stack of states, which the kicks of one advance
     call reuse across its steps: real rho and scratch, a complex spectrum and,
-    for beta only, a complex gradient component.  Each call builds its own,
-    so threads never share one."""
+    for beta only, a complex gradient component.  peak holds the per-state
+    max rho that the last kick read.  Each call builds its own, so threads
+    never share one."""
 
     def __init__(self, shape: tuple[int, ...], gradient: bool) -> None:
         self.rho, self.real = np.empty(shape), np.empty(shape)
         self.spectrum = np.empty(shape, complex)
         self.gradient = np.empty(shape, complex) if gradient else None
+        self.peak = None
 
 
 def _density_spectrum(values: np.ndarray, grid: Grid, work: _Work) -> tuple[np.ndarray, np.ndarray]:
@@ -136,12 +147,13 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
     exp(-iV dt/2h), kick; the potential and kinetic factors are built once.
     The kick is the half-step factor of the state-dependent term, evaluated
     per state: exp((D/4) dt Lap rho/rho) for DG, exp(-i U_beta dt/2h) for
-    beta.  The linear kind, D = 0 and beta = 0 have no kick, so they are the
-    linear step bit for bit.
+    beta, returned in a work array.  The linear kind, D = 0 and beta = 0
+    have no kick, so they are the linear step bit for bit.
 
     advance copies values once and then steps the copy in place, with the
     kicks in work arrays built once per call: it never writes into its
-    argument, so a caller may pass back an array it keeps.
+    argument, so a caller may pass back an array it keeps.  With a kick, it
+    raises NumericalAbort at the first non-finite state that it steps.
     """
     if kind not in _WAVE_KINDS:
         raise ValueError(f"kind {kind!r} is not a wavefunction evolution")
@@ -151,12 +163,12 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
 
         def kick(values, work):
             factor = np.multiply((D / 4.0) * dt, _dg_exponent(values, grid, neg_k2, work), out=work.rho)
-            np.multiply(values, np.exp(factor, out=factor), out=values)
+            return np.exp(factor, out=factor)
     elif kind == "beta_nonlinear" and beta != 0.0:
         def kick(values, work):
             phase = np.multiply(-1j, beta_potential(values, grid, beta, eps_reg, work), out=work.spectrum)
             np.divide(np.multiply(phase, dt, out=phase), 2.0 * constants.hbar, out=phase)
-            np.multiply(values, np.exp(phase, out=phase), out=values)
+            return np.exp(phase, out=phase)
     half_v = np.exp(-1j * V * dt / (2.0 * constants.hbar))
     kin = _kinetic_factor(grid, dt, constants)
 
@@ -167,15 +179,22 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
         # evaluate `*` on a large temporary in place with swapped operands,
         # and a complex product is not bitwise commutative (FMA), so `*`
         # would make a state's step depend on its batch.
-        for _ in range(n_steps):
+        for done in range(n_steps):
             if kick is not None:
-                kick(values, work)
+                factor = kick(values, work)
+                # The linear part is unitary, so only a kick makes a state
+                # non-finite; the per-state max rho that the next kick reads
+                # then sums to a non-finite value.  The sum also overflows on
+                # some finite states, so only then is the whole state scanned.
+                if not math.isfinite(work.peak.sum()) and not np.all(np.isfinite(values.view(float))):
+                    raise _NonFinite(done)
+                np.multiply(values, factor, out=values)
             np.multiply(half_v, values, out=values)
             np.multiply(kin, _over_grid(np.fft.fft, values, grid), out=values)
             _over_grid(np.fft.ifft, values, grid)
             np.multiply(half_v, values, out=values)
             if kick is not None:
-                kick(values, work)
+                np.multiply(values, kick(values, work), out=values)
         return values
 
     return advance
@@ -204,7 +223,8 @@ def _dg_exponent(values: np.ndarray, grid: Grid, neg_k2: np.ndarray, work: _Work
     """
     rho, rho_hat = _density_spectrum(values, grid, work)
     lap = _over_grid(np.fft.ifft, np.multiply(neg_k2, rho_hat, out=rho_hat), grid).real
-    np.add(rho, _DG_EPS_MASK * rho.max(axis=_grid_axes(grid), keepdims=True), out=rho)
+    work.peak = rho.max(axis=_grid_axes(grid), keepdims=True)
+    np.add(rho, _DG_EPS_MASK * work.peak, out=rho)
     return np.divide(lap, rho, out=rho)
 
 
@@ -239,7 +259,8 @@ def beta_potential(values: np.ndarray, grid: Grid, beta: float, eps_reg: float,
             np.add(grad_sq, np.square(component, out=component), out=grad_sq)
         else:
             np.square(component, out=grad_sq)
-    np.add(rho, eps_reg * rho.max(axis=_grid_axes(grid), keepdims=True), out=rho)
+    work.peak = rho.max(axis=_grid_axes(grid), keepdims=True)
+    np.add(rho, eps_reg * work.peak, out=rho)
     np.square(rho, out=rho)
     return np.divide(np.multiply(beta, grad_sq, out=grad_sq), rho, out=grad_sq)
 
@@ -265,9 +286,10 @@ def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: Physi
 
     Every kind runs the Strang kernel of step_linear, step_dg and step_beta,
     with its factors built once, one record_stride chunk at a time.  The
-    snapshot k steps in is stamped k * dt.  Aborts with NumericalAbort on
-    non-finite values; for DG the message gives dt*D/h^2, since the explicit
-    DG kick blows up once that number is large.
+    snapshot k steps in is stamped k * dt.  Aborts with NumericalAbort at the
+    first non-finite state, which the kicks of DG and beta see at once and the
+    end of each chunk checks for the rest; for DG the message gives dt*D/h^2,
+    since the explicit DG kick blows up once that number is large.
     """
     psi0.check_finite()
     grid = psi0.grid
@@ -277,10 +299,15 @@ def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: Physi
     step = 0
     while step < spec.n_steps:
         chunk = min(spec.record_stride, spec.n_steps - step)
-        values = advance(values, chunk)
-        step += chunk
+        try:
+            values = advance(values, chunk)
+            step += chunk
+            finite = np.all(np.isfinite(values.view(float)))
+        except _NonFinite as exc:
+            step += exc.steps
+            finite = False
         t = step * spec.dt
-        if not np.all(np.isfinite(values.view(float))):
+        if not finite:
             cause = f" (dt*D/h^2 = {spec.dt * spec.D / grid.spacing**2:.3g})" if spec.kind == "dg_diffusion" else ""
             raise NumericalAbort(f"non-finite state at t={t:g}{cause}")
         snapshots.append((t, WaveField(grid, values, t)))
@@ -305,28 +332,10 @@ def symmetric_pair(
     return _step(psi, V, -dt, constants, kind, D=D), _step(psi, V, dt, constants, kind, D=D)
 
 
-def _advection_diffusion_rhs(rho: np.ndarray, v: np.ndarray | None, D: float, grid: Grid) -> np.ndarray:
-    rhs = np.zeros(grid.shape)
-    if v is not None:
-        flux = rho[None] * v
-        for axis in range(grid.dim):
-            rhs -= spectral_gradient(flux[axis], grid)[axis]
-    if D != 0.0:
-        rhs += D * spectral_laplacian(rho, grid)
-    return rhs
+def evolve_density_diffusion(rho0: np.ndarray, D: float, spec: EvolutionSpec, grid: Grid) -> DensityTrajectory:
+    """Explicit RK4 for rho_t = D Lap rho with spectral derivatives.
 
-
-def evolve_density_diffusion(
-    rho0: np.ndarray,
-    v_field: np.ndarray | None,
-    D: float,
-    spec: EvolutionSpec,
-    grid: Grid,
-) -> DensityTrajectory:
-    """Explicit RK4 for rho_t = -div(rho v) + D Lap rho with spectral derivatives.
-
-    v_field is a fixed stacked vector field (dim, *shape), or None for pure
-    diffusion.  Warns when dt * D / h^2 exceeds 0.25.
+    Warns when dt * D / h^2 exceeds 0.25.
     """
     if spec.dt * D / grid.spacing**2 > 0.25:
         warnings.warn(
@@ -337,10 +346,10 @@ def evolve_density_diffusion(
     snapshots = [(0.0, rho.copy())]
     dt = spec.dt
     for step in range(1, spec.n_steps + 1):
-        k1 = _advection_diffusion_rhs(rho, v_field, D, grid)
-        k2 = _advection_diffusion_rhs(rho + 0.5 * dt * k1, v_field, D, grid)
-        k3 = _advection_diffusion_rhs(rho + 0.5 * dt * k2, v_field, D, grid)
-        k4 = _advection_diffusion_rhs(rho + dt * k3, v_field, D, grid)
+        k1 = D * spectral_laplacian(rho, grid)
+        k2 = D * spectral_laplacian(rho + 0.5 * dt * k1, grid)
+        k3 = D * spectral_laplacian(rho + 0.5 * dt * k2, grid)
+        k4 = D * spectral_laplacian(rho + dt * k3, grid)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if step % spec.record_stride == 0 or step == spec.n_steps:
             if not np.all(np.isfinite(rho)):

@@ -10,8 +10,6 @@ and makes every reported value boost-invariant pointwise.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -37,7 +35,6 @@ __all__ = [
     "alpha_scan",
     "multi_mass_scan",
     "momentum_balance_residual",
-    "scan_to_csv",
 ]
 
 
@@ -382,13 +379,3 @@ def momentum_balance_residual(
     if den <= floor:
         return 0.0
     return float(math.sqrt(num / den))
-
-
-def scan_to_csv(result: ScanResult) -> str:
-    """CSV body: alpha_ratio (alpha/alpha_star), r_hj_mean, r_cont_mean (dimensionless)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["alpha_ratio", "r_hj_mean", "r_cont_mean"])
-    for a, r in zip(result.alphas, result.residuals):
-        writer.writerow([f"{a:.17g}", f"{r:.17g}", f"{result.r_cont_mean:.17g}"])
-    return buf.getvalue()

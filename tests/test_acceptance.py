@@ -81,7 +81,7 @@ def test_criterion_11_oracle_suite():
     rho0 = np.exp(-((x - 60.0) ** 2) / 2.0)
     rho0 /= integrate(rho0, grid)
     dspec = EvolutionSpec(kind="density_diffusion", dt=0.005, t_final=2.0, record_stride=100, D=0.05)
-    td, rho = evolve_density_diffusion(rho0, None, 0.05, dspec, grid).snapshots[-1]
+    td, rho = evolve_density_diffusion(rho0, 0.05, dspec, grid).snapshots[-1]
     vard = integrate(rho * (x - integrate(rho * x, grid)) ** 2, grid)
     heat_ok = abs(vard - (1.0 + 2 * 0.05 * td)) / (1.0 + 0.1 * td) <= 1e-6
 
@@ -217,11 +217,11 @@ def test_criterion_5_entropy_barrier():
     rho0 /= integrate(rho0, grid)
     D = 0.05
     spec = EvolutionSpec(kind="density_diffusion", dt=0.01, t_final=2.0, record_stride=10, D=D)
-    traj = evolve_density_diffusion(rho0, None, D, spec, grid)
+    traj = evolve_density_diffusion(rho0, D, spec, grid)
     _, measured, predicted = shannon_entropy_rate(traj, D)
     worst = float(np.max(np.abs(measured - predicted) / np.abs(predicted)))
 
-    traj0 = evolve_density_diffusion(rho0, None, 0.0, spec, grid)
+    traj0 = evolve_density_diffusion(rho0, 0.0, spec, grid)
     _, measured0, _ = shannon_entropy_rate(traj0, 0.0)
     zero_rate = float(np.max(np.abs(measured0)))
 
@@ -231,7 +231,7 @@ def test_criterion_5_entropy_barrier():
     identity_worst = 0.0
     for _, wf in wtraj.snapshots[1:]:
         hydro = polar_decompose(wf, 1e-6, C)
-        _, production, fisher_pred = entropy_production_identity(hydro.rho, hydro.v, D, grid)
+        production, fisher_pred = entropy_production_identity(hydro.rho, D, grid)
         identity_worst = max(identity_worst, abs(production - fisher_pred) / abs(fisher_pred))
 
     ok = worst <= 1e-4 and zero_rate <= 1e-10 and identity_worst <= 1e-6

@@ -6,14 +6,13 @@ from fisher_hydro import EvolutionSpec, PhysicalConstants, evolve, make_grid, po
 from fisher_hydro.brackets import (
     EdgeProximityError,
     FunctionalDerivs,
-    angular_momentum_check,
     bargmann_check,
     generator_derivs,
     generator_value,
     poisson_bracket,
 )
 from fisher_hydro.grid import integrate
-from fisher_hydro.states import boost, gaussian_packet, harmonic_potential, vortex_state
+from fisher_hydro.states import boost, gaussian_packet, harmonic_potential
 
 C = PhysicalConstants()
 
@@ -66,9 +65,9 @@ def test_p_derivatives(grid1d_fine):
     from fisher_hydro.grid import spectral_gradient
 
     assert np.array_equal(p.d_S, -spectral_gradient(hydro.rho, grid1d_fine)[0])
-    # d_rho = dS = m v on the bulk
+    # d_rho = dS = m j/rho on the bulk
     bulk = hydro.rho > 1e-3 * hydro.rho.max()
-    assert np.max(np.abs(p.d_rho - C.m * hydro.v[0])[bulk]) <= 1e-12
+    assert np.max(np.abs(p.d_rho[bulk] - C.m * hydro.j[0][bulk] / hydro.rho[bulk])) <= 1e-12
 
 
 def test_generator_gateaux(grid1d_fine):
@@ -168,43 +167,6 @@ def test_edge_proximity_refused(grid1d):
     hydro = polar_decompose(psi, 1e-6, C)
     with pytest.raises(EdgeProximityError):
         generator_derivs("K0", hydro, np.zeros(grid1d.shape), C.alpha_star, C)
-
-
-def test_angular_momentum_symmetric_gaussian(grid2d):
-    xy = grid2d.coords()
-    r2 = (xy[0] - 10.0) ** 2 + (xy[1] - 10.0) ** 2
-    rho = np.exp(-r2 / 2.0)
-    rho /= integrate(rho, grid2d)
-    wf = polar_compose(rho, np.zeros(grid2d.shape), C.hbar, grid2d)
-    hydro = polar_decompose(wf, 1e-6, C)
-    V = 0.5 * C.m * 0.5**2 * r2
-    out = angular_momentum_check(hydro, V, C.alpha_star, C)
-    assert out["central"]
-    assert abs(out["h_lz_bracket"]) <= 1e-9
-    assert abs(out["lz_value"]) <= 1e-12
-    assert out["pass"]
-
-
-def test_vortex_angular_momentum(grid2d):
-    psi = vortex_state(grid2d, 1, 1.2)
-    hydro = polar_decompose(psi, 1e-6, C)
-    lz = generator_value("Lz", hydro, np.zeros(grid2d.shape), C.alpha_star, C)
-    assert abs(lz - C.hbar) <= 1e-6
-
-
-def test_noncentral_potential_flagged(grid2d):
-    # displaced density so the torque of the non-central V is visible
-    xy = grid2d.coords()
-    x = xy[0] - 11.5
-    y = xy[1] - 10.0
-    rho = np.exp(-(x**2 + y**2) / 2.0)
-    rho /= integrate(rho, grid2d)
-    wf = polar_compose(rho, np.zeros(grid2d.shape), C.hbar, grid2d)
-    hydro = polar_decompose(wf, 1e-6, C)
-    V = 0.2 * x**2 * y  # not central
-    out = angular_momentum_check(hydro, V, C.alpha_star, C)
-    assert not out["central"]
-    assert not out["pass"]
 
 
 def test_bargmann_closure_2d(grid2d):

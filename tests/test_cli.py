@@ -82,6 +82,9 @@ def test_scan_alpha_deterministic_artifacts(tmp_path):
     body2 = (out2 / "scan_alpha.csv").read_bytes()
     assert body1 == body2
     assert v1.measured == v2.measured
+    # r_cont is alpha-independent: one value down the column, the verdict's mean
+    col = [line.split(",")[2] for line in body1.decode().splitlines()[1:]]
+    assert set(col) == {f"{v1.measured['mean_r_cont']:.17g}"}
 
 
 def test_verdict_config_roundtrip(tmp_path):

@@ -61,7 +61,8 @@ def test_polar_decompose_plane_wave(grid1d, constants):
     wf = polar_compose(np.full(grid1d.shape, 1.0 / grid1d.length), constants.hbar * k0 * x, constants.hbar, grid1d)
     hydro = polar_decompose(wf, 1e-6, constants)
     assert np.allclose(hydro.rho, 1.0 / grid1d.length)
-    assert np.max(np.abs(hydro.v[0] - constants.hbar * k0 / constants.m)) <= 1e-10
+    m = hydro.mask
+    assert np.max(np.abs(hydro.j[0][m] / hydro.rho[m] - constants.hbar * k0 / constants.m)) <= 1e-10
 
 
 def test_polar_decompose_excited_state_node_masked(grid1d_fine, constants):
@@ -69,13 +70,6 @@ def test_polar_decompose_excited_state_node_masked(grid1d_fine, constants):
     hydro = polar_decompose(psi1, 1e-6, constants)
     node = np.argmin(np.abs(grid1d_fine.axes[0] - 20.0))
     assert not hydro.mask[node]
-
-
-def test_current_velocity_consistency(grid1d_fine, constants):
-    wf = gaussian_packet(grid1d_fine, 20.0, 1.2, 0.9, constants)
-    hydro = polar_decompose(wf, 1e-6, constants)
-    gap = np.abs(hydro.j - hydro.rho[None] * hydro.v)
-    assert np.max(gap[:, hydro.mask]) <= 1e-10
 
 
 def test_gauge_covariance(grid1d_fine, constants):
@@ -87,8 +81,6 @@ def test_gauge_covariance(grid1d_fine, constants):
     h1 = polar_decompose(wf, 1e-6, constants)
     h2 = polar_decompose(wf2, 1e-6, constants)
     assert np.max(np.abs(h1.rho - h2.rho)) <= 1e-12
-    # division j/rho amplifies one-ulp rounding at the deep mask edge
-    assert np.max(np.abs(h1.v - h2.v)[:, h1.mask]) <= 1e-11
     assert np.max(np.abs(h1.j - h2.j)) <= 1e-12
     ds = (h2.S - h1.S)[h1.mask] / constants.hbar
     # constant offset theta mod 2 pi

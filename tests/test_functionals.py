@@ -1,14 +1,14 @@
-"""Energy report, entropy rates, regulariser EL derivatives, Gateaux oracles."""
+"""Energy generator, entropy rates, regulariser EL derivatives, Gateaux oracles."""
 import numpy as np
 import pytest
 
 from fisher_hydro import EvolutionSpec, PhysicalConstants, evolve, make_grid
+from fisher_hydro.brackets import generator_value
 from fisher_hydro.fields import polar_decompose
 from fisher_hydro.functionals import (
     RegulariserSpec,
     el_derivative,
     el_residual,
-    energy,
     entropy_production_identity,
     fisher_information,
     fisher_laplacian_quotient,
@@ -40,17 +40,16 @@ def test_energy_uniform_is_zero(grid1d):
     rho = np.full(grid1d.shape, 1.0 / grid1d.length)
     wf = polar_compose(rho, np.zeros(grid1d.shape), C.hbar, grid1d)
     hydro = polar_decompose(wf, 1e-6, C)
-    report = energy(hydro, np.zeros(grid1d.shape), C.alpha_star, C)
-    assert abs(report.total) <= 1e-12
+    assert abs(generator_value("H", hydro, np.zeros(grid1d.shape), C.alpha_star, C)) <= 1e-12
 
 
 def test_energy_ground_state(grid1d_fine):
     psi = oscillator_state(grid1d_fine, 0, 1.0, C)
     hydro = polar_decompose(psi, 1e-6, C)
     V = harmonic_potential(grid1d_fine, 1.0, C)
-    report = energy(hydro, V, C.alpha_star, C)
-    assert abs(report.total - oscillator_energy(0, 1.0, C)) <= 1e-8
-    assert report.kinetic >= 0 and report.curvature >= 0 and report.fisher_info >= 0
+    total = generator_value("H", hydro, V, C.alpha_star, C)
+    assert abs(total - oscillator_energy(0, 1.0, C)) <= 1e-8
+    assert fisher_information(hydro.rho, grid1d_fine) >= 0
 
 
 def test_energy_conserved_on_linear_trajectory():
@@ -59,7 +58,7 @@ def test_energy_conserved_on_linear_trajectory():
     spec = EvolutionSpec(kind="linear", dt=0.02, t_final=3.0, record_stride=30)
     V = np.zeros(grid.shape)
     traj = evolve(psi, V, spec, C)
-    totals = [energy(polar_decompose(w, 1e-6, C), V, C.alpha_star, C).total for _, w in traj.snapshots]
+    totals = [generator_value("H", polar_decompose(w, 1e-6, C), V, C.alpha_star, C) for _, w in traj.snapshots]
     drift = (max(totals) - min(totals)) / abs(totals[0])
     assert drift <= 1e-9
 
@@ -76,7 +75,7 @@ def test_fisher_info_identity(grid1d_fine):
 def test_shannon_rate_zero_diffusion(grid1d):
     rho0 = gaussian_rho(grid1d)
     spec = EvolutionSpec(kind="density_diffusion", dt=0.01, t_final=0.5, record_stride=10)
-    traj = evolve_density_diffusion(rho0, None, 0.0, spec, grid1d)
+    traj = evolve_density_diffusion(rho0, 0.0, spec, grid1d)
     _, measured, _ = shannon_entropy_rate(traj, 0.0)
     assert np.max(np.abs(measured)) <= 1e-10
 
@@ -85,7 +84,7 @@ def test_shannon_rate_matches_fisher_prediction(grid1d):
     rho0 = gaussian_rho(grid1d, sigma=np.sqrt(2.0))
     D = 0.05
     spec = EvolutionSpec(kind="density_diffusion", dt=0.005, t_final=2.0, record_stride=20, D=D)
-    traj = evolve_density_diffusion(rho0, None, D, spec, grid1d)
+    traj = evolve_density_diffusion(rho0, D, spec, grid1d)
     _, measured, predicted = shannon_entropy_rate(traj, D)
     assert np.max(np.abs(measured - predicted) / np.abs(predicted)) <= 1e-4
 
@@ -93,7 +92,7 @@ def test_shannon_rate_matches_fisher_prediction(grid1d):
 def test_shannon_rate_uniform(grid1d):
     rho0 = np.full(grid1d.shape, 1.0 / grid1d.length)
     spec = EvolutionSpec(kind="density_diffusion", dt=0.01, t_final=0.3, record_stride=5, D=0.05)
-    traj = evolve_density_diffusion(rho0, None, 0.05, spec, grid1d)
+    traj = evolve_density_diffusion(rho0, 0.05, spec, grid1d)
     _, measured, predicted = shannon_entropy_rate(traj, 0.05)
     assert np.max(np.abs(measured)) <= 1e-12
     assert np.max(np.abs(predicted)) <= 1e-12
@@ -102,28 +101,15 @@ def test_shannon_rate_uniform(grid1d):
 def test_shannon_rate_needs_three_snapshots(grid1d):
     rho0 = gaussian_rho(grid1d)
     spec = EvolutionSpec(kind="density_diffusion", dt=0.01, t_final=0.01, record_stride=1, D=0.0)
-    traj = evolve_density_diffusion(rho0, None, 0.0, spec, grid1d)
+    traj = evolve_density_diffusion(rho0, 0.0, spec, grid1d)
     with pytest.raises(ValueError):
         shannon_entropy_rate(traj, 0.0)
 
 
-def test_advective_entropy_rate(grid1d):
-    # with pure advection the measured rate matches int rho div v
-    rho0 = gaussian_rho(grid1d)
-    x = grid1d.axes[0] - 20.0
-    v = (0.05 * x * np.exp(-(x**2) / 64.0))[None, :]
-    spec = EvolutionSpec(kind="density_diffusion", dt=0.002, t_final=0.2, record_stride=10)
-    traj = evolve_density_diffusion(rho0, v, 0.0, spec, grid1d)
-    _, measured, _ = shannon_entropy_rate(traj, 0.0)
-    mid_rho = traj.snapshots[len(traj.snapshots) // 2][1]
-    advective, _, _ = entropy_production_identity(mid_rho, v, 0.0, grid1d)
-    assert abs(measured[len(measured) // 2] - advective) / abs(advective) <= 1e-3
-
-
 def test_entropy_production_identity_quadrature(grid1d_fine):
     rho = gaussian_rho(grid1d_fine)
-    _, diffusive, predicted = entropy_production_identity(rho, None, 0.05, grid1d_fine)
-    assert abs(diffusive - predicted) / abs(predicted) <= 1e-10
+    production, predicted = entropy_production_identity(rho, 0.05, grid1d_fine)
+    assert abs(production - predicted) / abs(predicted) <= 1e-10
 
 
 def test_el_fisher_matches_laplacian_quotient(grid1d):
@@ -212,11 +198,3 @@ def test_regulariser_spec_validation():
         RegulariserSpec("nope", 1.0)
     with pytest.raises(ValueError):
         RegulariserSpec("fisher", -1.0)
-
-
-def test_shannon_offmask_bound_reported(grid1d_fine):
-    psi = oscillator_state(grid1d_fine, 0, 1.0, C)
-    hydro = polar_decompose(psi, 1e-6, C)
-    report = energy(hydro, harmonic_potential(grid1d_fine, 1.0, C), C.alpha_star, C)
-    assert report.shannon_offmask_bound > 0
-    assert report.shannon_offmask_bound < 1e-3

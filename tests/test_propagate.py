@@ -195,12 +195,14 @@ def test_evolve_nan_aborts(grid1d, constants):
         evolve(psi, bad_v, spec, constants)
 
 
-def test_dg_abort_states_diffusion_number(constants):
-    # a DG run far past the explicit kick's limit aborts, and the message
-    # names the cause: dt*D/h^2 = 0.01 * 0.05 / (40/16384)^2 = 83.9
+@pytest.mark.parametrize("record_stride", [1, 5, 10])
+def test_dg_abort_states_diffusion_number(constants, record_stride):
+    # a DG run far past the explicit kick's limit aborts at its first
+    # non-finite step whatever the stride, and the message names the cause:
+    # dt*D/h^2 = 0.01 * 0.05 / (40/16384)^2 = 83.9
     grid = make_grid(1, 16384, 40.0)
     psi = gaussian_packet(grid, 20.0, 1.0, 0.3, constants)
-    spec = EvolutionSpec(kind="dg_diffusion", dt=0.01, t_final=0.1, D=0.05)
+    spec = EvolutionSpec(kind="dg_diffusion", dt=0.01, t_final=0.1, record_stride=record_stride, D=0.05)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalAbort, match=r"^non-finite state at t=0\.04 \(dt\*D/h\^2 = 83\.9\)$"):
         evolve(psi, harmonic_potential(grid, 1.0, constants), spec, constants)
@@ -221,7 +223,7 @@ def test_density_diffusion_static_when_off(grid1d):
     x = grid1d.axes[0]
     rho0 = np.exp(-((x - 20.0) ** 2)) / integrate(np.exp(-((x - 20.0) ** 2)), grid1d)
     spec = EvolutionSpec(kind="density_diffusion", dt=0.01, t_final=0.5, record_stride=10)
-    traj = evolve_density_diffusion(rho0, None, 0.0, spec, grid1d)
+    traj = evolve_density_diffusion(rho0, 0.0, spec, grid1d)
     assert np.max(np.abs(traj.snapshots[-1][1] - rho0)) <= 1e-14
 
 
@@ -232,7 +234,7 @@ def test_density_diffusion_heat_kernel_variance(grid1d):
     rho0 /= integrate(rho0, grid1d)
     D = 0.05
     spec = EvolutionSpec(kind="density_diffusion", dt=0.005, t_final=2.0, record_stride=40, D=D)
-    traj = evolve_density_diffusion(rho0, None, D, spec, grid1d)
+    traj = evolve_density_diffusion(rho0, D, spec, grid1d)
     t, rho = traj.snapshots[-1]
     mean = integrate(rho * x, grid1d)
     var = integrate(rho * (x - mean) ** 2, grid1d)
@@ -248,7 +250,7 @@ def test_density_diffusion_entropy_monotone(grid1d):
     rho0 = np.exp(-((x - 20.0) ** 2) / 2.0)
     rho0 /= integrate(rho0, grid1d)
     spec = EvolutionSpec(kind="density_diffusion", dt=0.005, t_final=1.0, record_stride=20, D=0.05)
-    traj = evolve_density_diffusion(rho0, None, 0.05, spec, grid1d)
+    traj = evolve_density_diffusion(rho0, 0.05, spec, grid1d)
     entropies = [shannon_entropy(r, grid1d) for _, r in traj.snapshots]
     assert all(b > a for a, b in zip(entropies, entropies[1:]))
 
@@ -258,7 +260,7 @@ def test_density_diffusion_cfl_warning():
     rho0 = np.full(grid.shape, 1.0 / grid.length)
     spec = EvolutionSpec(kind="density_diffusion", dt=0.05, t_final=0.1, record_stride=1, D=0.05)
     with pytest.warns(RuntimeWarning):
-        evolve_density_diffusion(rho0, None, 0.05, spec, grid)
+        evolve_density_diffusion(rho0, 0.05, spec, grid)
 
 
 def test_trajectory_times_strictly_increasing(grid1d, constants):

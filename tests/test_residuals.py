@@ -14,7 +14,6 @@ from fisher_hydro.residuals import (
     hj_residual,
     momentum_balance_residual,
     multi_mass_scan,
-    scan_to_csv,
     subtract_masked_mean,
 )
 from fisher_hydro.states import (
@@ -114,11 +113,13 @@ def test_alpha_scan_finds_fisher_scale():
 
 
 def test_alpha_scan_r_cont_independent_of_alpha():
+    # r_cont does not depend on alpha: scans over two different alpha grids
+    # of the same trajectory report the same finite r_cont_mean, bit for bit
     traj, V, grid = table1_trajectory(n=1024, t_final=1.0)
-    result = alpha_scan(traj, V, default_alpha_grid(), C)
-    body = scan_to_csv(result)
-    col = [line.split(",")[2] for line in body.splitlines()[1:]]
-    assert len(set(col)) == 1
+    base = alpha_scan(traj, V, default_alpha_grid(), C)
+    other = alpha_scan(traj, V, np.linspace(0.3, 2.0, 35), C)
+    assert np.isfinite(base.r_cont_mean)
+    assert other.r_cont_mean == base.r_cont_mean
 
 
 def test_alpha_scan_boost_invariance():
