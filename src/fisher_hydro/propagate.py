@@ -153,7 +153,8 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
     advance copies values once and then steps the copy in place, with the
     kicks in work arrays built once per call: it never writes into its
     argument, so a caller may pass back an array it keeps.  With a kick, it
-    raises NumericalAbort at the first non-finite state that it steps.
+    raises NumericalAbort at the first state it steps whose |psi|^2 is not
+    finite.
     """
     if kind not in _WAVE_KINDS:
         raise ValueError(f"kind {kind!r} is not a wavefunction evolution")
@@ -182,11 +183,11 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
         for done in range(n_steps):
             if kick is not None:
                 factor = kick(values, work)
-                # The linear part is unitary, so only a kick makes a state
-                # non-finite; the per-state max rho that the next kick reads
-                # then sums to a non-finite value.  The sum also overflows on
-                # some finite states, so only then is the whole state scanned.
-                if not math.isfinite(work.peak.sum()) and not np.all(np.isfinite(values.view(float))):
+                # The linear part is unitary, so only a kick blows a state
+                # up; the per-state max rho that the next kick reads then
+                # sums to a non-finite value.  That also catches a state whose
+                # entries are finite but whose |psi|^2 overflows.
+                if not math.isfinite(work.peak.sum()):
                     raise _NonFinite(done)
                 np.multiply(values, factor, out=values)
             np.multiply(half_v, values, out=values)
@@ -287,9 +288,10 @@ def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: Physi
     Every kind runs the Strang kernel of step_linear, step_dg and step_beta,
     with its factors built once, one record_stride chunk at a time.  The
     snapshot k steps in is stamped k * dt.  Aborts with NumericalAbort at the
-    first non-finite state, which the kicks of DG and beta see at once and the
-    end of each chunk checks for the rest; for DG the message gives dt*D/h^2,
-    since the explicit DG kick blows up once that number is large.
+    first state whose |psi|^2 is not finite, which the kicks of DG and beta
+    see at once and the norm at the end of each chunk sees for the rest; for
+    DG the message gives dt*D/h^2, since the explicit DG kick blows up once
+    that number is large.
     """
     psi0.check_finite()
     grid = psi0.grid
@@ -302,7 +304,7 @@ def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: Physi
         try:
             values = advance(values, chunk)
             step += chunk
-            finite = np.all(np.isfinite(values.view(float)))
+            finite = math.isfinite(np.vdot(values, values).real)
         except _NonFinite as exc:
             step += exc.steps
             finite = False

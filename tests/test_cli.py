@@ -204,6 +204,11 @@ def test_run_all_summary(tmp_path, monkeypatch):
     verdict = json.loads((tmp_path / "out" / "galilei" / "galilei.verdict.json").read_text())
     assert list(verdict["thresholds"]) == ["bracket_gap_over_tolerance"]
     assert verdict["pass"] == galilei["pass"]
+    # superposition's own state threads nest inside the suite pool and leave
+    # its residuals as a serial run writes them
+    run_one("superposition", str(confdir / "superposition.json"), str(tmp_path / "serial"), {})
+    serial = (tmp_path / "serial" / "superposition.csv").read_bytes()
+    assert (tmp_path / "out" / "superposition" / "superposition.csv").read_bytes() == serial
 
 
 def test_beta_flag_appends_to_superposition_list(tmp_path):

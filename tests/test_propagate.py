@@ -197,15 +197,19 @@ def test_evolve_nan_aborts(grid1d, constants):
 
 @pytest.mark.parametrize("record_stride", [1, 5, 10])
 def test_dg_abort_states_diffusion_number(constants, record_stride):
-    # a DG run far past the explicit kick's limit aborts at its first
-    # non-finite step whatever the stride, and the message names the cause:
+    # a DG run far past the explicit kick's limit aborts at its first step
+    # whose |psi|^2 overflows, whatever the stride: at t = 0.03 every entry is
+    # still finite (max|psi| = 2.6e227), so an entry scan would wait for
+    # t = 0.04.  The message names the cause:
     # dt*D/h^2 = 0.01 * 0.05 / (40/16384)^2 = 83.9
     grid = make_grid(1, 16384, 40.0)
     psi = gaussian_packet(grid, 20.0, 1.0, 0.3, constants)
-    spec = EvolutionSpec(kind="dg_diffusion", dt=0.01, t_final=0.1, record_stride=record_stride, D=0.05)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericalAbort, match=r"^non-finite state at t=0\.04 \(dt\*D/h\^2 = 83\.9\)$"):
-        evolve(psi, harmonic_potential(grid, 1.0, constants), spec, constants)
+    # A run that ends at t = 0.03 must abort too, not return that state.
+    for t_final in (0.1, 0.03):
+        spec = EvolutionSpec(kind="dg_diffusion", dt=0.01, t_final=t_final, record_stride=record_stride, D=0.05)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalAbort, match=r"^non-finite state at t=0\.03 \(dt\*D/h\^2 = 83\.9\)$"):
+            evolve(psi, harmonic_potential(grid, 1.0, constants), spec, constants)
 
 
 def test_spec_validation():

@@ -1,5 +1,6 @@
 """Superposition, complexifier rigidity, time reversal, circulation."""
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -41,6 +42,43 @@ def test_superposition_beta_turns_on_residual():
     r0 = superposition_residual(cfg, 0.0)
     r1 = superposition_residual(cfg, 0.02)
     assert r1 > 1e-3 > r0
+
+
+def test_superposition_residual_independent_of_cpu_count(monkeypatch):
+    # superposition_residual steps its three states in min(3, usable CPUs)
+    # contiguous chunks on threads.  Each state's kick reads only its own max
+    # rho, so every split gives the residual of one advance of the whole batch.
+    from fisher_hydro import stresstests
+
+    strang = stresstests._strang
+    calls = []
+
+    def spy(*args, **kwargs):
+        advance = strang(*args, **kwargs)
+
+        def recorded(values, n_steps):
+            calls.append(values.shape[0])
+            return advance(values, n_steps)
+        return recorded
+
+    monkeypatch.setattr(stresstests, "_strang", spy)
+    cfg = small_config(n_base=512, t_final=0.2)
+    for beta in (0.0, 0.02):
+        for refined in (False, True):
+            grid, dt = cfg.grid(refined), cfg.timestep(refined)
+            V = harmonic_potential(grid, cfg.omega, C)
+            p1 = stresstests._packet(grid, cfg.x1, cfg.p1, cfg.sigma, C.hbar)
+            p2 = stresstests._packet(grid, cfg.x2, cfg.p2, cfg.sigma, C.hbar)
+            batch = np.stack([p1, p2, (p1 + p2) / np.sqrt(2.0)])
+            batch /= np.sqrt(np.sum(np.abs(batch) ** 2, axis=-1, keepdims=True) * grid.cell_volume)
+            whole = strang(V, grid, dt, C, "beta_nonlinear", beta=beta, eps_reg=cfg.eps_reg)(
+                batch, int(round(cfg.t_final / dt)))
+            expected, _ = projective_residual(whole[2], whole[0] + whole[1], grid)
+            for cpus, rows in ((1, [3]), (2, [2, 1]), (3, [1, 1, 1])):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+                calls.clear()
+                assert superposition_residual(cfg, beta, refined=refined) == expected
+                assert sorted(calls, reverse=True) == rows
 
 
 def test_superposition_degenerate_inputs_zero_residual(grid1d):
