@@ -1,7 +1,7 @@
 """Command-line front end: one subcommand per archive test, JSON configs,
 CSV/JSON artefacts, deterministic outputs, and pass/fail exit codes.
 
-Exit codes: 0 pass; 1 falsifier fired (test ran, predicted behaviour violated);
+Exit codes: 0 pass; 1 falsifier fired (test ran, a check row failed);
 2 config or usage error; 3 numerical abort.
 """
 
@@ -18,7 +18,7 @@ import operator
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,8 +52,8 @@ from .states import (
     vortex_state,
 )
 from .stresstests import (
-    FalsifierFired,
     SuperpositionConfig,
+    beta_drops,
     circulation,
     complexifier_scan,
     superposition_curve,
@@ -257,6 +257,8 @@ CHECKS: dict[str, list[tuple[str, str, object, str]]] = {
         ("beta_0.02_0.05_low", ">=", 1.2, "saturated residual bracket [1.2, 1.45], smaller of beta = 0.02, 0.05"),
         ("beta_0.02_0.05", "<=", 1.45, "saturated residual bracket [1.2, 1.45], larger of beta = 0.02, 0.05"),
         ("refinement_ratio", ">=", 0.9, "residual does not vanish under grid refinement"),
+        ("monotone_in_beta", "<=", 1e-12, "residual grows with beta on both grids: largest drop off the plateau at round-off"),
+        ("plateau_jitter", "<=", 0.05, "largest drop between residuals both on the sqrt(2) plateau (>= 1.30)"),
     ],
 }
 
@@ -337,6 +339,15 @@ def _suite(test: str):
     return wrap
 
 
+def _same_type(value, default) -> bool:
+    """value has the default's type: an int may stand for a float, a bool only
+    for a bool, and each element of a list must match the default's elements."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_same_type(v, default[0]) for v in value)
+    kind = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, kind) and isinstance(value, bool) == isinstance(default, bool)
+
+
 def load_config(test: str, path: str | None, overrides: dict) -> dict:
     cfg = dict(DEFAULTS[test])
     if path is not None:
@@ -351,10 +362,8 @@ def load_config(test: str, path: str | None, overrides: dict) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys for {test}: {', '.join(unknown)}")
         for key, value in user.items():
-            if not isinstance(value, type(cfg[key])) and not (
-                isinstance(cfg[key], float) and isinstance(value, (int, float))
-            ):
-                raise ConfigError(f"config key {key!r} has wrong type {type(value).__name__}")
+            if not _same_type(value, cfg[key]):
+                raise ConfigError(f"config key {key!r} has wrong type: {value!r}")
         cfg.update(user)
     for key, value in overrides.items():
         if value is None:
@@ -484,12 +493,12 @@ def run_dg_entropy(cfg: dict, outdir: str) -> tuple[dict, dict]:
     spec = EvolutionSpec(kind="density_diffusion", dt=cfg["dt"], t_final=cfg["t_final"],
                          record_stride=stride, D=D)
 
-    traj = evolve_density_diffusion(rho0, D, spec, grid)
+    traj = evolve_density_diffusion(rho0, spec, grid)
     times, measured_rate, predicted_rate = shannon_entropy_rate(traj, D)
     rel = np.abs(measured_rate - predicted_rate) / np.abs(predicted_rate)
     worst_rel = float(np.max(rel))
 
-    traj0 = evolve_density_diffusion(rho0, 0.0, spec, grid)
+    traj0 = evolve_density_diffusion(rho0, replace(spec, D=0.0), grid)
     _, measured0, _ = shannon_entropy_rate(traj0, 0.0)
     zero_rate = float(np.max(np.abs(measured0)))
 
@@ -694,6 +703,8 @@ def run_superposition(cfg: dict, outdir: str) -> tuple[dict, dict]:
         r["refined"] / r["base"] for r in rows if r["beta"] > 0 and r["base"] > 0
     )
     measured["min_refinement_ratio"] = min_refinement_ratio
+    drops = dict(zip(("monotone_in_beta", "plateau_jitter"), beta_drops(rows)))
+    measured.update(drops)
 
     _write(outdir, "superposition.csv", _csv_body(
         ["beta", "base_residual", "refined_residual"],
@@ -707,6 +718,7 @@ def run_superposition(cfg: dict, outdir: str) -> tuple[dict, dict]:
         "beta_0.02_0.05_low": float(np.min(saturated)),
         "beta_0.02_0.05": float(np.max(saturated)),
         "refinement_ratio": min_refinement_ratio,
+        **drops,
     }
 
 
@@ -726,13 +738,11 @@ def _run(test: str, config_path: str | None, outdir: str,
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG, None, None
-    except (ValueError, NumericalAbort, FalsifierFired) as exc:
-        # A ValueError from a runner is a config it cannot measure, such as
-        # a t_final that leaves a trajectory no interior snapshots.
+    except (ValueError, ArithmeticError, NumericalAbort) as exc:
+        # A ValueError or ArithmeticError from a runner is a config it cannot
+        # measure: a t_final that leaves no interior snapshot, a zero it divides by.
         if isinstance(exc, NumericalAbort):
             code, label = EXIT_NUMERICAL, "numerical abort"
-        elif isinstance(exc, FalsifierFired):
-            code, label = EXIT_FALSIFIED, "falsifier fired"
         else:
             code, label = EXIT_CONFIG, "config error"
         print(f"{label}: {exc}", file=sys.stderr)

@@ -334,11 +334,12 @@ def symmetric_pair(
     return _step(psi, V, -dt, constants, kind, D=D), _step(psi, V, dt, constants, kind, D=D)
 
 
-def evolve_density_diffusion(rho0: np.ndarray, D: float, spec: EvolutionSpec, grid: Grid) -> DensityTrajectory:
-    """Explicit RK4 for rho_t = D Lap rho with spectral derivatives.
+def evolve_density_diffusion(rho0: np.ndarray, spec: EvolutionSpec, grid: Grid) -> DensityTrajectory:
+    """Explicit RK4 for rho_t = D Lap rho with spectral derivatives, D = spec.D.
 
     Warns when dt * D / h^2 exceeds 0.25.
     """
+    D = spec.D
     if spec.dt * D / grid.spacing**2 > 0.25:
         warnings.warn(
             f"dt*D/h^2 = {spec.dt * D / grid.spacing**2:.3f} > 0.25: explicit step may be unstable",

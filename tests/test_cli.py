@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from fisher_hydro import cli
+from fisher_hydro import cli, stresstests
 from fisher_hydro.cli import (
     CHECKS,
     EXIT_CONFIG,
@@ -24,7 +24,6 @@ from fisher_hydro.cli import (
     run_one,
 )
 from fisher_hydro.propagate import NumericalAbort
-from fisher_hydro.stresstests import FalsifierFired
 
 
 def test_load_config_defaults():
@@ -41,9 +40,31 @@ def test_load_config_rejects_unknown_keys(tmp_path):
 
 def test_load_config_rejects_bad_types(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"n": "four thousand"}))
-    with pytest.raises(ConfigError):
-        load_config("scan-alpha", str(path), {})
+    for test, user in [
+        ("scan-alpha", {"n": "four thousand"}),
+        ("galilei", {"boost": True}),  # a JSON bool is not a number
+        ("scan-alpha", {"n": False}),
+        ("fisher-el", {"masses": [True]}),
+        ("superposition", {"beta_list": [0.0, 0.005, 0.02, 0.05, "x"]}),
+        ("circulation", {"windings": ["1"]}),
+        ("circulation", {"windings": [1.0]}),  # a float does not stand for an int
+        ("complexifier", {"p_grid": 0.5}),
+    ]:
+        path.write_text(json.dumps(user))
+        with pytest.raises(ConfigError):
+            load_config(test, str(path), {})
+        assert main([test, "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+
+def test_load_config_accepts_ints_for_floats(tmp_path):
+    # an int stands for a float, as a list element too, and a bool for a bool
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps({"masses": [1, 2.5], "omega": 2}))
+    assert load_config("fisher-el", str(path), {})["masses"] == [1, 2.5]
+    path.write_text(json.dumps({"boost": 2, "refine": True}))
+    cfg = load_config("scan-alpha", str(path), {})
+    assert (cfg["boost"], cfg["refine"]) == (2, True)
 
 
 def test_load_config_rejects_non_object(tmp_path):
@@ -255,26 +276,32 @@ def _partial_verdict(outdir, test):
     return payload
 
 
-def test_falsifier_fired_writes_partial_verdict(tmp_path, monkeypatch, capsys):
-    def fired(config, constants):
-        raise FalsifierFired("residual not monotone in beta")
-
-    monkeypatch.setattr(cli, "superposition_curve", fired)
+def test_superposition_falling_residual_fails_its_row(tmp_path, monkeypatch):
+    # the residual falls from beta = 0.005 to 0.01: a full verdict whose only
+    # failed row is monotone_in_beta, with exit 1 and the table on disk
+    table = {0.0: 0.0, 0.005: 0.2, 0.01: 0.15, 0.02: 1.35, 0.05: 1.36}
+    monkeypatch.setattr(stresstests, "superposition_residual",
+                        lambda config, beta, refined=False, constants=None: table[beta])
     code, verdict = run_one("superposition", None, str(tmp_path), {})
-    assert (code, verdict) == (EXIT_FALSIFIED, None)
-    payload = _partial_verdict(tmp_path, "superposition")
-    assert payload["exit_code"] == EXIT_FALSIFIED
-    assert payload["error"] == "residual not monotone in beta"
-    assert payload["config"] == DEFAULTS["superposition"]
-    # run-all's summary and table carry the runtime that the partial verdict records
-    monkeypatch.setattr(cli, "RUNNERS", {"superposition": cli.RUNNERS["superposition"]})
-    capsys.readouterr()
-    assert run_all(str(tmp_path), str(tmp_path / "all")) == EXIT_FALSIFIED
-    [row] = json.loads((tmp_path / "all" / "summary.json").read_text())
-    payload = _partial_verdict(tmp_path / "all" / "superposition", "superposition")
-    assert row["runtime_s"] == payload["runtime_s"] > 0
-    table_row = capsys.readouterr().out.splitlines()[1]
-    assert table_row.split() == ["superposition", "FAIL", f"{payload['runtime_s']:.1f}s"]
+    assert code == EXIT_FALSIFIED and not verdict.passed
+    payload = json.loads((tmp_path / "superposition.verdict.json").read_text())
+    assert {name for name, check in payload["thresholds"].items() if not check["pass"]} == {"monotone_in_beta"}
+    assert payload["measured"]["monotone_in_beta"] == pytest.approx(0.05)
+    assert payload["measured"]["plateau_jitter"] == pytest.approx(-0.01)
+    body = (tmp_path / "superposition.csv").read_text().splitlines()
+    assert [float(row.split(",")[1]) for row in body[1:]] == list(table.values())
+
+
+def test_superposition_beta_list_order_is_free(tmp_path):
+    # a config lists its couplings in any order; the table and the drops
+    # between neighbours follow ascending beta
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"n": 1024, "beta_list": [0.05, 0.0, 0.005, 0.02]}))
+    run_one("superposition", str(p), str(tmp_path), {})
+    checks = json.loads((tmp_path / "superposition.verdict.json").read_text())["thresholds"]
+    assert checks["monotone_in_beta"]["pass"] and checks["plateau_jitter"]["pass"]
+    body = (tmp_path / "superposition.csv").read_text().splitlines()
+    assert [float(row.split(",")[0]) for row in body[1:]] == [0.0, 0.005, 0.02, 0.05]
 
 
 def test_runner_value_error_writes_partial_verdict(tmp_path):
@@ -290,7 +317,7 @@ def test_runner_value_error_writes_partial_verdict(tmp_path):
     assert main(["scan-alpha", "--config", str(p), "--out", str(tmp_path / "main")]) == EXIT_CONFIG
 
 
-def test_numerical_abort_writes_partial_verdict(tmp_path, monkeypatch):
+def test_numerical_abort_writes_partial_verdict(tmp_path, monkeypatch, capsys):
     def abort(*args, **kwargs):
         raise NumericalAbort("non-finite state at t=0.1")
 
@@ -301,6 +328,46 @@ def test_numerical_abort_writes_partial_verdict(tmp_path, monkeypatch):
     assert payload["exit_code"] == EXIT_NUMERICAL
     assert payload["error"] == "non-finite state at t=0.1"
     assert payload["grid"] == {"n": 1024, "dt": 0.02, "length": 122.88}
+    # run-all's summary and table carry the runtime that the partial verdict records
+    monkeypatch.setattr(cli, "RUNNERS", {"continuity": cli.RUNNERS["continuity"]})
+    capsys.readouterr()
+    assert run_all(str(tmp_path), str(tmp_path / "all")) == EXIT_FALSIFIED
+    [row] = json.loads((tmp_path / "all" / "summary.json").read_text())
+    payload = _partial_verdict(tmp_path / "all" / "continuity", "continuity")
+    assert row["exit_code"] == EXIT_NUMERICAL
+    assert row["runtime_s"] == payload["runtime_s"] > 0
+    table_row = capsys.readouterr().out.splitlines()[1]
+    assert table_row.split() == ["continuity", "abort", f"{payload['runtime_s']:.1f}s"]
+
+
+def test_multi_mass_edge_minimum_fails_its_row(tmp_path):
+    # a mass too heavy for the grid puts its scan minimum on the edge c = 1.5:
+    # a full verdict whose failed row is multi_mass_argmins, not an exit 2
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"masses": [1.0, 1e4]}))
+    code, verdict = run_one("fisher-el", str(p), str(tmp_path), {})
+    assert code == EXIT_FALSIFIED and verdict.measured["multi_mass_argmins"]["10000"] == 1.5
+    payload = json.loads((tmp_path / "fisher-el.verdict.json").read_text())
+    assert {name for name, check in payload["thresholds"].items() if not check["pass"]} == {"multi_mass_argmins"}
+
+
+@pytest.mark.parametrize("test, user", [
+    ("continuity", {"sigma0": 0.0}),
+    ("time-reversal", {"sigma0": 0.0}),
+    ("complexifier", {"omega": 0.0}),
+    ("superposition", {"omega": 0.0}),
+    ("galilei", {"dt": 0.0}),
+])
+def test_zero_divisor_is_a_config_error(tmp_path, test, user):
+    # a config whose zero a runner divides by cannot be measured: exit 2 with
+    # a partial verdict, not a traceback
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(user))
+    code, verdict = run_one(test, str(p), str(tmp_path), {})
+    assert (code, verdict) == (EXIT_CONFIG, None)
+    payload = _partial_verdict(tmp_path, test)
+    assert payload["exit_code"] == EXIT_CONFIG
+    assert payload["config"] == dict(DEFAULTS[test], **user)
 
 
 @pytest.mark.parametrize("test, overrides, row", [
@@ -355,6 +422,8 @@ EXPECTED_CHECKS = {
     ("superposition", "beta_0.02_0.05_low"): (">=", 1.2),  # criterion 4
     ("superposition", "beta_0.02_0.05"): ("<=", 1.45),  # criterion 4
     ("superposition", "refinement_ratio"): (">=", 0.9),  # criterion 4
+    ("superposition", "monotone_in_beta"): ("<=", 1e-12),  # criterion 4
+    ("superposition", "plateau_jitter"): ("<=", 0.05),  # criterion 4
 }
 
 

@@ -227,7 +227,7 @@ def test_density_diffusion_static_when_off(grid1d):
     x = grid1d.axes[0]
     rho0 = np.exp(-((x - 20.0) ** 2)) / integrate(np.exp(-((x - 20.0) ** 2)), grid1d)
     spec = EvolutionSpec(kind="density_diffusion", dt=0.01, t_final=0.5, record_stride=10)
-    traj = evolve_density_diffusion(rho0, 0.0, spec, grid1d)
+    traj = evolve_density_diffusion(rho0, spec, grid1d)
     assert np.max(np.abs(traj.snapshots[-1][1] - rho0)) <= 1e-14
 
 
@@ -238,7 +238,7 @@ def test_density_diffusion_heat_kernel_variance(grid1d):
     rho0 /= integrate(rho0, grid1d)
     D = 0.05
     spec = EvolutionSpec(kind="density_diffusion", dt=0.005, t_final=2.0, record_stride=40, D=D)
-    traj = evolve_density_diffusion(rho0, D, spec, grid1d)
+    traj = evolve_density_diffusion(rho0, spec, grid1d)
     t, rho = traj.snapshots[-1]
     mean = integrate(rho * x, grid1d)
     var = integrate(rho * (x - mean) ** 2, grid1d)
@@ -254,7 +254,7 @@ def test_density_diffusion_entropy_monotone(grid1d):
     rho0 = np.exp(-((x - 20.0) ** 2) / 2.0)
     rho0 /= integrate(rho0, grid1d)
     spec = EvolutionSpec(kind="density_diffusion", dt=0.005, t_final=1.0, record_stride=20, D=0.05)
-    traj = evolve_density_diffusion(rho0, 0.05, spec, grid1d)
+    traj = evolve_density_diffusion(rho0, spec, grid1d)
     entropies = [shannon_entropy(r, grid1d) for _, r in traj.snapshots]
     assert all(b > a for a, b in zip(entropies, entropies[1:]))
 
@@ -264,7 +264,7 @@ def test_density_diffusion_cfl_warning():
     rho0 = np.full(grid.shape, 1.0 / grid.length)
     spec = EvolutionSpec(kind="density_diffusion", dt=0.05, t_final=0.1, record_stride=1, D=0.05)
     with pytest.warns(RuntimeWarning):
-        evolve_density_diffusion(rho0, 0.05, spec, grid)
+        evolve_density_diffusion(rho0, spec, grid)
 
 
 def test_trajectory_times_strictly_increasing(grid1d, constants):

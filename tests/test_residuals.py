@@ -156,6 +156,7 @@ def test_multi_mass_common_minimum(grid1d_fine):
     results = multi_mass_scan(c_grid, [0.5, 1.0, 3.0], 1.0, 1.0, grid1d_fine)
     for m, res in results.items():
         assert abs(res.argmin - 1.0) <= 0.01, f"mass {m}"
+        assert not res.boundary
 
 
 def test_multi_mass_miscalibrated_base(grid1d_fine):
@@ -205,6 +206,8 @@ def test_alpha_scan_boundary_flagged():
     assert result.boundary
 
 
-def test_multi_mass_boundary_raises(grid1d_fine):
-    with pytest.raises(ValueError):
-        multi_mass_scan(np.linspace(1.2, 2.2, 21), [1.0], 1.0, 1.0, grid1d_fine)
+def test_multi_mass_boundary_flagged(grid1d_fine):
+    # the true minimum sits below the window: the scan reports its edge, flagged
+    [result] = multi_mass_scan(np.linspace(1.2, 2.2, 21), [1.0], 1.0, 1.0, grid1d_fine).values()
+    assert result.boundary
+    assert result.argmin == result.argmin_grid == 1.2

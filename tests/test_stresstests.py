@@ -11,6 +11,7 @@ from fisher_hydro.states import gaussian_packet, harmonic_potential, vortex_stat
 from fisher_hydro.stresstests import (
     LoopThroughNodeError,
     SuperpositionConfig,
+    beta_drops,
     circulation,
     complexifier_scan,
     projective_residual,
@@ -99,6 +100,19 @@ def test_projective_phase_optimality(grid1d):
     bn = b / norm_l2(b, grid1d)
     for theta_p in rng.uniform(0, 2 * np.pi, size=64):
         assert best <= norm_l2(an - np.exp(1j * theta_p) * bn, grid1d) + 1e-14
+
+
+def test_beta_drops_split_at_the_plateau():
+    def table(base, refined):
+        return [{"beta": i, "base": b, "refined": r} for i, (b, r) in enumerate(zip(base, refined))]
+
+    # growth everywhere: the smallest rise, negated; below 1.30 nothing is plateau
+    assert beta_drops(table([0.0, 0.1, 0.3], [0.0, 0.2, 0.25])) == (pytest.approx(-0.05), None)
+    # a fall between two plateau residuals counts only towards plateau
+    assert beta_drops(table([0.0, 1.35, 1.32], [0.0, 1.35, 1.4])) == (pytest.approx(-1.35), pytest.approx(0.03))
+    # a NaN residual makes its class NaN, which fails any bound
+    monotone, plateau = beta_drops(table([0.0, float("nan"), 1.4], [0.0, 0.1, 1.4]))
+    assert np.isnan(monotone) and plateau is None
 
 
 def test_superposition_disjointness_enforced():
