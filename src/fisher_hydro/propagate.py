@@ -167,9 +167,8 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
             return np.exp(factor, out=factor)
     elif kind == "beta_nonlinear" and beta != 0.0:
         def kick(values, work):
-            phase = np.multiply(-1j, beta_potential(values, grid, beta, eps_reg, work), out=work.spectrum)
-            np.divide(np.multiply(phase, dt, out=phase), 2.0 * constants.hbar, out=phase)
-            return np.exp(phase, out=phase)
+            return _phase_factor(beta_potential(values, grid, beta, eps_reg, work), dt, constants.hbar,
+                                 work.spectrum)
     half_v = np.exp(-1j * V * dt / (2.0 * constants.hbar))
     kin = _kinetic_factor(grid, dt, constants)
 
@@ -264,6 +263,19 @@ def beta_potential(values: np.ndarray, grid: Grid, beta: float, eps_reg: float,
     np.add(rho, eps_reg * work.peak, out=rho)
     np.square(rho, out=rho)
     return np.divide(np.multiply(beta, grad_sq, out=grad_sq), rho, out=grad_sq)
+
+
+def _phase_factor(potential: np.ndarray, dt: float, hbar: float, factor: np.ndarray) -> np.ndarray:
+    """The half-step factor exp(-i potential dt / 2 hbar) of a real potential,
+    written into the complex array factor as cos and sin of its real phase,
+    which overwrites potential.  It has the bits of np.exp of the complex
+    phase (-i potential) dt / 2 hbar, without that phase's complex products,
+    but for the sign of the zero sine at a zero potential: numpy divides a
+    complex array by a real scalar as a product with its reciprocal."""
+    theta = np.multiply(np.multiply(potential, -dt, out=potential), 1.0 / (2.0 * hbar), out=potential)
+    np.cos(theta, out=factor.real)
+    np.sin(theta, out=factor.imag)
+    return factor
 
 
 def step_beta(

@@ -8,6 +8,7 @@ from fisher_hydro.fields import WaveField, polar_decompose
 from fisher_hydro.grid import integrate, norm_l2, spectral_gradient, spectral_laplacian
 from fisher_hydro.propagate import (
     NumericalAbort,
+    _phase_factor,
     _strang,
     evolve_density_diffusion,
     step_beta,
@@ -170,6 +171,20 @@ def test_beta_uniform_density_identical_to_linear(grid1d, constants):
     a = step_beta(psi, V, 0.01, 0.02, 1e-6, constants)
     b = step_linear(psi, V, 0.01, constants)
     assert np.max(np.abs(a.values - b.values)) <= 1e-13
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+def test_beta_phase_factor_is_the_complex_exp_bit_for_bit(hbar):
+    """The beta kick's cos/sin factor has the bits of the complex exp it
+    replaced, (-1j*U*dt)/(2 hbar) then np.exp, on a random potential; a zero
+    potential gives the factor 1 (its sine is -0 where exp gave +0)."""
+    rng = np.random.default_rng(11)
+    U = np.concatenate([rng.uniform(0.0, 1.0, 256), rng.uniform(0.0, 2e3, 256)]).reshape(2, 256)
+    dt = 0.005
+    old = np.exp((-1j * U * dt) / (2.0 * hbar))
+    new = _phase_factor(U.copy(), dt, hbar, np.empty(U.shape, complex))
+    assert new.tobytes() == old.tobytes()
+    assert _phase_factor(np.zeros(4), dt, hbar, np.empty(4, complex)).tolist() == [1.0] * 4
 
 
 def test_beta_step_preserves_norm(grid1d, constants):
