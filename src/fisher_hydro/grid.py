@@ -53,7 +53,13 @@ class Grid:
             kmesh = [k1[:, None], k1[None, :]]
             object.__setattr__(self, "_k2", k1[:, None] ** 2 + k1[None, :] ** 2)
         object.__setattr__(self, "_kmesh", kmesh)
-        object.__setattr__(self, "_ik", [1j * k for k in kmesh])
+        # i k on the half spectrum of a real field (np.fft.rfft over the last
+        # axis keeps its first n//2 + 1 entries), with every Nyquist entry
+        # zeroed: that mode's first derivative is imaginary, and the real part
+        # of the full-spectrum transform drops it.
+        ik = 1j * np.where(np.arange(self.n) == self.n // 2, 0.0, k1)
+        half = ik[: self.n // 2 + 1]
+        object.__setattr__(self, "_ik", [half] if self.dim == 1 else [ik[:, None], half[None, :]])
 
     @property
     def shape(self) -> tuple[int, ...]:

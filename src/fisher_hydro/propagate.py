@@ -8,7 +8,9 @@ at D = 0 and beta = 0, so there they are the linear step bit for bit.  The
 kernel steps a copy of its input in place: transforms and products write
 into the state, and the kicks into work arrays built once per call, so a
 step allocates no array of the stack's size: with glibc's allocator, fresh
-temporaries of that size cost a page fault per page on every step.
+temporaries of that size cost a page fault per page on every step.  The
+kicks transform the real density rho = |psi|^2 on its half spectrum
+(np.fft.rfft over the last grid axis).
 """
 
 from __future__ import annotations
@@ -116,26 +118,42 @@ def _over_grid(transform, values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 class _Work:
-    """Arrays shaped like a stack of states, which the kicks of one advance
-    call reuse across its steps: real rho and scratch, a complex spectrum and,
-    for beta only, a complex gradient component.  peak holds the per-state
-    max rho that the last kick read.  Each call builds its own, so threads
-    never share one."""
+    """Arrays which the kicks of one advance call reuse across its steps:
+    real rho and scratch shaped like the stack of states, and its complex
+    half spectrum.  The beta kick adds a half-spectrum gradient, a real
+    second gradient component in 2D and its complex factor.  peak holds the
+    per-state max rho that the last kick read.  Each call builds its own, so
+    threads never share one."""
 
-    def __init__(self, shape: tuple[int, ...], gradient: bool) -> None:
+    def __init__(self, shape: tuple[int, ...], grid: Grid, beta: bool) -> None:
+        half = shape[:-1] + (grid.n // 2 + 1,)
         self.rho, self.real = np.empty(shape), np.empty(shape)
-        self.spectrum = np.empty(shape, complex)
-        self.gradient = np.empty(shape, complex) if gradient else None
+        self.spectrum = np.empty(half, complex)
+        self.gradient = np.empty(half, complex) if beta else None
+        self.component = np.empty(shape) if beta and grid.dim > 1 else None
+        self.factor = np.empty(shape, complex) if beta else None
         self.peak = None
 
 
 def _density_spectrum(values: np.ndarray, grid: Grid, work: _Work) -> tuple[np.ndarray, np.ndarray]:
-    """rho = |values|^2 in work.rho and its spectrum in work.spectrum.  The
-    transform runs in place on rho copied to complex: given a real array,
-    np.fft.fft allocates that copy itself."""
+    """rho = |values|^2 in work.rho and its half spectrum in work.spectrum,
+    transformed in the order of np.fft.rfftn: rfft over the last grid axis,
+    then fft over the first in 2D."""
     rho = np.add(np.square(values.real, out=work.rho), np.square(values.imag, out=work.real), out=work.rho)
-    np.copyto(work.spectrum, rho)
-    return rho, _over_grid(np.fft.fft, work.spectrum, grid)
+    np.fft.rfft(rho, axis=-1, out=work.spectrum)
+    for axis in _grid_axes(grid)[-2::-1]:
+        np.fft.fft(work.spectrum, axis=axis, out=work.spectrum)
+    return rho, work.spectrum
+
+
+def _real_inverse(spectrum: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
+    """The real field of a half spectrum in out, in the order of
+    np.fft.irfftn: ifft over the first grid axis in 2D, in place, then irfft
+    over the last.  irfft drops the imaginary part of the last axis's zero
+    and Nyquist entries, as the real part of a full inverse does."""
+    for axis in _grid_axes(grid)[:-1]:
+        np.fft.ifft(spectrum, axis=axis, out=spectrum)
+    return np.fft.irfft(spectrum, n=grid.n, axis=-1, out=out)
 
 
 def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, kind: str = "linear",
@@ -160,7 +178,7 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
         raise ValueError(f"kind {kind!r} is not a wavefunction evolution")
     kick = None
     if kind == "dg_diffusion" and D != 0.0:
-        neg_k2 = -grid._k2
+        neg_k2 = -grid._k2[..., : grid.n // 2 + 1]
 
         def kick(values, work):
             factor = np.multiply((D / 4.0) * dt, _dg_exponent(values, grid, neg_k2, work), out=work.rho)
@@ -168,13 +186,13 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
     elif kind == "beta_nonlinear" and beta != 0.0:
         def kick(values, work):
             return _phase_factor(beta_potential(values, grid, beta, eps_reg, work), dt, constants.hbar,
-                                 work.spectrum)
+                                 work.factor)
     half_v = np.exp(-1j * V * dt / (2.0 * constants.hbar))
     kin = _kinetic_factor(grid, dt, constants)
 
     def advance(values: np.ndarray, n_steps: int) -> np.ndarray:
         values = np.array(values, dtype=complex)
-        work = None if kick is None else _Work(values.shape, gradient=kind == "beta_nonlinear")
+        work = None if kick is None else _Work(values.shape, grid, beta=kind == "beta_nonlinear")
         # Every product is np.multiply with a fixed operand order: numpy may
         # evaluate `*` on a large temporary in place with swapped operands,
         # and a complex product is not bitwise commutative (FMA), so `*`
@@ -213,7 +231,7 @@ def step_linear(psi: WaveField, V: np.ndarray, dt: float, constants: PhysicalCon
 
 def _dg_exponent(values: np.ndarray, grid: Grid, neg_k2: np.ndarray, work: _Work) -> np.ndarray:
     """Smoothly regularised Delta rho / rho for the DG amplitude factor, in
-    work.rho; neg_k2 is -grid._k2.
+    work.rho; neg_k2 is -grid._k2 on the half spectrum.
 
     A hard mask cutoff would imprint a kink at the mask edge every step and
     ring under the spectral diagnostics; Delta rho / (rho + eps max rho),
@@ -222,7 +240,7 @@ def _dg_exponent(values: np.ndarray, grid: Grid, neg_k2: np.ndarray, work: _Work
     rho is taken per state.
     """
     rho, rho_hat = _density_spectrum(values, grid, work)
-    lap = _over_grid(np.fft.ifft, np.multiply(neg_k2, rho_hat, out=rho_hat), grid).real
+    lap = _real_inverse(np.multiply(neg_k2, rho_hat, out=rho_hat), grid, work.real)
     work.peak = rho.max(axis=_grid_axes(grid), keepdims=True)
     np.add(rho, _DG_EPS_MASK * work.peak, out=rho)
     return np.divide(lap, rho, out=rho)
@@ -246,15 +264,16 @@ def beta_potential(values: np.ndarray, grid: Grid, beta: float, eps_reg: float,
 
     eps is eps_reg relative to the instantaneous max of rho.  values may
     stack states along leading axes; each state gets its own eps.  The Strang
-    kernel passes its work arrays: the result is then work.real, and
-    work.spectrum is free.  By default the work arrays are fresh.
+    kernel passes its work arrays: the result is then work.real.  By default
+    the work arrays are fresh.
     """
     if work is None:
-        work = _Work(values.shape, gradient=True)
+        work = _Work(values.shape, grid, beta=True)
     rho, rho_hat = _density_spectrum(values, grid, work)
     grad_sq = work.real
     for axis, ik in enumerate(grid._ik):
-        component = _over_grid(np.fft.ifft, np.multiply(ik, rho_hat, out=work.gradient), grid).real
+        component = _real_inverse(np.multiply(ik, rho_hat, out=work.gradient), grid,
+                                  work.component if axis else grad_sq)
         if axis:
             np.add(grad_sq, np.square(component, out=component), out=grad_sq)
         else:

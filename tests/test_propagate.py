@@ -8,8 +8,11 @@ from fisher_hydro.fields import WaveField, polar_decompose
 from fisher_hydro.grid import integrate, norm_l2, spectral_gradient, spectral_laplacian
 from fisher_hydro.propagate import (
     NumericalAbort,
+    _dg_exponent,
     _phase_factor,
     _strang,
+    _Work,
+    beta_potential,
     evolve_density_diffusion,
     step_beta,
     step_dg,
@@ -171,6 +174,28 @@ def test_beta_uniform_density_identical_to_linear(grid1d, constants):
     a = step_beta(psi, V, 0.01, 0.02, 1e-6, constants)
     b = step_linear(psi, V, 0.01, constants)
     assert np.max(np.abs(a.values - b.values)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim,n", [(1, 512), (2, 64)])
+def test_half_spectrum_kicks_match_full_spectrum_operators(dim, n):
+    """beta_potential and the DG exponent, which transform rho on its half
+    spectrum, against beta |grad rho|^2 / (rho + eps max rho)^2 and
+    Lap rho / (rho + 1e-8 max rho) built with the full-spectrum fftn of
+    spectral_gradient and spectral_laplacian, per state of a batch of two.
+    White-noise rho has Nyquist content on every axis."""
+    grid = make_grid(dim, n, 20.0)
+    rho = np.random.default_rng(5).uniform(0.1, 1.0, (2,) + grid.shape)
+    values = np.sqrt(rho).astype(complex)
+    beta, eps_reg = 0.01, 1e-6
+    U = beta_potential(values, grid, beta, eps_reg)
+    neg_k2 = -grid._k2[..., : n // 2 + 1]
+    exponent = _dg_exponent(values, grid, neg_k2, _Work(values.shape, grid, beta=False))
+    for state, u, e in zip(rho, U, exponent):
+        grad_sq = np.sum(spectral_gradient(state, grid) ** 2, axis=0)
+        u_ref = beta * grad_sq / (state + eps_reg * state.max()) ** 2
+        e_ref = spectral_laplacian(state, grid) / (state + 1e-8 * state.max())
+        assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+        assert np.max(np.abs(e - e_ref)) <= 1e-12 * np.max(np.abs(e_ref))
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
