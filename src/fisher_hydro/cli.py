@@ -494,12 +494,12 @@ def run_dg_entropy(cfg: dict, outdir: str) -> tuple[dict, dict]:
                          record_stride=stride, D=D)
 
     traj = evolve_density_diffusion(rho0, spec, grid)
-    times, measured_rate, predicted_rate = shannon_entropy_rate(traj, D)
+    times, measured_rate, predicted_rate = shannon_entropy_rate(traj)
     rel = np.abs(measured_rate - predicted_rate) / np.abs(predicted_rate)
     worst_rel = float(np.max(rel))
 
     traj0 = evolve_density_diffusion(rho0, replace(spec, D=0.0), grid)
-    _, measured0, _ = shannon_entropy_rate(traj0, 0.0)
+    _, measured0, _ = shannon_entropy_rate(traj0)
     zero_rate = float(np.max(np.abs(measured0)))
 
     # entropy-production identity along a DG wavefunction trajectory

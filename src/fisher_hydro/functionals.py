@@ -92,14 +92,12 @@ def shannon_entropy(rho: np.ndarray, grid: Grid) -> float:
     return float(integrate(out, grid))
 
 
-def shannon_entropy_rate(
-    trajectory: DensityTrajectory,
-    D: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def shannon_entropy_rate(trajectory: DensityTrajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(times, measured, predicted) at interior snapshots of a diffusion run.
 
     measured: centered difference of S_Sh across neighbouring snapshots;
-    predicted: D * I_F evaluated at the midpoint snapshot.
+    predicted: D * I_F evaluated at the midpoint snapshot, with the D the run
+    was made with, trajectory.spec.D.
     """
     snaps = trajectory.snapshots
     if len(snaps) < 3:
@@ -111,7 +109,7 @@ def shannon_entropy_rate(
         t_prev, t_next = snaps[i - 1][0], snaps[i + 1][0]
         times.append(snaps[i][0])
         measured.append((entropies[i + 1] - entropies[i - 1]) / (t_next - t_prev))
-        predicted.append(D * fisher_information(snaps[i][1], grid))
+        predicted.append(trajectory.spec.D * fisher_information(snaps[i][1], grid))
     return np.array(times), np.array(measured), np.array(predicted)
 
 

@@ -225,11 +225,11 @@ def test_criterion_5_entropy_barrier():
     D = 0.05
     spec = EvolutionSpec(kind="density_diffusion", dt=0.01, t_final=2.0, record_stride=10, D=D)
     traj = evolve_density_diffusion(rho0, spec, grid)
-    _, measured, predicted = shannon_entropy_rate(traj, D)
+    _, measured, predicted = shannon_entropy_rate(traj)
     worst = float(np.max(np.abs(measured - predicted) / np.abs(predicted)))
 
     traj0 = evolve_density_diffusion(rho0, dataclasses.replace(spec, D=0.0), grid)
-    _, measured0, _ = shannon_entropy_rate(traj0, 0.0)
+    _, measured0, _ = shannon_entropy_rate(traj0)
     zero_rate = float(np.max(np.abs(measured0)))
 
     psi = gaussian_packet(grid, 20.0, 1.0, 0.0, C)

@@ -76,7 +76,7 @@ def test_shannon_rate_zero_diffusion(grid1d):
     rho0 = gaussian_rho(grid1d)
     spec = EvolutionSpec(kind="density_diffusion", dt=0.01, t_final=0.5, record_stride=10)
     traj = evolve_density_diffusion(rho0, spec, grid1d)
-    _, measured, _ = shannon_entropy_rate(traj, 0.0)
+    _, measured, _ = shannon_entropy_rate(traj)
     assert np.max(np.abs(measured)) <= 1e-10
 
 
@@ -85,7 +85,7 @@ def test_shannon_rate_matches_fisher_prediction(grid1d):
     D = 0.05
     spec = EvolutionSpec(kind="density_diffusion", dt=0.005, t_final=2.0, record_stride=20, D=D)
     traj = evolve_density_diffusion(rho0, spec, grid1d)
-    _, measured, predicted = shannon_entropy_rate(traj, D)
+    _, measured, predicted = shannon_entropy_rate(traj)
     assert np.max(np.abs(measured - predicted) / np.abs(predicted)) <= 1e-4
 
 
@@ -93,7 +93,7 @@ def test_shannon_rate_uniform(grid1d):
     rho0 = np.full(grid1d.shape, 1.0 / grid1d.length)
     spec = EvolutionSpec(kind="density_diffusion", dt=0.01, t_final=0.3, record_stride=5, D=0.05)
     traj = evolve_density_diffusion(rho0, spec, grid1d)
-    _, measured, predicted = shannon_entropy_rate(traj, 0.05)
+    _, measured, predicted = shannon_entropy_rate(traj)
     assert np.max(np.abs(measured)) <= 1e-12
     assert np.max(np.abs(predicted)) <= 1e-12
 
@@ -103,7 +103,7 @@ def test_shannon_rate_needs_three_snapshots(grid1d):
     spec = EvolutionSpec(kind="density_diffusion", dt=0.01, t_final=0.01, record_stride=1, D=0.0)
     traj = evolve_density_diffusion(rho0, spec, grid1d)
     with pytest.raises(ValueError):
-        shannon_entropy_rate(traj, 0.0)
+        shannon_entropy_rate(traj)
 
 
 def test_entropy_production_identity_quadrature(grid1d_fine):
