@@ -97,13 +97,13 @@ def masked_mean(f: np.ndarray, mask: np.ndarray) -> float:
     return float(np.sum(f, where=mask) / count)
 
 
-def polar_compose(rho: np.ndarray, S: np.ndarray, hbar: float, grid: Grid, time: float = 0.0) -> WaveField:
+def polar_compose(rho: np.ndarray, S: np.ndarray, hbar: float, grid: Grid) -> WaveField:
     """psi = sqrt(rho) exp(i S / hbar); preserves the integral of rho exactly."""
     rho = np.asarray(rho, dtype=float)
     if np.min(rho) < -1e-14:
         raise ValueError(f"rho has negative entries down to {np.min(rho):.3e}")
     amp = np.sqrt(np.clip(rho, 0.0, None))
-    return WaveField(grid, amp * np.exp(1j * np.asarray(S) / hbar), time)
+    return WaveField(grid, amp * np.exp(1j * np.asarray(S) / hbar))
 
 
 def _unwrap_bidirectional(arr: np.ndarray, start: int, axis: int = 0) -> np.ndarray:

@@ -53,9 +53,9 @@ def boost(psi: WaveField, v0: float, constants: PhysicalConstants) -> WaveField:
     return WaveField(psi.grid, psi.values * np.exp(1j * constants.m * v0 * x / constants.hbar), psi.time)
 
 
-def harmonic_potential(grid: Grid, omega: float, constants: PhysicalConstants, center: float | None = None) -> np.ndarray:
-    """V = (1/2) m omega^2 |x - center|^2 with periodic re-centering."""
-    c = 0.5 * grid.length if center is None else center
+def harmonic_potential(grid: Grid, omega: float, constants: PhysicalConstants) -> np.ndarray:
+    """V = (1/2) m omega^2 |x - c|^2 about the box center c, with periodic re-centering."""
+    c = 0.5 * grid.length
     if grid.dim == 1:
         r2 = _centered(grid.axes[0], c, grid.length) ** 2
     else:
@@ -65,18 +65,12 @@ def harmonic_potential(grid: Grid, omega: float, constants: PhysicalConstants, c
     return 0.5 * constants.m * omega**2 * r2
 
 
-def oscillator_state(
-    grid: Grid,
-    level: int,
-    omega: float,
-    constants: PhysicalConstants,
-    center: float | None = None,
-) -> WaveField:
-    """Harmonic-oscillator eigenstate psi_n via the normalised Hermite recurrence."""
+def oscillator_state(grid: Grid, level: int, omega: float, constants: PhysicalConstants) -> WaveField:
+    """Harmonic-oscillator eigenstate psi_n about the box center via the
+    normalised Hermite recurrence."""
     if grid.dim != 1:
         raise ValueError("oscillator_state is 1D")
-    c = 0.5 * grid.length if center is None else center
-    xi = _centered(grid.axes[0], c, grid.length) * np.sqrt(constants.m * omega / constants.hbar)
+    xi = _centered(grid.axes[0], 0.5 * grid.length, grid.length) * np.sqrt(constants.m * omega / constants.hbar)
     h_prev = np.pi**-0.25 * np.exp(-(xi**2) / 2.0)
     if level == 0:
         values = h_prev

@@ -242,13 +242,12 @@ def time_reversal_defect(
     D: float,
     constants: PhysicalConstants,
     dt: float = 0.01,
-    eps_mask: float = DEFAULT_EPS_MASK,
 ) -> tuple[float, float]:
-    """(defect_norm, floor_ratio) for the involution K U(T) K U(T) = I.
+    """(defect, floor) for the involution K U(T) K U(T) = I.
 
-    K is complex conjugation (with t -> -t).  defect_norm is the L2 distance
-    from the reconstructed state to psi0; floor_ratio compares the defect at
-    diffusion D against the D = 0 floor on the same grid.
+    K is complex conjugation (with t -> -t).  defect is the L2 distance from
+    the reconstructed state to psi0 at diffusion D; floor is that defect at
+    D = 0 on the same grid, which at D = 0 is defect itself.
     """
     n_steps = int(round(T / dt))
     if n_steps and abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
@@ -267,10 +266,7 @@ def time_reversal_defect(
         return norm_l2(state.values - psi0.values, psi0.grid)
 
     defect = run(D)
-    if D == 0.0:
-        return defect, 1.0
-    floor = run(0.0)
-    return defect, defect / max(floor, 1e-300)
+    return defect, defect if D == 0.0 else run(0.0)
 
 
 def _loop_cells(i0: int, j0: int, radius_cells: int, n: int) -> list[tuple[int, int]]:

@@ -307,8 +307,8 @@ def test_criterion_9_time_reversal():
     grid = make_grid(1, 1024, 40.0)
     V = harmonic_potential(grid, 1.0, C)
     psi = gaussian_packet(grid, 21.5, 1.0, 0.0, C)
-    defect0, _ = time_reversal_defect(psi, V, 2.0, 0.0, C, dt=0.01)
-    _, ratio = time_reversal_defect(psi, V, 2.0, 0.05, C, dt=0.01)
+    defect, defect0 = time_reversal_defect(psi, V, 2.0, 0.05, C, dt=0.01)
+    ratio = defect / max(defect0, 1e-300)
     ok = defect0 <= 1e-10 and ratio >= 1e3
     report("criterion 9", ok,
            f"D=0 defect {defect0:.2e} <= 1e-10, D=0.05 floor ratio {ratio:.1e} >= 1e3")

@@ -23,7 +23,7 @@ from fisher_hydro.cli import (
     run_all,
     run_one,
 )
-from fisher_hydro.propagate import NumericalAbort
+from fisher_hydro.propagate import NumericalAbort, evolve
 
 
 def test_load_config_defaults():
@@ -72,6 +72,28 @@ def test_load_config_rejects_non_object(tmp_path):
     path.write_text(json.dumps([1, 2, 3]))
     with pytest.raises(ConfigError):
         load_config("scan-alpha", str(path), {})
+
+
+def test_load_config_rejects_empty_lists(tmp_path):
+    # an empty list would check nothing: no winding, or no multi-mass row
+    assert all(value for defaults in DEFAULTS.values() for value in defaults.values() if isinstance(value, list))
+    path = tmp_path / "empty.json"
+    for test, key in [("circulation", "windings"), ("fisher-el", "masses")]:
+        path.write_text(json.dumps({key: []}))
+        with pytest.raises(ConfigError, match="empty list"):
+            load_config(test, str(path), {})
+        assert main([test, "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("test, key", [("dg-entropy", "mask_eps"), ("time-reversal", "mask_eps"),
+                                       ("galilei", "mask_eps"), ("circulation", "mass")])
+def test_config_keys_that_moved_nothing_are_unknown(tmp_path, test, key):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({key: 1e-6 if key == "mask_eps" else 1.0}))
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        load_config(test, str(path), {})
+    assert main([test, "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
 def test_empty_config_file_exit_2(tmp_path):
@@ -162,8 +184,8 @@ def test_subcommand_has_only_its_own_flags(suite):
 
 
 def test_flags_reach_effective_config(tmp_path, monkeypatch):
-    # 35 of the 10 x 9 subcommand x flag slots apply
-    assert sum(len(_subparser_options(suite)) - 2 for suite in RUNNERS) == 35
+    # 32 of the 10 x 9 subcommand x flag slots apply
+    assert sum(len(_subparser_options(suite)) - 2 for suite in RUNNERS) == 32
     assert main(["galilei", "--boost", "2.0", "--n", "1024", "--out", str(tmp_path)]) == EXIT_PASS
     config = json.loads((tmp_path / "galilei.verdict.json").read_text())["config"]
     assert (config["boost"], config["n"]) == (2.0, 1024) and isinstance(config["n"], int)
@@ -173,6 +195,36 @@ def test_flags_reach_effective_config(tmp_path, monkeypatch):
     main(["superposition", "--beta", "0.003", "--out", str(tmp_path)])
     config = json.loads((tmp_path / "superposition.verdict.json").read_text())["config"]
     assert config["beta_list"] == [0.0, 0.003, 0.005, 0.01, 0.02, 0.05]
+
+
+def _outputs(test, tmp_path, name, user):
+    """(exit code, measured values, CSV bytes) of one run of test with user's config."""
+    path, out = tmp_path / f"{name}.json", tmp_path / name
+    path.write_text(json.dumps(user))
+    code, verdict = run_one(test, str(path), str(out), {})
+    csvs = {f: (out / f).read_bytes() for f in sorted(os.listdir(out)) if f.endswith(".csv")}
+    return code, None if verdict is None else verdict.measured, csvs
+
+
+# time-reversal at mass 2 blows up its DG kick (exit 3), and numpy warns on the way
+_DG_BLOW_UP = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                         "ignore:invalid value encountered:RuntimeWarning")
+
+
+@pytest.mark.parametrize("test, key", [
+    pytest.param(test, key, marks=[_DG_BLOW_UP] if (test, key) == ("time-reversal", "mass") else [])
+    for test in sorted(DEFAULTS) for key in ("mask_eps", "hbar", "mass") if key in DEFAULTS[test]
+])
+def test_every_physical_setting_moves_an_output(tmp_path, test, key):
+    # a second value changes the exit code, a measured value or a CSV byte.
+    # circulation's mask only guards its loop, which 0.5 puts through the
+    # masked region (exit 2).  superposition runs on a shrunken grid and horizon.
+    base = {"n": 256, "t_final": 0.05} if test == "superposition" else {}
+    if key == "mask_eps":
+        second = 0.5 if test == "circulation" else 1e-3
+    else:
+        second = 2.0 * DEFAULTS[test][key]
+    assert _outputs(test, tmp_path, "a", base) != _outputs(test, tmp_path, "b", dict(base, **{key: second}))
 
 
 def test_run_all_malformed_worker_count(tmp_path, monkeypatch, capsys):
@@ -338,6 +390,30 @@ def test_numerical_abort_writes_partial_verdict(tmp_path, monkeypatch, capsys):
     assert row["runtime_s"] == payload["runtime_s"] > 0
     table_row = capsys.readouterr().out.splitlines()[1]
     assert table_row.split() == ["continuity", "abort", f"{payload['runtime_s']:.1f}s"]
+
+
+def test_time_reversal_verdict_makes_four_evolutions(tmp_path, monkeypatch):
+    # two at D, two at D = 0: the D = 0 involution is run once and is both
+    # defect_d0 and the floor of floor_ratio
+    diffusions = []
+
+    def counted(psi0, V, spec, constants):
+        diffusions.append(spec.D)
+        return evolve(psi0, V, spec, constants)
+
+    monkeypatch.setattr(stresstests, "evolve", counted)
+    code, verdict = run_one("time-reversal", None, str(tmp_path), {})
+    assert code == EXIT_PASS and sorted(diffusions) == [0.0, 0.0, 0.05, 0.05]
+    assert verdict.measured["floor_ratio"] == verdict.measured["defect_diffusive"] / verdict.measured["defect_d0"]
+
+
+def test_density_diffusion_aborts_at_first_non_finite_step(tmp_path):
+    # the first non-finite step is at t = 0.33, not the next snapshot at t = 0.4
+    with pytest.warns(RuntimeWarning) as caught:
+        code, verdict = run_one("dg-entropy", None, str(tmp_path), {"diffusion": 40.0})
+    assert "dt*D/h^2 = 65.536 > 0.25: explicit step may be unstable" in [str(w.message) for w in caught]
+    assert (code, verdict) == (EXIT_NUMERICAL, None)
+    assert _partial_verdict(tmp_path, "dg-entropy")["error"] == "non-finite density at t=0.33 (dt*D/h^2 = 65.5)"
 
 
 def test_multi_mass_edge_minimum_fails_its_row(tmp_path):

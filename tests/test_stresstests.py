@@ -155,8 +155,8 @@ def test_complexifier_uniform_state_uninformative(grid1d):
 
 def test_time_reversal_zero_horizon(grid1d):
     psi = gaussian_packet(grid1d, 20.0, 1.0, 0.0, C)
-    defect, ratio = time_reversal_defect(psi, np.zeros(grid1d.shape), 0.0, 0.0, C, dt=0.01)
-    assert defect == 0.0
+    defect, floor = time_reversal_defect(psi, np.zeros(grid1d.shape), 0.0, 0.0, C, dt=0.01)
+    assert defect == floor == 0.0
 
 
 def test_time_reversal_linear_floor(grid1d):
@@ -169,9 +169,10 @@ def test_time_reversal_linear_floor(grid1d):
 def test_time_reversal_diffusion_breaks_involution(grid1d):
     V = harmonic_potential(grid1d, 1.0, C)
     psi = gaussian_packet(grid1d, 21.0, 1.0, 0.0, C)
-    defect, ratio = time_reversal_defect(psi, V, 1.0, 0.05, C, dt=0.01)
-    assert ratio >= 1e3
+    defect, floor = time_reversal_defect(psi, V, 1.0, 0.05, C, dt=0.01)
+    assert defect / floor >= 1e3
     assert defect > 1e-4
+    assert floor == time_reversal_defect(psi, V, 1.0, 0.0, C, dt=0.01)[0]
 
 
 def test_time_reversal_error_accumulation_bound(grid1d):
