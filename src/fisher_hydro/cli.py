@@ -8,7 +8,6 @@ Exit codes: 0 pass; 1 falsifier fired (test ran, a check row failed);
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import io
@@ -34,7 +33,7 @@ from .functionals import (
 from .grid import make_grid
 from .propagate import EvolutionSpec, NumericalAbort, evolve, evolve_density_diffusion, symmetric_pair
 from .residuals import (
-    _refine_argmin,
+    ScanResult,
     alpha_scan,
     continuity_residual,
     default_alpha_grid,
@@ -82,7 +81,6 @@ DEFAULTS: dict[str, dict] = {
         "mask_eps": 1e-6,
         "hbar": 1.0,
         "mass": 1.0,
-        "forced_alpha_ratio": 1.0,
         "refine": False,
     },
     "continuity": {
@@ -410,12 +408,9 @@ def run_scan_alpha(cfg: dict, outdir: str) -> tuple[dict, dict]:
     ratios = default_alpha_grid(cfg["alpha_min"], cfg["alpha_max"], cfg["alpha_steps"])
     result = alpha_scan(traj, V, ratios, constants, cfg["mask_eps"])
 
-    mid = traj.snapshots[len(traj.snapshots) // 2]
-    minus, plus = symmetric_pair(mid[1], V, traj.spec.dt, constants)
-    audit_alpha = cfg["forced_alpha_ratio"] * constants.alpha_star
-    audit_forced = momentum_balance_residual((minus, mid[1], plus), audit_alpha, constants, cfg["mask_eps"], V)
-    audit_star = momentum_balance_residual((minus, mid[1], plus), constants.alpha_star, constants, cfg["mask_eps"], V)
-    audit_flag = bool(audit_forced > 10.0 * audit_star)
+    _, mid = traj.snapshots[len(traj.snapshots) // 2]
+    minus, plus = symmetric_pair(mid, V, traj.spec.dt, constants)
+    audit_star = momentum_balance_residual((minus, mid, plus), constants.alpha_star, constants, cfg["mask_eps"], V)
 
     measured = {
         "argmin": result.argmin,
@@ -423,9 +418,7 @@ def run_scan_alpha(cfg: dict, outdir: str) -> tuple[dict, dict]:
         "min_r_hj": result.min_value,
         "mean_r_cont": result.r_cont_mean,
         "boundary": result.boundary,
-        "momentum_audit_at_config_alpha": audit_forced,
         "momentum_audit_at_alpha_star": audit_star,
-        "momentum_audit_flagged": audit_flag,
     }
     refined_gap = None
     if cfg.get("refine"):
@@ -583,7 +576,7 @@ def run_fisher_el(cfg: dict, outdir: str) -> tuple[dict, dict]:
         rho_e, root_e, harmonic_potential(grid, cfg["omega"], constants),
         oscillator_energy(1, cfg["omega"], constants), c_grid, constants.alpha_star, grid, mask_e,
     )
-    c_min = _refine_argmin(c_grid, curve, int(np.argmin(curve)))
+    c_min = ScanResult.from_curve(c_grid, curve).argmin
 
     multi = multi_mass_scan(c_grid, cfg["masses"], cfg["hbar"], cfg["omega"], grid, eps_mask=eps)
     multi_argmins = {f"{m:g}": r.argmin for m, r in multi.items()}
@@ -758,29 +751,13 @@ def run_all(config_dir: str, outdir: str) -> int:
     if not os.path.isdir(config_dir):
         print(f"config error: {config_dir} is not a directory", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        workers = int(os.environ.get("FISHER_HYDRO_WORKERS", "1"))
-    except ValueError as exc:
-        print(f"config error: FISHER_HYDRO_WORKERS: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
-    def job(test: str) -> tuple[str, int, float | None]:
+    summary = []
+    print(f"{'test':<14} {'status':<8} runtime")
+    for test in sorted(RUNNERS):
         path = os.path.join(config_dir, f"{test}.json")
         code, _, runtime_s = _run(test, path if os.path.exists(path) else None,
                                   os.path.join(outdir, test.replace("-", "_")), {})
-        return test, code, runtime_s
-
-    names = sorted(RUNNERS)
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, names))
-    else:
-        results = [job(name) for name in names]
-
-    results.sort(key=lambda r: r[0])
-    summary = []
-    print(f"{'test':<14} {'status':<8} runtime")
-    for test, code, runtime_s in results:
         status = {EXIT_PASS: "pass", EXIT_FALSIFIED: "FAIL", EXIT_CONFIG: "config", EXIT_NUMERICAL: "abort"}[code]
         runtime = "-" if runtime_s is None else f"{runtime_s:.1f}s"
         print(f"{test:<14} {status:<8} {runtime}")

@@ -88,9 +88,6 @@ class Trajectory:
     snapshots: list[tuple[float, WaveField]]
     spec: EvolutionSpec
 
-    def times(self) -> list[float]:
-        return [t for t, _ in self.snapshots]
-
 
 @dataclass
 class DensityTrajectory:
@@ -320,9 +317,7 @@ def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: Physi
     with its factors built once, one record_stride chunk at a time.  The
     snapshot k steps in is stamped k * dt.  Aborts with NumericalAbort at the
     first state whose |psi|^2 is not finite, which the kicks of DG and beta
-    see at once and the norm at the end of each chunk sees for the rest; for
-    DG the message gives dt*D/h^2, since the explicit DG kick blows up once
-    that number is large.
+    see at once and the norm at the end of each chunk sees for the rest.
     """
     psi0.check_finite()
     grid = psi0.grid
@@ -341,8 +336,7 @@ def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: Physi
             finite = False
         t = step * spec.dt
         if not finite:
-            cause = f" (dt*D/h^2 = {spec.dt * spec.D / grid.spacing**2:.3g})" if spec.kind == "dg_diffusion" else ""
-            raise NumericalAbort(f"non-finite state at t={t:g}{cause}")
+            raise NumericalAbort(f"non-finite state at t={t:g}")
         snapshots.append((t, WaveField(grid, values, t)))
     return Trajectory(snapshots, spec)
 

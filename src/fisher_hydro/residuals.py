@@ -44,11 +44,12 @@ class EmptyMaskError(ValueError):
 
 @dataclass
 class ScanResult:
-    """Alpha scan curve in units of alpha/alpha_star.
+    """A residual curve over a scan grid (alpha/alpha_star, or a coefficient c).
 
-    argmin is the parabola-refined location of the minimum; argmin_grid the raw
-    grid cell.  boundary is flagged when the raw minimum sits on the scan edge
-    (inconclusive scan).
+    argmin is the vertex of the parabola through the raw minimum argmin_grid
+    and its two neighbours; it is argmin_grid itself on the scan edge or where
+    that parabola does not open upwards.  boundary is flagged when the raw
+    minimum sits on the scan edge (inconclusive scan).
     """
 
     alphas: np.ndarray
@@ -58,6 +59,19 @@ class ScanResult:
     min_value: float
     r_cont_mean: float
     boundary: bool = False
+
+    @classmethod
+    def from_curve(cls, x: np.ndarray, y: np.ndarray, r_cont_mean: float = 0.0) -> "ScanResult":
+        """The scan of curve y over the increasing grid x."""
+        i = int(np.argmin(y))
+        boundary = i in (0, len(x) - 1)
+        denom = 0.0 if boundary else y[i - 1] - 2.0 * y[i] + y[i + 1]
+        if denom <= 0:
+            argmin = float(x[i])
+        else:
+            argmin = float(x[i] + 0.5 * (y[i - 1] - y[i + 1]) / denom * (x[i + 1] - x[i]))
+        return cls(alphas=x, residuals=y, argmin=argmin, argmin_grid=float(x[i]), min_value=float(y[i]),
+                   r_cont_mean=float(r_cont_mean), boundary=boundary)
 
 
 def _spectral_shift(f: np.ndarray, grid: Grid, displacement: float, axis: int = 0) -> np.ndarray:
@@ -181,16 +195,6 @@ def hj_residual(
     return _hj_from_parts(_hj_parts(wavefield, V, constants, eps_mask), alpha)
 
 
-def _refine_argmin(x: np.ndarray, y: np.ndarray, i: int) -> float:
-    """Parabolic vertex through (x[i-1..i+1], y[i-1..i+1]); falls back to x[i]."""
-    if i == 0 or i == len(x) - 1:
-        return float(x[i])
-    denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-    if denom <= 0:
-        return float(x[i])
-    return float(x[i] + 0.5 * (y[i - 1] - y[i + 1]) / denom * (x[i + 1] - x[i]))
-
-
 def default_alpha_grid(lo: float = 0.5, hi: float = 1.5, cells: int = 40) -> np.ndarray:
     """Cell midpoints of a uniform partition of [lo, hi] in alpha/alpha_star.
 
@@ -240,17 +244,7 @@ def alpha_scan(
     curve = np.array([math.fsum(col) / len(curves) for col in zip(*curves)])
     r_cont_mean = math.fsum(r_conts) / len(r_conts)
 
-    i = int(np.argmin(curve))
-    boundary = i in (0, len(ratios) - 1)
-    return ScanResult(
-        alphas=ratios,
-        residuals=curve,
-        argmin=_refine_argmin(ratios, curve, i),
-        argmin_grid=float(ratios[i]),
-        min_value=float(curve[i]),
-        r_cont_mean=float(r_cont_mean),
-        boundary=boundary,
-    )
+    return ScanResult.from_curve(ratios, curve, r_cont_mean)
 
 
 def eigen_coefficient_curve(
@@ -308,16 +302,7 @@ def multi_mass_scan(
         curve = eigen_coefficient_curve(
             rho, psi.values.real, V, oscillator_energy(0, omega, consts), c_grid, base, grid, mask
         )
-        i = int(np.argmin(curve))
-        results[m_i] = ScanResult(
-            alphas=c_grid,
-            residuals=curve,
-            argmin=_refine_argmin(c_grid, curve, i),
-            argmin_grid=float(c_grid[i]),
-            min_value=float(curve[i]),
-            r_cont_mean=0.0,
-            boundary=i in (0, len(c_grid) - 1),
-        )
+        results[m_i] = ScanResult.from_curve(c_grid, curve)
     return results
 
 

@@ -33,7 +33,6 @@ def gaussian_packet(
     sigma0: float,
     k0: float = 0.0,
     constants: PhysicalConstants | None = None,
-    time: float = 0.0,
 ) -> WaveField:
     """1D packet (pi sigma0^2)^(-1/4) exp[-(x-x0)^2/(2 sigma0^2) + i k0 (x-x0)].
 
@@ -43,8 +42,7 @@ def gaussian_packet(
         raise ValueError("gaussian_packet is 1D")
     x = _centered(grid.axes[0], x0, grid.length)
     psi = (np.pi * sigma0**2) ** -0.25 * np.exp(-(x**2) / (2.0 * sigma0**2) + 1j * k0 * x)
-    wf = WaveField(grid, psi, time)
-    return wf.normalized()
+    return WaveField(grid, psi, 0.0).normalized()
 
 
 def boost(psi: WaveField, v0: float, constants: PhysicalConstants) -> WaveField:

@@ -106,10 +106,10 @@ def superposition_residual(
     phase-optimised L2 distance between the joint state and the summed state.
 
     The three states step on up to min(3, usable CPUs) threads, one
-    contiguous chunk of the batch each, with no setting.  Each state's kick
-    reads only its own max rho, so a chunk steps bit for bit as in the whole
-    batch and the residual does not depend on the CPU count.  The calls nest
-    inside run-all's FISHER_HYDRO_WORKERS pool."""
+    contiguous chunk of the batch each, with no setting; usable CPUs are the
+    process's affinity set where the platform has one, else os.cpu_count().
+    Each state's kick reads only its own max rho, so a chunk steps bit for bit
+    as in the whole batch and the residual does not depend on the CPU count."""
     c = constants or PhysicalConstants()
     grid = config.grid(refined)
     dt = config.timestep(refined)
@@ -120,7 +120,8 @@ def superposition_residual(
     batch /= np.sqrt(np.sum(np.abs(batch) ** 2, axis=-1, keepdims=True) * grid.cell_volume)
     n_steps = int(round(config.t_final / dt))
     advance = _strang(V, grid, dt, c, "beta_nonlinear", beta=beta, eps_reg=config.eps_reg)
-    chunks = np.array_split(batch, min(len(batch), len(os.sched_getaffinity(0))))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    chunks = np.array_split(batch, min(len(batch), cpus))
     with concurrent.futures.ThreadPoolExecutor(max_workers=len(chunks)) as pool:
         out = np.concatenate(list(pool.map(lambda chunk: advance(chunk, n_steps), chunks)))
     residual, _ = projective_residual(out[2], out[0] + out[1], grid)

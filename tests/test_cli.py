@@ -87,7 +87,8 @@ def test_load_config_rejects_empty_lists(tmp_path):
 
 
 @pytest.mark.parametrize("test, key", [("dg-entropy", "mask_eps"), ("time-reversal", "mask_eps"),
-                                       ("galilei", "mask_eps"), ("circulation", "mass")])
+                                       ("galilei", "mask_eps"), ("circulation", "mass"),
+                                       ("scan-alpha", "forced_alpha_ratio")])
 def test_config_keys_that_moved_nothing_are_unknown(tmp_path, test, key):
     path = tmp_path / "old.json"
     path.write_text(json.dumps({key: 1e-6 if key == "mask_eps" else 1.0}))
@@ -227,13 +228,6 @@ def test_every_physical_setting_moves_an_output(tmp_path, test, key):
     assert _outputs(test, tmp_path, "a", base) != _outputs(test, tmp_path, "b", dict(base, **{key: second}))
 
 
-def test_run_all_malformed_worker_count(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FISHER_HYDRO_WORKERS", "two")
-    assert main(["run-all", str(tmp_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert "config error: FISHER_HYDRO_WORKERS" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "summary.json").exists()
-
-
 def test_diffusive_continuity_breaks_drift_form(tmp_path):
     cfg = {"n": 1024, "t_final": 1.0, "diffusion": 0.05, "dt": 0.01}
     p = tmp_path / "cfg.json"
@@ -243,7 +237,7 @@ def test_diffusive_continuity_breaks_drift_form(tmp_path):
     assert verdict.measured["mean_r_cont"] > 1e-3
 
 
-def test_run_all_summary(tmp_path, monkeypatch):
+def test_run_all_summary(tmp_path):
     # shrunken configs: checks dispatch, summary shape, and exit-code plumbing
     confdir = tmp_path / "configs"
     confdir.mkdir()
@@ -260,7 +254,6 @@ def test_run_all_summary(tmp_path, monkeypatch):
     }
     for name, cfg in small.items():
         (confdir / f"{name}.json").write_text(json.dumps(cfg))
-    monkeypatch.setenv("FISHER_HYDRO_WORKERS", "2")
     code = run_all(str(confdir), str(tmp_path / "out"))
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert [row["test"] for row in summary] == sorted(small)

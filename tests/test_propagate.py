@@ -240,15 +240,15 @@ def test_dg_abort_states_diffusion_number(constants, record_stride):
     # a DG run far past the explicit kick's limit aborts at its first step
     # whose |psi|^2 overflows, whatever the stride: at t = 0.03 every entry is
     # still finite (max|psi| = 2.6e227), so an entry scan would wait for
-    # t = 0.04.  The message names the cause:
-    # dt*D/h^2 = 0.01 * 0.05 / (40/16384)^2 = 83.9
+    # t = 0.04.  dt*D/h^2 = 0.01 * 0.05 / (40/16384)^2 = 83.9 here, but that
+    # number does not decide a DG blow-up, and the message does not name it.
     grid = make_grid(1, 16384, 40.0)
     psi = gaussian_packet(grid, 20.0, 1.0, 0.3, constants)
     # A run that ends at t = 0.03 must abort too, not return that state.
     for t_final in (0.1, 0.03):
         spec = EvolutionSpec(kind="dg_diffusion", dt=0.01, t_final=t_final, record_stride=record_stride, D=0.05)
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericalAbort, match=r"^non-finite state at t=0\.03 \(dt\*D/h\^2 = 83\.9\)$"):
+                pytest.raises(NumericalAbort, match=r"^non-finite state at t=0\.03$"):
             evolve(psi, harmonic_potential(grid, 1.0, constants), spec, constants)
 
 
@@ -311,7 +311,7 @@ def test_trajectory_times_strictly_increasing(grid1d, constants):
     psi = gaussian_packet(grid1d, 20.0, 1.0, 0.0, constants)
     spec = EvolutionSpec(kind="linear", dt=0.01, t_final=0.3, record_stride=7)
     traj = evolve(psi, np.zeros(grid1d.shape), spec, constants)
-    times = traj.times()
+    times = [t for t, _ in traj.snapshots]
     assert times[0] == 0.0
     assert all(b > a for a, b in zip(times, times[1:]))
     assert abs(times[-1] - spec.t_final) <= spec.dt / 2
@@ -324,7 +324,7 @@ def test_trajectory_times_are_step_multiples(grid1d, constants, kind):
     spec = EvolutionSpec(kind=kind, dt=0.01, t_final=0.4, record_stride=7, D=0.05, beta=0.01)
     traj = evolve(psi, V, spec, constants)
     expected = [k * spec.dt for k in (0, 7, 14, 21, 28, 35, 40)]
-    assert traj.times() == expected
+    assert [t for t, _ in traj.snapshots] == expected
     assert [wf.time for _, wf in traj.snapshots] == expected
 
 

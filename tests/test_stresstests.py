@@ -76,7 +76,14 @@ def test_superposition_residual_independent_of_cpu_count(monkeypatch):
                 batch, int(round(cfg.t_final / dt)))
             expected, _ = projective_residual(whole[2], whole[0] + whole[1], grid)
             for cpus, rows in ((1, [3]), (2, [2, 1]), (3, [1, 1, 1])):
-                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+                calls.clear()
+                assert superposition_residual(cfg, beta, refined=refined) == expected
+                assert sorted(calls, reverse=True) == rows
+            # without sched_getaffinity (off Linux) os.cpu_count() counts, or 1 where it is unknown
+            monkeypatch.delattr(os, "sched_getaffinity")
+            for cpus, rows in ((2, [2, 1]), (None, [3])):
+                monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
                 calls.clear()
                 assert superposition_residual(cfg, beta, refined=refined) == expected
                 assert sorted(calls, reverse=True) == rows
