@@ -8,6 +8,7 @@ the data.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,18 @@ class Grid:
         half = ik[: self.n // 2 + 1]
         object.__setattr__(self, "_ik", [half] if self.dim == 1 else [ik[:, None], half[None, :]])
 
+    # The multipliers of spectral_laplacian and spectral_gradient, with the
+    # bits of the -k^2 and 1j * k that each call used to build, built on a
+    # grid's first spectral call: a grid only the propagators use (their
+    # factors come from _k2 and _ik) never holds them.
+    @functools.cached_property
+    def _neg_k2(self) -> np.ndarray:
+        return -self._k2
+
+    @functools.cached_property
+    def _ikmesh(self) -> list[np.ndarray]:
+        return [1j * k for k in self._kmesh]
+
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.dim
@@ -98,6 +111,13 @@ def _check_shape(f: np.ndarray, grid: Grid) -> None:
         raise ValueError(f"field shape {f.shape} does not match grid shape {grid.shape}")
 
 
+def _transforms(grid: Grid):
+    """np.fft.fftn and ifftn, or in 1D fft and ifft, which give a 1D field
+    the same bits without fftn's per-call argument handling.  Looked up per
+    call, so a wrapper installed on np.fft sees every transform."""
+    return (np.fft.fft, np.fft.ifft) if grid.dim == 1 else (np.fft.fftn, np.fft.ifftn)
+
+
 def spectral_gradient(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Exact derivative of the trigonometric interpolant, stacked per axis.
 
@@ -105,10 +125,11 @@ def spectral_gradient(f: np.ndarray, grid: Grid) -> np.ndarray:
     output; complex input stays complex.
     """
     _check_shape(f, grid)
-    fh = np.fft.fftn(f)
+    forward, inverse = _transforms(grid)
+    fh = forward(f)
     out = np.empty((grid.dim,) + grid.shape, dtype=complex)
-    for axis, k in enumerate(grid._kmesh):
-        out[axis] = np.fft.ifftn(1j * k * fh)
+    for axis, ik in enumerate(grid._ikmesh):
+        out[axis] = inverse(ik * fh)
     if not np.iscomplexobj(f):
         return out.real.copy()
     return out
@@ -117,7 +138,8 @@ def spectral_gradient(f: np.ndarray, grid: Grid) -> np.ndarray:
 def spectral_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Spectral Laplacian (multiplier -|k|^2)."""
     _check_shape(f, grid)
-    out = np.fft.ifftn(-grid._k2 * np.fft.fftn(f))
+    forward, inverse = _transforms(grid)
+    out = inverse(grid._neg_k2 * forward(f))
     if not np.iscomplexobj(f):
         return out.real.copy()
     return out

@@ -164,14 +164,17 @@ def _hj_parts(
     kin_com = np.sum((grad_s - constants.m * vb) ** 2, axis=0) / (2.0 * constants.m)
 
     invariant_sum = s_t + kin + V
-    return invariant_sum, s_t_com, kin_com + V, qtilde, hydro.mask
+    # the alpha-independent sum that opens every denominator, added in the
+    # order of s_t_com^2 + (kin_com + V)^2 + (alpha qtilde)^2
+    com_sq = s_t_com**2 + (kin_com + V) ** 2
+    return invariant_sum, com_sq, qtilde, hydro.mask
 
 
 def _hj_from_parts(parts, alpha: float) -> float:
-    invariant_sum, s_t_com, kin_v_com, qtilde, mask = parts
+    invariant_sum, com_sq, qtilde, mask = parts
     num_field = subtract_masked_mean(invariant_sum - alpha * qtilde, mask)
     num = masked_mean(num_field**2, mask)
-    den = masked_mean(s_t_com**2 + kin_v_com**2 + (alpha * qtilde) ** 2, mask)
+    den = masked_mean(com_sq + (alpha * qtilde) ** 2, mask)
     if den < 1e-280:
         return 0.0
     return float(math.sqrt(num / den))

@@ -96,6 +96,12 @@ def projective_residual(a: np.ndarray, b: np.ndarray, grid: Grid) -> tuple[float
     return norm_l2(diff, grid), float(theta)
 
 
+def _usable_cpus() -> int:
+    """The process's CPU affinity set where the platform has one, else
+    os.cpu_count(), or 1 where that is unknown."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def superposition_residual(
     config: SuperpositionConfig,
     beta: float,
@@ -106,8 +112,8 @@ def superposition_residual(
     phase-optimised L2 distance between the joint state and the summed state.
 
     The three states step on up to min(3, usable CPUs) threads, one
-    contiguous chunk of the batch each, with no setting; usable CPUs are the
-    process's affinity set where the platform has one, else os.cpu_count().
+    contiguous chunk of the batch each, with no setting; _usable_cpus counts
+    the CPUs.
     Each state's kick reads only its own max rho, so a chunk steps bit for bit
     as in the whole batch and the residual does not depend on the CPU count."""
     c = constants or PhysicalConstants()
@@ -120,8 +126,7 @@ def superposition_residual(
     batch /= np.sqrt(np.sum(np.abs(batch) ** 2, axis=-1, keepdims=True) * grid.cell_volume)
     n_steps = int(round(config.t_final / dt))
     advance = _strang(V, grid, dt, c, "beta_nonlinear", beta=beta, eps_reg=config.eps_reg)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    chunks = np.array_split(batch, min(len(batch), cpus))
+    chunks = np.array_split(batch, min(len(batch), _usable_cpus()))
     with concurrent.futures.ThreadPoolExecutor(max_workers=len(chunks)) as pool:
         out = np.concatenate(list(pool.map(lambda chunk: advance(chunk, n_steps), chunks)))
     residual, _ = projective_residual(out[2], out[0] + out[1], grid)
@@ -297,7 +302,9 @@ def circulation(
     line_value sums local phase increments arg(psi_{k+1}/psi_k) * hbar along
     the loop (no global unwrap, so multivalued phase is handled exactly);
     area_value accumulates plaquette windings over the enclosed region; both
-    equal 2 pi n hbar for an isolated enclosed vortex of winding n.
+    equal 2 pi n hbar for an isolated enclosed vortex of winding n.  The
+    loop, 2 round(loop_radius / spacing) cells a side, must be shorter than
+    the periodic box: a longer one wraps onto itself.
     """
     grid = psi2d.grid
     if grid.dim != 2:
@@ -308,6 +315,9 @@ def circulation(
     r_cells = int(round(loop_radius / h))
     if r_cells < 3:
         raise ValueError("loop must avoid the node by at least 3 cells")
+    if 2 * r_cells >= grid.n:
+        raise ValueError(f"loop of {2 * r_cells} cells a side (loop_radius {loop_radius:g}) does not fit "
+                         f"inside the periodic box of {grid.n} cells")
 
     values = psi2d.values
     rho = psi2d.density()
@@ -319,16 +329,18 @@ def circulation(
     increments = np.angle(path[1:] * np.conj(path[:-1]))
     line_value = constants.hbar * float(np.sum(increments))
 
-    def plaquette(i: int, j: int) -> float:
-        ip, jp = (i + 1) % grid.n, (j + 1) % grid.n
-        corners = [values[i, j], values[ip, j], values[ip, jp], values[i, jp], values[i, j]]
-        corners = np.array(corners)
-        return float(np.sum(np.angle(corners[1:] * np.conj(corners[:-1]))))
-
+    # Each enclosed plaquette's winding sums its four edge increments,
+    # counterclockwise from its lower-left corner; the windings are added one
+    # by one in row-major order (np.sum or math.fsum over all of them would
+    # reorder that sum).  np.multiply keeps the operand order, which `*` on a
+    # large temporary may swap: a complex product is not bitwise commutative.
+    span = (np.arange(-r_cells, r_cells + 1) + np.array([[i0], [j0]])) % grid.n
+    block = values[np.ix_(span[0], span[1])]
+    corners = np.stack([block[:-1, :-1], block[1:, :-1], block[1:, 1:], block[:-1, 1:], block[:-1, :-1]])
+    windings = np.sum(np.angle(np.multiply(corners[1:], np.conj(corners[:-1]))), axis=0)
     area_sum = 0.0
-    for di in range(-r_cells, r_cells):
-        for dj in range(-r_cells, r_cells):
-            area_sum += plaquette((i0 + di) % grid.n, (j0 + dj) % grid.n)
+    for winding in windings.ravel().tolist():
+        area_sum += winding
     area_value = constants.hbar * area_sum
 
     n_estimate = line_value / (2.0 * np.pi * constants.hbar)

@@ -2,7 +2,9 @@
 import argparse
 import json
 import os
+import platform
 
+import numpy as np
 import pytest
 
 from fisher_hydro import cli, stresstests
@@ -160,6 +162,15 @@ def test_verdict_json_schema(tmp_path):
     for entry in payload["thresholds"].values():
         assert set(entry) == {"value", "source", "op", "measured", "pass"}
     assert payload["grid"]["n"] == DEFAULTS["circulation"]["n"]
+    _assert_environment(payload)
+
+
+def _assert_environment(payload):
+    env = payload["environment"]
+    assert set(env) == {"python", "numpy", "fft_backend", "cpus"}
+    assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+    assert env["fft_backend"] == "numpy.fft (pocketfft)"
+    assert isinstance(env["cpus"], int) and env["cpus"] >= 1
 
 
 def test_beta_flag_only_for_superposition(tmp_path, capsys):
@@ -316,8 +327,9 @@ def test_beta_flag_appends_to_config_beta_list(tmp_path, monkeypatch):
 def _partial_verdict(outdir, test):
     payload = json.loads((outdir / f"{test}.verdict.json").read_text())
     assert set(payload) == {"test", "pass", "exit_code", "error", "runtime_s", "grid", "config",
-                            "version", "timestamp"}
+                            "version", "timestamp", "environment"}
     assert payload["pass"] is False
+    _assert_environment(payload)
     return payload
 
 
@@ -407,6 +419,20 @@ def test_density_diffusion_aborts_at_first_non_finite_step(tmp_path):
     assert "dt*D/h^2 = 65.536 > 0.25: explicit step may be unstable" in [str(w.message) for w in caught]
     assert (code, verdict) == (EXIT_NUMERICAL, None)
     assert _partial_verdict(tmp_path, "dg-entropy")["error"] == "non-finite density at t=0.33 (dt*D/h^2 = 65.5)"
+
+
+@pytest.mark.parametrize("radius, side", [(10.0, 256), (12.0, 308)])
+def test_circulation_loop_wider_than_box_is_a_config_error(tmp_path, radius, side):
+    # a loop of 2 r_cells >= n cells a side wraps the periodic box: the run
+    # exits 2 with a partial verdict that names the loop, not 1 as if falsified
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"loop_radius": radius, "mask_eps": 1e-300}))
+    code, verdict = run_one("circulation", str(p), str(tmp_path), {})
+    assert (code, verdict) == (EXIT_CONFIG, None)
+    payload = _partial_verdict(tmp_path, "circulation")
+    assert payload["error"] == (f"loop of {side} cells a side (loop_radius {radius:g}) does not fit "
+                                "inside the periodic box of 256 cells")
+    assert not (tmp_path / "circulation.csv").exists()
 
 
 def test_multi_mass_edge_minimum_fails_its_row(tmp_path):

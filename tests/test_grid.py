@@ -155,3 +155,27 @@ def test_shape_mismatch_raises(grid1d):
         spectral_gradient(np.zeros(17), grid1d)
     with pytest.raises(ValueError):
         fd_gradient4(np.zeros((4, 4)), grid1d)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 512), (2, 64)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_spectral_operators_keep_the_bits_of_the_per_call_formulas(dim, n, kind):
+    # the multipliers -k^2 and 1j * k built once per grid, and fft/ifft in
+    # place of fftn/ifftn in 1D, give the bits of the formulas that built
+    # them on every call
+    g = make_grid(dim, n, 20.0)
+    r = np.random.default_rng(7 + dim)
+    f = r.standard_normal(g.shape)
+    if kind == "complex":
+        f = f + 1j * r.standard_normal(g.shape)
+    kmesh = [g.wavenumbers] if dim == 1 else [g.wavenumbers[:, None], g.wavenumbers[None, :]]
+    k2 = sum(k**2 for k in kmesh)
+    fh = np.fft.fftn(f)
+    grad = np.empty((dim,) + g.shape, dtype=complex)
+    for axis, k in enumerate(kmesh):
+        grad[axis] = np.fft.ifftn(1j * k * fh)
+    lap = np.fft.ifftn(-k2 * np.fft.fftn(f))
+    if kind == "real":
+        grad, lap = grad.real.copy(), lap.real.copy()
+    assert np.array_equal(spectral_gradient(f, g), grad)
+    assert np.array_equal(spectral_laplacian(f, g), lap)

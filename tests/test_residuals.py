@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from fisher_hydro import EvolutionSpec, PhysicalConstants, evolve, make_grid, polar_compose
-from fisher_hydro.fields import WaveField
+from fisher_hydro.fields import WaveField, laplacian_quotient, masked_mean, phase_time_derivative, polar_decompose
+from fisher_hydro.grid import fd_gradient4, integrate
 from fisher_hydro.propagate import step_linear, symmetric_pair
 from fisher_hydro.residuals import (
+    _hj_from_parts,
+    _hj_parts,
     alpha_scan,
     continuity_residual,
     default_alpha_grid,
@@ -211,3 +214,38 @@ def test_multi_mass_boundary_flagged(grid1d_fine):
     [result] = multi_mass_scan(np.linspace(1.2, 2.2, 21), [1.0], 1.0, 1.0, grid1d_fine).values()
     assert result.boundary
     assert result.argmin == result.argmin_grid == 1.2
+
+
+def _hj_curve_per_alpha(wf, V, ratios, eps_mask=1e-6):
+    """The HJ residual curve as it was computed before its alpha-independent
+    denominator sum was hoisted: s_t_com^2 + kin_v_com^2 formed anew per alpha."""
+    grid = wf.grid
+    hydro = polar_decompose(wf, eps_mask, C)
+    s_t = phase_time_derivative(wf, V, C)
+    grad_s = fd_gradient4(hydro.S, grid)
+    kin = np.sum(grad_s**2, axis=0) / (2.0 * C.m)
+    qtilde = laplacian_quotient(hydro.rho, grid, hydro.mask, scheme="spectral")
+    vbar = np.array([integrate(hydro.j[a], grid) for a in range(grid.dim)])
+    vb = vbar.reshape((-1,) + (1,) * grid.dim)
+    s_t_com = s_t + np.sum(vb * grad_s, axis=0) - 0.5 * C.m * float(np.sum(vbar**2))
+    kin_v_com = np.sum((grad_s - C.m * vb) ** 2, axis=0) / (2.0 * C.m) + V
+    invariant_sum, mask = s_t + kin + V, hydro.mask
+    curve = []
+    for alpha in ratios * C.alpha_star:
+        num = masked_mean(subtract_masked_mean(invariant_sum - alpha * qtilde, mask) ** 2, mask)
+        den = masked_mean(s_t_com**2 + kin_v_com**2 + (alpha * qtilde) ** 2, mask)
+        curve.append(0.0 if den < 1e-280 else float(math.sqrt(num / den)))
+    return curve
+
+
+@pytest.mark.parametrize("boost_v", [0.0, 0.7])
+def test_hj_parts_keep_the_bits_of_the_per_alpha_sum(boost_v):
+    # the scan-alpha default trajectory's middle snapshot (and a boosted
+    # one, whose co-moving terms are not zero), over the 40 default alphas
+    traj, V, _ = table1_trajectory(n=4096, t_final=3.6, boost_v=boost_v)
+    _, wf = traj.snapshots[len(traj.snapshots) // 2]
+    ratios = default_alpha_grid()
+    parts = _hj_parts(wf, V, C, 1e-6)
+    hoisted = [_hj_from_parts(parts, r * C.alpha_star) for r in ratios]
+    assert len(ratios) == 40
+    assert [x.hex() for x in hoisted] == [x.hex() for x in _hj_curve_per_alpha(wf, V, ratios)]

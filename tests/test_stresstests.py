@@ -229,6 +229,75 @@ def test_circulation_rejects_loop_through_masked_region(grid2d):
         circulation(psi, 8.0, center, C)  # loop deep in the exponential tail
 
 
+def _area_by_plaquette_loop(values, center, loop_radius, grid):
+    """The area value as a loop over the plaquettes computed it, one np.sum
+    of four edge increments per plaquette, added in row-major order."""
+    n, h = grid.n, grid.spacing
+    i0, j0 = int(round(center[0] / h)) % n, int(round(center[1] / h)) % n
+    r = int(round(loop_radius / h))
+    area_sum = 0.0
+    for di in range(-r, r):
+        for dj in range(-r, r):
+            i, j = (i0 + di) % n, (j0 + dj) % n
+            ip, jp = (i + 1) % n, (j + 1) % n
+            corners = np.array([values[i, j], values[ip, j], values[ip, jp], values[i, jp], values[i, j]])
+            area_sum += float(np.sum(np.angle(corners[1:] * np.conj(corners[:-1]))))
+    return C.hbar * area_sum
+
+
+def _white_noise(grid, seed):
+    r = np.random.default_rng(seed)
+    return WaveField(grid, r.standard_normal(grid.shape) + 1j * r.standard_normal(grid.shape), 0.0)
+
+
+def _circulation_cases():
+    # the circulation suite's grid, vortices and loop; white noise on it; and
+    # loops centred within their radius of the box edge, across the seam
+    grid = make_grid(2, 256, 20.0)
+    center = (10.0 + grid.spacing / 2, 10.0 + grid.spacing / 2)
+    cases = [pytest.param(vortex_state(grid, w, 2.0, center), center, 2.0, id=f"vortex-{w}") for w in (0, 1, 2)]
+    noise = _white_noise(grid, 3)
+    cases.append(pytest.param(noise, center, 2.0, id="noise"))
+    cases.append(pytest.param(noise, (grid.spacing, grid.length - 3 * grid.spacing), 2.0, id="noise-seam"))
+    cases.append(pytest.param(vortex_state(grid, 1, 2.0, (0.3, 0.3)), (0.3, 0.3), 1.5, id="vortex-seam"))
+    return cases
+
+
+@pytest.mark.parametrize("psi, center, radius", _circulation_cases())
+def test_circulation_area_keeps_the_bits_of_the_plaquette_loop(psi, center, radius):
+    _, area, _ = circulation(psi, radius, center, C, 1e-300)
+    assert area.hex() == _area_by_plaquette_loop(psi.values, center, radius, psi.grid).hex()
+
+
+def test_circulation_line_area_and_integer_are_identities():
+    # on complex white noise, which is full of vortices, line and area agree
+    # and n is an integer to round-off: both hold for any field, so only
+    # |n - winding| in max_integer_gap measures physics
+    grid = make_grid(2, 256, 20.0)
+    center = (10.0 + grid.spacing / 2, 10.0 + grid.spacing / 2)
+    windings = []
+    for seed in range(6):
+        line, area, n_est = circulation(_white_noise(grid, seed), 2.0, center, C, 1e-300)
+        assert abs(n_est - round(n_est)) <= 1e-13
+        assert abs(line - area) <= 1e-13 * 2 * np.pi * C.hbar
+        windings.append(round(n_est))
+    assert len(set(windings)) > 1 and 0 not in windings
+
+
+@pytest.mark.parametrize("radius", [10.0, 12.0])
+def test_circulation_rejects_loop_that_wraps_the_box(radius):
+    # 2 r_cells >= n: the loop's sides meet across the periodic seam, and at
+    # radius 10 (r_cells = n / 2) winding 1 read n = 7e-17, at 12 winding 2 read -6
+    grid = make_grid(2, 256, 20.0)
+    center = (10.0 + grid.spacing / 2, 10.0 + grid.spacing / 2)
+    psi = vortex_state(grid, 1, 2.0, center)
+    with pytest.raises(ValueError, match=r"loop of \d+ cells a side .* periodic box of 256 cells"):
+        circulation(psi, radius, center, C, 1e-300)
+    # the largest loop that fits, 254 cells a side, still measures
+    _, _, n_est = circulation(psi, 127 * grid.spacing, center, C, 1e-300)
+    assert abs(n_est - 1.0) <= 1e-8
+
+
 def test_eps_reg_sensitivity_documented():
     """The regulariser scale check: saturated rows and the linear floor are
     stable across eps_reg in {1e-5, 1e-7}; the knife-edge beta = 0.005 row is
