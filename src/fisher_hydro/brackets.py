@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import HydroFields, PhysicalConstants, quantum_potential
+from .fields import ROUNDOFF_FLOOR, HydroFields, PhysicalConstants, quantum_potential
 from .grid import Grid, integrate, spectral_gradient
 
 __all__ = [
@@ -27,10 +27,6 @@ __all__ = [
     "bargmann_check",
     "EdgeProximityError",
 ]
-
-# grad S from j/rho is trustworthy down to roughly this fraction of max(rho);
-# beyond it both numerator and denominator are round-off.
-_DEEP_GUARD = 1e-13
 
 # bargmann_check tolerances, relative to each entry's scale: {H, P_i} for a
 # flat and a non-flat potential, {H, K_i} + P_i, and {P_i, K_j} + m delta_ij N
@@ -85,7 +81,7 @@ def _centered_coords(hydro: HydroFields) -> np.ndarray:
 def _grad_s_fields(hydro: HydroFields, constants: PhysicalConstants) -> np.ndarray:
     """m * v with a deep division guard, standing in for grad S."""
     rho = hydro.rho
-    guard = rho > _DEEP_GUARD * rho.max()
+    guard = rho > ROUNDOFF_FLOOR * rho.max()
     out = np.zeros_like(hydro.j)
     np.divide(constants.m * hydro.j, rho[None], out=out, where=guard[None])
     return out
@@ -112,7 +108,7 @@ def generator_derivs(
         div_j = np.zeros(grid.shape)
         for axis in range(grid.dim):
             div_j += spectral_gradient(hydro.j[axis], grid)[axis]
-        deep = rho > _DEEP_GUARD * rho.max()
+        deep = rho > ROUNDOFF_FLOOR * rho.max()
         q = quantum_potential(rho, alpha, grid, deep, scheme="spectral")
         d_rho = np.sum(grad_s**2, axis=0) / (2.0 * constants.m) + V + q
         return FunctionalDerivs(d_rho=d_rho, d_S=-div_j, label="H")
@@ -146,7 +142,7 @@ def generator_value(
     rho = hydro.rho
     if name == "H":
         rho_max = rho.max()
-        safe = rho > _DEEP_GUARD * rho_max
+        safe = rho > ROUNDOFF_FLOOR * rho_max
         j_sq = np.sum(hydro.j**2, axis=0)
         kin = np.zeros_like(rho)
         np.divide(constants.m * j_sq, 2.0 * rho, out=kin, where=safe)

@@ -18,7 +18,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -167,18 +167,8 @@ DEFAULTS: dict[str, dict] = {
         "hbar": 1.0,
         "mass": 1.0,
     },
-    "superposition": {
-        "n": 4096,
-        "length": 68.0,
-        "dt": 0.005,
-        "t_final": 2.1,
-        "omega": 0.2,
-        "separation_sigmas": 6.0,
-        "beta_list": [0.0, 0.005, 0.01, 0.02, 0.05],
-        "eps_reg": 1e-6,
-        "hbar": 1.0,
-        "mass": 1.0,
-    },
+    # the fields of SuperpositionConfig, beta_list as a JSON list
+    "superposition": dict(asdict(SuperpositionConfig()), beta_list=list(SuperpositionConfig.beta_list)),
 }
 
 
@@ -404,7 +394,8 @@ def _csv_body(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _table1_trajectory(cfg: dict, constants: PhysicalConstants, refined: bool = False):
+def _table1_trajectory(cfg: dict, constants: PhysicalConstants, refined: bool = False, D: float = 0.0):
+    """The resolution table's free packet, evolved linearly at D = 0, else by the DG flow."""
     factor = 4 if refined else 1
     grid = make_grid(1, cfg["n"] * factor, cfg["length"])
     dt = cfg["dt"] / factor
@@ -412,7 +403,8 @@ def _table1_trajectory(cfg: dict, constants: PhysicalConstants, refined: bool = 
     if cfg.get("boost", 0.0):
         psi = boost(psi, cfg["boost"], constants)
     stride = max(1, int(round(cfg["snapshot_interval"] / dt)))
-    spec = EvolutionSpec(kind="linear", dt=dt, t_final=cfg["t_final"], record_stride=stride)
+    kind = "linear" if D == 0.0 else "dg_diffusion"
+    spec = EvolutionSpec(kind=kind, dt=dt, t_final=cfg["t_final"], record_stride=stride, D=D)
     V = np.zeros(grid.shape)
     return evolve(psi, V, spec, constants), V, grid
 
@@ -462,20 +454,12 @@ def run_continuity(cfg: dict, outdir: str) -> tuple[dict, dict]:
     """Test 2: continuity identity at floor for all alpha (and broken by diffusion)."""
     constants = PhysicalConstants(hbar=cfg["hbar"], m=cfg["mass"])
     D = cfg["diffusion"]
-    grid = make_grid(1, cfg["n"], cfg["length"])
-    psi = gaussian_packet(grid, grid.length / 2, cfg["sigma0"], 0.0, constants)
-    if cfg.get("boost", 0.0):
-        psi = boost(psi, cfg["boost"], constants)
-    stride = max(1, int(round(cfg["snapshot_interval"] / cfg["dt"])))
-    kind = "linear" if D == 0.0 else "dg_diffusion"
-    spec = EvolutionSpec(kind=kind, dt=cfg["dt"], t_final=cfg["t_final"], record_stride=stride, D=D)
-    V = np.zeros(grid.shape)
-    traj = evolve(psi, V, spec, constants)
+    traj, V, _ = _table1_trajectory(cfg, constants, D=D)
 
     rows = []
     values = []
     for t, wf in traj.snapshots[1:-1]:
-        minus, plus = symmetric_pair(wf, V, spec.dt, constants, kind=kind, D=D)
+        minus, plus = symmetric_pair(wf, V, traj.spec.dt, constants, kind=traj.spec.kind, D=D)
         rc = continuity_residual((minus, wf, plus), constants, cfg["mask_eps"])
         rows.append([t, rc])
         values.append(rc)
@@ -497,6 +481,8 @@ def run_dg_entropy(cfg: dict, outdir: str) -> tuple[dict, dict]:
     rho0 = np.exp(-((x - grid.length / 2) ** 2) / (2 * cfg["sigma0"] ** 2))
     rho0 /= float(np.sum(rho0) * grid.cell_volume)
     D = cfg["diffusion"]
+    if D <= 0.0:  # the rate errors are relative to D I_F; the D = 0 run is built below
+        raise ConfigError(f"dg-entropy needs diffusion > 0, got {D:g}")
     stride = max(1, int(round(cfg["snapshot_interval"] / cfg["dt"])))
     spec = EvolutionSpec(kind="density_diffusion", dt=cfg["dt"], t_final=cfg["t_final"],
                          record_stride=stride, D=D)
@@ -604,8 +590,7 @@ def run_fisher_el(cfg: dict, outdir: str) -> tuple[dict, dict]:
     _write(outdir, "fisher_el_scan.csv", _csv_body(["c", "residual"], [[float(c), float(r)] for c, r in zip(c_grid, curve)]))
     residuals = {"fisher_worst_residual": fisher_worst, "non_fisher_best_residual": other_best}
     measured = dict(residuals, excited_scan_argmin=c_min, multi_mass_argmins=multi_argmins)
-    worst_mass_gap = float(np.max(mass_gaps)) if mass_gaps else None
-    return measured, dict(residuals, excited_scan_argmin=abs(c_min - 1.0), multi_mass_argmins=worst_mass_gap)
+    return measured, dict(residuals, excited_scan_argmin=abs(c_min - 1.0), multi_mass_argmins=float(np.max(mass_gaps)))
 
 
 @_suite("time-reversal")
@@ -691,18 +676,10 @@ def run_complexifier(cfg: dict, outdir: str) -> tuple[dict, dict]:
 @_suite("superposition")
 def run_superposition(cfg: dict, outdir: str) -> tuple[dict, dict]:
     """Test 9: projective superposition residual vanishes only in the linear case."""
-    constants = PhysicalConstants(hbar=cfg["hbar"], m=cfg["mass"])
     required = {0.0, 0.005, 0.02, 0.05}
     if not required.issubset(set(cfg["beta_list"])):
         raise ConfigError("superposition beta_list must keep the canonical couplings 0, 0.005, 0.02, 0.05")
-    sigma = math.sqrt(constants.hbar / (constants.m * cfg["omega"]))
-    half_sep = 0.5 * cfg["separation_sigmas"] * sigma
-    config = SuperpositionConfig(
-        x1=-half_sep, x2=half_sep, sigma=sigma,
-        beta_list=tuple(cfg["beta_list"]), eps_reg=cfg["eps_reg"], omega=cfg["omega"],
-        t_final=cfg["t_final"], dt=cfg["dt"], n_base=cfg["n"], length=cfg["length"],
-    )
-    rows = superposition_curve(config, constants)
+    rows = superposition_curve(SuperpositionConfig(**dict(cfg, beta_list=tuple(cfg["beta_list"]))))
 
     by_beta = {r["beta"]: r for r in rows}
     measured = {f"base_{r['beta']:g}": r["base"] for r in rows}
@@ -742,13 +719,14 @@ def _run(test: str, config_path: str | None, outdir: str,
     t0 = time.perf_counter()
     try:
         cfg = load_config(test, config_path, overrides)
-        verdict = RUNNERS[test](cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG, None, None
+    try:
+        verdict = RUNNERS[test](cfg, outdir)
     except (ValueError, ArithmeticError, NumericalAbort) as exc:
-        # A ValueError or ArithmeticError from a runner is a config it cannot
-        # measure: a t_final that leaves no interior snapshot, a zero it divides by.
+        # A ValueError (a ConfigError too) or ArithmeticError from a runner is a config
+        # it cannot measure: a t_final that leaves no interior snapshot, a zero divisor.
         if isinstance(exc, NumericalAbort):
             code, label = EXIT_NUMERICAL, "numerical abort"
         else:

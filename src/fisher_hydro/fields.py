@@ -20,15 +20,21 @@ __all__ = [
     "polar_decompose",
     "quantum_potential",
     "laplacian_quotient",
+    "root_laplacian_quotient",
     "phase_time_derivative",
     "masked_mean",
     "DEFAULT_EPS_MASK",
+    "ROUNDOFF_FLOOR",
 ]
 
 DEFAULT_EPS_MASK = 1e-6
 
-# Division guard relative to max(rho): below this the quotient fields
-# Delta sqrt(rho)/sqrt(rho) and H psi/psi are round-off noise rather than data.
+# rho below this fraction of max(rho) is round-off for a propagated field: psi's tail
+# noise ~1e-16 makes a quotient by rho (j/rho, |grad rho|^2/rho) order-one garbage.
+ROUNDOFF_FLOOR = 1e-13
+
+# Absolute division guard, not relative to max(rho): it keeps Delta sqrt(rho)/sqrt(rho)
+# and H psi/psi finite (0 where rho <= 1e-300); the node mask makes the physical cut.
 _RHO_GUARD = 1e-300
 
 
@@ -174,24 +180,30 @@ def quantum_potential(
     """
     rho = np.asarray(rho, dtype=float)
     safe = mask & (rho > _RHO_GUARD)
-    out = np.zeros_like(rho)
     if scheme == "spectral":
-        root = np.sqrt(np.clip(rho, 0.0, None))
-        lap_root = spectral_laplacian(root, grid)
-        np.divide(lap_root, root, out=out, where=safe)
-        out *= -coeff
+        out = root_laplacian_quotient(np.sqrt(np.clip(rho, 0.0, None)), grid, safe)
     elif scheme == "fd4":
         lap = fd_laplacian4(rho, grid)
         grad = fd_gradient4(rho, grid)
         grad_sq = np.sum(grad**2, axis=0)
+        out = np.zeros_like(rho)
         np.divide(lap, 2.0 * rho, out=out, where=safe)
         tmp = np.zeros_like(rho)
         np.divide(grad_sq, 4.0 * rho**2, out=tmp, where=safe)
         out -= tmp
-        out *= -coeff
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+    out *= -coeff
     out[~mask] = 0.0
+    return out
+
+
+def root_laplacian_quotient(root: np.ndarray, grid: Grid, where: np.ndarray) -> np.ndarray:
+    """Spectral Delta u / u where `where` holds, 0 elsewhere, for a root u of
+    rho = u^2: sqrt(rho), or a signed eigenfunction, which stays smooth through
+    nodes where sqrt(rho) has a kink."""
+    out = np.zeros(grid.shape)
+    np.divide(spectral_laplacian(root, grid), root, out=out, where=where)
     return out
 
 

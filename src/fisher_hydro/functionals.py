@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import ROUNDOFF_FLOOR, root_laplacian_quotient
 from .grid import Grid, integrate, spectral_gradient, spectral_laplacian
 from .propagate import DensityTrajectory
 
@@ -27,12 +28,6 @@ __all__ = [
     "regulariser_value",
     "fisher_el_necessity_report",
 ]
-
-# rho below this fraction of max(rho) is round-off territory for a propagated
-# field (psi tail noise ~1e-16 makes |grad rho|^2/rho order-one garbage there);
-# the genuine tail contribution beyond the floor is O(1e-11) relative.
-_REL_FLOOR = 1e-13
-
 
 @dataclass(frozen=True)
 class RegulariserSpec:
@@ -75,12 +70,13 @@ def fisher_information(rho: np.ndarray, grid: Grid) -> float:
     """I_F = int |grad rho|^2 / rho dx, guarded where rho underflows.
 
     Finite even through nodes of a smooth density (the integrand tends to
-    4 |grad u|^2 for rho = u^2).
+    4 |grad u|^2 for rho = u^2).  The tail below the round-off floor would add
+    O(1e-11) relative.
     """
     grad = spectral_gradient(rho, grid)
     grad_sq = np.sum(grad**2, axis=0)
     out = np.zeros_like(rho)
-    np.divide(grad_sq, rho, out=out, where=rho > _REL_FLOOR * rho.max())
+    np.divide(grad_sq, rho, out=out, where=rho > ROUNDOFF_FLOOR * rho.max())
     return float(integrate(out, grid))
 
 
@@ -121,7 +117,7 @@ def entropy_production_identity(rho: np.ndarray, D: float, grid: Grid) -> tuple[
     which equals D * I_F up to quadrature; the pair is the discrete form of the
     entropy identity checked along dg trajectories.
     """
-    positive = rho > _REL_FLOOR * rho.max()
+    positive = rho > ROUNDOFF_FLOOR * rho.max()
     log_term = np.zeros_like(rho)
     log_term[positive] = 1.0 + np.log(rho[positive])
     production = -D * float(integrate(log_term * spectral_laplacian(rho, grid), grid))
@@ -164,9 +160,7 @@ def fisher_laplacian_quotient(
     through nodes, where |u| has a kink that would ring under spectral
     differentiation.
     """
-    lap = spectral_laplacian(root, grid)
-    out = np.zeros(grid.shape)
-    np.divide(lap, root, out=out, where=mask & (np.abs(root) > 0))
+    out = root_laplacian_quotient(root, grid, mask & (np.abs(root) > 0))
     out *= -4.0 * coefficient
     out[~mask] = 0.0
     return out

@@ -24,8 +24,9 @@ from .fields import (
     masked_mean,
     phase_time_derivative,
     polar_decompose,
+    root_laplacian_quotient,
 )
-from .grid import Grid, fd_divergence4, fd_gradient4, fd_laplacian4, integrate, spectral_laplacian
+from .grid import Grid, fd_divergence4, fd_gradient4, fd_laplacian4, integrate
 from .states import harmonic_potential, oscillator_energy, oscillator_state
 
 __all__ = [
@@ -266,9 +267,7 @@ def eigen_coefficient_curve(
     quotient Delta sqrt(rho)/sqrt(rho) equals Delta u / u off nodes, which
     avoids the kink in sqrt(rho) at sign changes.
     """
-    lap_u = spectral_laplacian(signed_root, grid)
-    quot = np.zeros(grid.shape)
-    np.divide(lap_u, signed_root, out=quot, where=mask & (np.abs(signed_root) > 0))
+    quot = root_laplacian_quotient(signed_root, grid, mask & (np.abs(signed_root) > 0))
     out = np.empty(len(c_grid))
     for idx, cc in enumerate(c_grid):
         f = V - cc * alpha_base * quot - energy

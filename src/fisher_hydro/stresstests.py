@@ -7,12 +7,13 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import (
     DEFAULT_EPS_MASK,
+    ROUNDOFF_FLOOR,
     PhysicalConstants,
     WaveField,
     phase_time_derivative,
@@ -42,44 +43,37 @@ class LoopThroughNodeError(ValueError):
 
 @dataclass(frozen=True)
 class SuperpositionConfig:
-    """Two displaced Gaussian packets in a harmonic trap, base and refined grids.
-
-    Packet centers are offsets from the box center; the initial disjointness
-    invariant requires |x1 - x2| >= 6 sigma.  The refined grid is always
-    (2N, dt/2).
+    """The superposition suite's config: two coherent packets of width
+    sigma = sqrt(hbar/(m omega)) in a harmonic trap, separation_sigmas >= 6
+    sigma apart about the box center, on a base grid and the refined (2n, dt/2).
     """
 
-    # coherent width for the default trap (omega = 0.2) at +-3 sigma
-    x1: float = -3.0 * 5.0**0.5
-    x2: float = 3.0 * 5.0**0.5
-    p1: float = 0.0
-    p2: float = 0.0
-    sigma: float = 5.0**0.5
+    n: int = 4096
+    length: float = 68.0
+    dt: float = 0.005
+    t_final: float = 2.1
+    omega: float = 0.2
+    separation_sigmas: float = 6.0
     beta_list: tuple[float, ...] = (0.0, 0.005, 0.01, 0.02, 0.05)
     eps_reg: float = 1e-6
-    omega: float = 0.2
-    t_final: float = 2.1
-    dt: float = 0.005
-    n_base: int = 4096
-    length: float = 68.0
+    hbar: float = 1.0
+    mass: float = 1.0
 
     def __post_init__(self) -> None:
-        if abs(self.x1 - self.x2) < 6.0 * self.sigma:
-            raise ValueError("packets must start disjoint: |x1 - x2| >= 6 sigma")
+        if self.separation_sigmas < 6.0:
+            raise ValueError("packets must start disjoint: separation_sigmas >= 6")
 
     def grid(self, refined: bool = False) -> Grid:
-        n = 2 * self.n_base if refined else self.n_base
-        return make_grid(1, n, self.length)
+        return make_grid(1, 2 * self.n if refined else self.n, self.length)
 
     def timestep(self, refined: bool = False) -> float:
         return self.dt / 2 if refined else self.dt
 
 
-def _packet(grid: Grid, center: float, momentum: float, sigma: float, hbar: float) -> np.ndarray:
+def _packet(grid: Grid, center: float, sigma: float) -> np.ndarray:
     x = grid.axes[0] - 0.5 * grid.length
-    return (np.pi * sigma**2) ** -0.25 * np.exp(
-        -((x - center) ** 2) / (2.0 * sigma**2) + 1j * momentum * (x - center) / hbar
-    )
+    # complex exp: a real one differs in last bits, which the beta > 0 rows amplify
+    return (np.pi * sigma**2) ** -0.25 * np.exp((-((x - center) ** 2) / (2.0 * sigma**2)).astype(complex))
 
 
 def projective_residual(a: np.ndarray, b: np.ndarray, grid: Grid) -> tuple[float, float]:
@@ -102,12 +96,7 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def superposition_residual(
-    config: SuperpositionConfig,
-    beta: float,
-    refined: bool = False,
-    constants: PhysicalConstants | None = None,
-) -> float:
+def superposition_residual(config: SuperpositionConfig, beta: float, refined: bool = False) -> float:
     """Evolve psi1, psi2 separately and (psi1+psi2)/sqrt(2) jointly; return the
     phase-optimised L2 distance between the joint state and the summed state.
 
@@ -116,12 +105,14 @@ def superposition_residual(
     the CPUs.
     Each state's kick reads only its own max rho, so a chunk steps bit for bit
     as in the whole batch and the residual does not depend on the CPU count."""
-    c = constants or PhysicalConstants()
+    c = PhysicalConstants(config.hbar, config.mass)
     grid = config.grid(refined)
     dt = config.timestep(refined)
     V = harmonic_potential(grid, config.omega, c)
-    p1 = _packet(grid, config.x1, config.p1, config.sigma, c.hbar)
-    p2 = _packet(grid, config.x2, config.p2, config.sigma, c.hbar)
+    sigma = math.sqrt(c.hbar / (c.m * config.omega))
+    half_sep = 0.5 * config.separation_sigmas * sigma
+    p1 = _packet(grid, -half_sep, sigma)
+    p2 = _packet(grid, half_sep, sigma)
     batch = np.stack([p1, p2, (p1 + p2) / np.sqrt(2.0)])
     batch /= np.sqrt(np.sum(np.abs(batch) ** 2, axis=-1, keepdims=True) * grid.cell_volume)
     n_steps = int(round(config.t_final / dt))
@@ -133,13 +124,13 @@ def superposition_residual(
     return residual
 
 
-def superposition_curve(config: SuperpositionConfig, constants: PhysicalConstants | None = None) -> list[dict]:
+def superposition_curve(config: SuperpositionConfig) -> list[dict]:
     """Residuals on base and refined grids, one row per coupling in ascending beta."""
     return [
         {
             "beta": beta,
-            "base": superposition_residual(config, beta, refined=False, constants=constants),
-            "refined": superposition_residual(config, beta, refined=True, constants=constants),
+            "base": superposition_residual(config, beta, refined=False),
+            "refined": superposition_residual(config, beta, refined=True),
         }
         for beta in sorted(config.beta_list)
     ]
@@ -211,7 +202,7 @@ def complexifier_scan(
         rho_t = -rho_t
         s_t = phase_time_derivative(wf, V, constants)
         rate_log_rho = np.zeros(grid.shape)
-        np.divide(rho_t, rho, out=rate_log_rho, where=rho > 1e-13 * rho.max())
+        np.divide(rho_t, rho, out=rate_log_rho, where=rho > ROUNDOFF_FLOOR * rho.max())
         den_floor = max(den_floor, float(np.max(np.abs(rho_t))))
 
         for ip, p in enumerate(p_grid):

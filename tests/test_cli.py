@@ -203,7 +203,7 @@ def test_flags_reach_effective_config(tmp_path, monkeypatch):
     assert (config["boost"], config["n"]) == (2.0, 1024) and isinstance(config["n"], int)
 
     monkeypatch.setattr(cli, "superposition_curve",
-                        lambda config, constants: [{"beta": b, "base": 1.3, "refined": 1.3} for b in config.beta_list])
+                        lambda config: [{"beta": b, "base": 1.3, "refined": 1.3} for b in config.beta_list])
     main(["superposition", "--beta", "0.003", "--out", str(tmp_path)])
     config = json.loads((tmp_path / "superposition.verdict.json").read_text())["config"]
     assert config["beta_list"] == [0.0, 0.003, 0.005, 0.01, 0.02, 0.05]
@@ -305,13 +305,16 @@ def test_superposition_requires_canonical_betas(tmp_path):
     p.write_text(json.dumps(cfg))
     code = main(["superposition", "--config", str(p), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
+    # the rule is the runner's, so the run leaves a partial verdict
+    assert _partial_verdict(tmp_path / "out", "superposition")["error"] == (
+        "superposition beta_list must keep the canonical couplings 0, 0.005, 0.02, 0.05")
 
 
 def test_beta_flag_appends_to_config_beta_list(tmp_path, monkeypatch):
     # --beta extends the effective list (config file included), not the defaults
     seen = []
 
-    def fake_curve(config, constants):
+    def fake_curve(config):
         seen.append(config.beta_list)
         return [{"beta": b, "base": 1.3, "refined": 1.3} for b in config.beta_list]
 
@@ -338,7 +341,7 @@ def test_superposition_falling_residual_fails_its_row(tmp_path, monkeypatch):
     # failed row is monotone_in_beta, with exit 1 and the table on disk
     table = {0.0: 0.0, 0.005: 0.2, 0.01: 0.15, 0.02: 1.35, 0.05: 1.36}
     monkeypatch.setattr(stresstests, "superposition_residual",
-                        lambda config, beta, refined=False, constants=None: table[beta])
+                        lambda config, beta, refined=False: table[beta])
     code, verdict = run_one("superposition", None, str(tmp_path), {})
     assert code == EXIT_FALSIFIED and not verdict.passed
     payload = json.loads((tmp_path / "superposition.verdict.json").read_text())
@@ -419,6 +422,15 @@ def test_density_diffusion_aborts_at_first_non_finite_step(tmp_path):
     assert "dt*D/h^2 = 65.536 > 0.25: explicit step may be unstable" in [str(w.message) for w in caught]
     assert (code, verdict) == (EXIT_NUMERICAL, None)
     assert _partial_verdict(tmp_path, "dg-entropy")["error"] == "non-finite density at t=0.33 (dt*D/h^2 = 65.5)"
+
+
+def test_dg_entropy_at_zero_diffusion_is_a_config_error(tmp_path):
+    # the rate errors are relative to D I_F, which is 0 at D = 0: the run exits 2
+    # before any evolution, with a partial verdict that names the setting
+    code, verdict = run_one("dg-entropy", None, str(tmp_path), {"diffusion": 0.0})
+    assert (code, verdict) == (EXIT_CONFIG, None)
+    assert _partial_verdict(tmp_path, "dg-entropy")["error"] == "dg-entropy needs diffusion > 0, got 0"
+    assert not (tmp_path / "dg_entropy.csv").exists()
 
 
 @pytest.mark.parametrize("radius, side", [(10.0, 256), (12.0, 308)])

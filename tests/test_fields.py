@@ -1,12 +1,17 @@
 """Madelung decomposition, quantum potential, and phase rate diagnostics."""
+import math
+
 import numpy as np
 import pytest
 
 from fisher_hydro import PhysicalConstants, make_grid, polar_compose, polar_decompose
-from fisher_hydro.fields import masked_mean, phase_time_derivative, quantum_potential
-from fisher_hydro.grid import integrate
+from fisher_hydro.fields import masked_mean, phase_time_derivative, quantum_potential, root_laplacian_quotient
+from fisher_hydro.functionals import fisher_laplacian_quotient
+from fisher_hydro.grid import fd_gradient4, fd_laplacian4, integrate, spectral_laplacian
 from fisher_hydro.propagate import step_linear
+from fisher_hydro.residuals import eigen_coefficient_curve
 from fisher_hydro.states import (
+    bump_density,
     gaussian_packet,
     harmonic_potential,
     oscillator_energy,
@@ -171,3 +176,62 @@ def test_phase_rate_matches_time_stencil(grid1d_fine, constants):
 
 def test_masked_mean_empty_mask():
     assert masked_mean(np.ones(8), np.zeros(8, dtype=bool)) == 0.0
+
+
+def _fisher_el_states(constants):
+    """fisher-el's Gaussian, bump and node-masked first excited state at the
+    suite's defaults: (rho, signed root, mask, grid) each."""
+    grid = make_grid(1, 1024, 40.0)
+    x = grid.axes[0] - 20.0
+    rho_g = np.exp(-(x**2) / 1.5**2)
+    rho_g /= float(np.sum(rho_g) * grid.cell_volume)
+    grid_b = make_grid(1, 4096, 40.0)
+    rho_b = bump_density(grid_b, 20.0, 8.0)
+    psi1 = oscillator_state(grid, 1, 1.0, constants)
+    rho_e, root_e = psi1.density(), psi1.values.real
+    return [
+        (rho_g, np.sqrt(rho_g), rho_g > 1e-5 * rho_g.max(), grid),
+        (rho_b, np.sqrt(rho_b), rho_b > 1e-5 * rho_b.max(), grid_b),
+        (rho_e, root_e, (rho_e > 1e-5 * rho_e.max()) & (np.abs(x) >= 0.05), grid),
+    ]
+
+
+def test_laplacian_quotients_keep_the_bits_of_the_inline_formulas(constants):
+    # quantum_potential, fisher_laplacian_quotient and eigen_coefficient_curve
+    # share root_laplacian_quotient; each equals, bit for bit, the formula it
+    # once computed inline
+    c_grid = np.linspace(0.5, 1.5, 41)
+    for rho, root, mask, grid in _fisher_el_states(constants):
+        lap = spectral_laplacian(root, grid)
+        where = mask & (np.abs(root) > 0)
+        quot = np.zeros(grid.shape)
+        np.divide(lap, root, out=quot, where=where)
+        assert np.array_equal(root_laplacian_quotient(root, grid, where), quot)
+
+        old_fisher = quot.copy()
+        old_fisher *= -4.0 * 0.25
+        old_fisher[~mask] = 0.0
+        assert np.array_equal(fisher_laplacian_quotient(root, 0.25, grid, mask), old_fisher)
+
+        V = harmonic_potential(grid, 1.0, constants)
+        old_curve = np.empty(len(c_grid))
+        for idx, cc in enumerate(c_grid):
+            f = V - cc * 0.5 * quot - 1.5
+            old_curve[idx] = math.sqrt(max(float(np.sum(np.where(mask, f**2 * rho, 0.0)) * grid.cell_volume), 0.0))
+        assert np.array_equal(eigen_coefficient_curve(rho, root, V, 1.5, c_grid, 0.5, grid, mask), old_curve)
+
+        sqrt_rho = np.sqrt(np.clip(rho, 0.0, None))
+        old_q = np.zeros_like(rho)
+        np.divide(spectral_laplacian(sqrt_rho, grid), sqrt_rho, out=old_q, where=mask & (rho > 1e-300))
+        old_q *= -0.5
+        old_q[~mask] = 0.0
+        assert np.array_equal(quantum_potential(rho, 0.5, grid, mask, scheme="spectral"), old_q)
+
+        old_fd = np.zeros_like(rho)
+        np.divide(fd_laplacian4(rho, grid), 2.0 * rho, out=old_fd, where=mask & (rho > 1e-300))
+        tmp = np.zeros_like(rho)
+        np.divide(np.sum(fd_gradient4(rho, grid) ** 2, axis=0), 4.0 * rho**2, out=tmp, where=mask & (rho > 1e-300))
+        old_fd -= tmp
+        old_fd *= -0.5
+        old_fd[~mask] = 0.0
+        assert np.array_equal(quantum_potential(rho, 0.5, grid, mask, scheme="fd4"), old_fd)

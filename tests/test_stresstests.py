@@ -1,5 +1,6 @@
 """Superposition, complexifier rigidity, time reversal, circulation."""
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -23,11 +24,8 @@ C = PhysicalConstants()
 
 
 def small_config(**kw):
-    sigma = np.sqrt(1 / 0.2)
-    defaults = dict(
-        x1=-3 * sigma, x2=3 * sigma, sigma=sigma, omega=0.2,
-        t_final=0.5, dt=0.01, n_base=512, length=68.0,
-    )
+    # packets at -+3 sigma, sigma = sqrt(1/0.2), as at the library defaults
+    defaults = dict(omega=0.2, separation_sigmas=6.0, t_final=0.5, dt=0.01, n=512, length=68.0)
     defaults.update(kw)
     return SuperpositionConfig(**defaults)
 
@@ -39,7 +37,7 @@ def test_superposition_linear_floor_small():
 
 
 def test_superposition_beta_turns_on_residual():
-    cfg = small_config(t_final=1.0, n_base=1024)
+    cfg = small_config(t_final=1.0, n=1024)
     r0 = superposition_residual(cfg, 0.0)
     r1 = superposition_residual(cfg, 0.02)
     assert r1 > 1e-3 > r0
@@ -63,13 +61,14 @@ def test_superposition_residual_independent_of_cpu_count(monkeypatch):
         return recorded
 
     monkeypatch.setattr(stresstests, "_strang", spy)
-    cfg = small_config(n_base=512, t_final=0.2)
+    cfg = small_config(n=512, t_final=0.2)
+    sigma = np.sqrt(C.hbar / (C.m * cfg.omega))
     for beta in (0.0, 0.02):
         for refined in (False, True):
             grid, dt = cfg.grid(refined), cfg.timestep(refined)
             V = harmonic_potential(grid, cfg.omega, C)
-            p1 = stresstests._packet(grid, cfg.x1, cfg.p1, cfg.sigma, C.hbar)
-            p2 = stresstests._packet(grid, cfg.x2, cfg.p2, cfg.sigma, C.hbar)
+            p1 = stresstests._packet(grid, -3.0 * sigma, sigma)
+            p2 = stresstests._packet(grid, 3.0 * sigma, sigma)
             batch = np.stack([p1, p2, (p1 + p2) / np.sqrt(2.0)])
             batch /= np.sqrt(np.sum(np.abs(batch) ** 2, axis=-1, keepdims=True) * grid.cell_volume)
             whole = strang(V, grid, dt, C, "beta_nonlinear", beta=beta, eps_reg=cfg.eps_reg)(
@@ -123,8 +122,56 @@ def test_beta_drops_split_at_the_plateau():
 
 
 def test_superposition_disjointness_enforced():
+    # packets 2 sigma apart overlap; 6 sigma is the smallest separation allowed
     with pytest.raises(ValueError):
-        small_config(x1=-1.0, x2=1.0)
+        small_config(separation_sigmas=2.0)
+    with pytest.raises(ValueError):
+        small_config(separation_sigmas=5.999)
+    small_config(separation_sigmas=6.0)
+
+
+def _old_superposition_residual(config, beta, refined):
+    """superposition_residual as it was when the suite's CLI translated its
+    config into packet centres x1, x2 and width sigma, and each packet's
+    exponent carried a momentum term 1j * p * (x - c) / hbar with p = 0."""
+    from fisher_hydro import stresstests
+
+    grid, dt = config.grid(refined), config.timestep(refined)
+    x = grid.axes[0] - 0.5 * grid.length
+    sigma = math.sqrt(config.hbar / (config.mass * config.omega))
+    x1 = -0.5 * config.separation_sigmas * sigma
+    x2 = 0.5 * config.separation_sigmas * sigma
+
+    def packet(center, momentum=0.0):
+        return (np.pi * sigma**2) ** -0.25 * np.exp(
+            -((x - center) ** 2) / (2.0 * sigma**2) + 1j * momentum * (x - center) / config.hbar)
+
+    c = PhysicalConstants(config.hbar, config.mass)
+    p1, p2 = packet(x1), packet(x2)
+    batch = np.stack([p1, p2, (p1 + p2) / np.sqrt(2.0)])
+    batch /= np.sqrt(np.sum(np.abs(batch) ** 2, axis=-1, keepdims=True) * grid.cell_volume)
+    advance = stresstests._strang(harmonic_potential(grid, config.omega, c), grid, dt, c, "beta_nonlinear",
+                                  beta=beta, eps_reg=config.eps_reg)
+    out = advance(batch, int(round(config.t_final / dt)))
+    return projective_residual(out[2], out[0] + out[1], grid)[0]
+
+
+def test_superposition_residual_keeps_the_bits_of_the_old_packets():
+    # the packet centres and width derived from the config, and the complex
+    # exponent without its zero momentum term, give the old residuals bit for bit
+    cfg = small_config(n=512, t_final=0.5)
+    for beta in (0.0, 0.02):
+        for refined in (False, True):
+            new = superposition_residual(cfg, beta, refined=refined)
+            assert new.hex() == float(_old_superposition_residual(cfg, beta, refined)).hex()
+
+
+def test_superposition_config_is_the_cli_default():
+    from fisher_hydro.cli import DEFAULTS
+
+    # one set of keys and values; beta_list is a list, as a JSON config gives it
+    fields = dataclasses.asdict(SuperpositionConfig())
+    assert DEFAULTS["superposition"] == dict(fields, beta_list=list(fields["beta_list"]))
 
 
 def coherent_snapshots(n=512, length=40.0, omega=1.0, x0=1.5, n_snaps=2):
