@@ -101,7 +101,6 @@ def generator_derivs(
     """
     grid = hydro.grid
     rho = hydro.rho
-    grad_rho = spectral_gradient(rho, grid)
     grad_s = _grad_s_fields(hydro, constants)
 
     if name == "H":
@@ -113,20 +112,14 @@ def generator_derivs(
         d_rho = np.sum(grad_s**2, axis=0) / (2.0 * constants.m) + V + q
         return FunctionalDerivs(d_rho=d_rho, d_S=-div_j, label="H")
 
-    if name.startswith("P"):
-        axis = int(name[1:]) if len(name) > 1 else 0
-        return FunctionalDerivs(d_rho=grad_s[axis], d_S=-grad_rho[axis], label=name)
-
-    if name.startswith("K"):
-        axis = int(name[1:]) if len(name) > 1 else 0
-        x = _centered_coords(hydro)
-        return FunctionalDerivs(
-            d_rho=-t * grad_s[axis] + constants.m * x[axis],
-            d_S=t * grad_rho[axis],
-            label=name,
-        )
-
-    raise ValueError(f"unknown generator {name!r}")
+    if name[:1] not in ("P", "K"):
+        raise ValueError(f"unknown generator {name!r}")
+    axis = int(name[1:]) if len(name) > 1 else 0
+    grad_rho = spectral_gradient(rho, grid)[axis]
+    if name[0] == "P":
+        return FunctionalDerivs(d_rho=grad_s[axis], d_S=-grad_rho, label=name)
+    x = _centered_coords(hydro)
+    return FunctionalDerivs(d_rho=-t * grad_s[axis] + constants.m * x[axis], d_S=t * grad_rho, label=name)
 
 
 def generator_value(
@@ -183,6 +176,12 @@ class AlgebraReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _entry(value: float, expected: float, tolerance: float, closure: bool = True) -> dict:
+    """One galilei.json entry; it passes iff |value - expected| <= tolerance."""
+    return {"value": value, "expected": expected, "tolerance": tolerance,
+            "pass": bool(abs(value - expected) <= tolerance), "closure": closure}
+
+
 def bargmann_check(
     hydro: HydroFields,
     V: np.ndarray,
@@ -194,49 +193,25 @@ def bargmann_check(
     grid = hydro.grid
     c = constants
     h = generator_derivs("H", hydro, V, alpha, c, t)
+    p = [generator_derivs(f"P{i}", hydro, V, alpha, c, t) for i in range(grid.dim)]
+    k = [generator_derivs(f"K{i}", hydro, V, alpha, c, t) for i in range(grid.dim)]
     mass_integral = float(integrate(hydro.rho, grid))
     report = AlgebraReport(t=t)
 
     flat_v = bool(np.max(V) - np.min(V) < 1e-300)
     grad_v = None if flat_v else spectral_gradient(V, grid)
-    tol_hp = _TOL_HP_FLAT if flat_v else _TOL_HP_FORCED
+    scale_h = max(abs(generator_value("H", hydro, V, alpha, c, t)), 1.0)
+    tol_hp = (_TOL_HP_FLAT if flat_v else _TOL_HP_FORCED) * scale_h
+    tol_pk = _TOL_PK * max(c.m, 1.0)
 
     for i in range(grid.dim):
-        p_i = generator_derivs(f"P{i}", hydro, V, alpha, c, t)
-        k_i = generator_derivs(f"K{i}", hydro, V, alpha, c, t)
         p_val = generator_value(f"P{i}", hydro, V, alpha, c, t)
-
-        hp = poisson_bracket(h, p_i, grid)
         # dP/dt = {P,H} = -int rho dV (Ehrenfest), so {H,P} = +int rho dV
         expected_hp = 0.0 if flat_v else float(integrate(hydro.rho * grad_v[i], grid))
-        scale_hp = max(abs(generator_value("H", hydro, V, alpha, c, t)), 1.0)
-        report.entries[f"hp{i}"] = {
-            "value": hp,
-            "expected": expected_hp,
-            "tolerance": tol_hp * scale_hp,
-            "pass": bool(abs(hp - expected_hp) <= tol_hp * scale_hp),
-            "closure": flat_v,
-        }
-
-        hk = poisson_bracket(h, k_i, grid)
-        scale_p = max(abs(p_val), 1.0)
-        report.entries[f"hk_plus_p{i}"] = {
-            "value": hk + p_val,
-            "expected": 0.0,
-            "tolerance": _TOL_HK * scale_p,
-            "pass": bool(abs(hk + p_val) <= _TOL_HK * scale_p),
-            "closure": True,
-        }
-
+        report.entries[f"hp{i}"] = _entry(poisson_bracket(h, p[i], grid), expected_hp, tol_hp, closure=flat_v)
+        report.entries[f"hk_plus_p{i}"] = _entry(
+            poisson_bracket(h, k[i], grid) + p_val, 0.0, _TOL_HK * max(abs(p_val), 1.0))
         for jx in range(grid.dim):
-            k_j = generator_derivs(f"K{jx}", hydro, V, alpha, c, t)
-            pk = poisson_bracket(p_i, k_j, grid)
             central = -c.m * mass_integral if i == jx else 0.0
-            report.entries[f"pk_plus_m{i}{jx}"] = {
-                "value": pk - central,
-                "expected": 0.0,
-                "tolerance": _TOL_PK * max(c.m, 1.0),
-                "pass": bool(abs(pk - central) <= _TOL_PK * max(c.m, 1.0)),
-                "closure": True,
-            }
+            report.entries[f"pk_plus_m{i}{jx}"] = _entry(poisson_bracket(p[i], k[jx], grid) - central, 0.0, tol_pk)
     return report

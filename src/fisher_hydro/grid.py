@@ -39,7 +39,7 @@ class Grid:
     n: int
     length: float
     spacing: float = field(init=False)
-    wavenumbers: np.ndarray = field(init=False, repr=False)
+    wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "spacing", self.length / self.n)

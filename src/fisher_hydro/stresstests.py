@@ -46,6 +46,8 @@ class SuperpositionConfig:
     """The superposition suite's config: two coherent packets of width
     sigma = sqrt(hbar/(m omega)) in a harmonic trap, separation_sigmas >= 6
     sigma apart about the box center, on a base grid and the refined (2n, dt/2).
+    Each packet's density at the periodic seam x = +-L/2 must stay below
+    ROUNDOFF_FLOOR times its peak, so the box cuts off no packet.
     """
 
     n: int = 4096
@@ -62,6 +64,13 @@ class SuperpositionConfig:
     def __post_init__(self) -> None:
         if self.separation_sigmas < 6.0:
             raise ValueError("packets must start disjoint: separation_sigmas >= 6")
+        c = PhysicalConstants(self.hbar, self.mass)  # refuses hbar or mass <= 0 before they divide
+        sigma = math.sqrt(c.hbar / (c.m * self.omega))
+        seam = 0.5 * self.length / sigma - 0.5 * self.separation_sigmas  # from a centre to x = +-L/2
+        needed = math.sqrt(-math.log(ROUNDOFF_FLOOR))  # the density falls to ROUNDOFF_FLOOR of its peak
+        if seam < needed:
+            raise ValueError(f"packet centres sit {seam:.4g} sigma from the periodic seam, which cuts them off: "
+                             f"their density there exceeds ROUNDOFF_FLOOR times the peak within {needed:.4g} sigma")
 
     def grid(self, refined: bool = False) -> Grid:
         return make_grid(1, 2 * self.n if refined else self.n, self.length)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from fisher_hydro import EvolutionSpec, PhysicalConstants, evolve, make_grid, polar_compose, polar_decompose
+from fisher_hydro import EvolutionSpec, PhysicalConstants, brackets, evolve, make_grid, polar_compose, polar_decompose
 from fisher_hydro.brackets import (
     EdgeProximityError,
     FunctionalDerivs,
@@ -132,6 +132,8 @@ def test_bargmann_harmonic_potential_expected_nonclosure(grid1d_fine):
     assert not entry["closure"]
     assert abs(entry["value"] - entry["expected"]) <= 1e-8
     assert abs(entry["expected"]) > 1e-3  # displaced packet feels the trap
+    # an entry passes on |value - expected| <= tolerance, not on |value|
+    assert entry["pass"] and report.passed()
 
 
 def test_boost_generator_conserved():
@@ -169,17 +171,39 @@ def test_edge_proximity_refused(grid1d):
         generator_derivs("K0", hydro, np.zeros(grid1d.shape), C.alpha_star, C)
 
 
-def test_bargmann_closure_2d(grid2d):
-    # two-axis closure: {H,P_i} = 0, {H,K_i} = -P_i, {P_i,K_j} = -m delta_ij
-    xy = grid2d.coords()
+def boosted_2d_hydro(grid):
+    xy = grid.coords()
     x = xy[0] - 10.0
     y = xy[1] - 10.0
     rho = np.exp(-(x**2 + y**2) / 2.0)
-    rho /= integrate(rho, grid2d)
+    rho /= integrate(rho, grid)
     S = C.m * (0.7 * x - 0.4 * y)  # boosted along both axes
-    wf = polar_compose(rho, S, C.hbar, grid2d)
-    hydro = polar_decompose(wf, 1e-6, C)
+    return polar_decompose(polar_compose(rho, S, C.hbar, grid), 1e-6, C)
+
+
+def test_bargmann_closure_2d(grid2d):
+    # two-axis closure: {H,P_i} = 0, {H,K_i} = -P_i, {P_i,K_j} = -m delta_ij
+    hydro = boosted_2d_hydro(grid2d)
     report = bargmann_check(hydro, np.zeros(grid2d.shape), C.alpha_star, C)
     assert report.passed()
     assert set(report.entries) >= {"hp0", "hp1", "hk_plus_p0", "hk_plus_p1",
                                    "pk_plus_m00", "pk_plus_m01", "pk_plus_m10", "pk_plus_m11"}
+
+
+def test_bargmann_check_builds_each_generator_once(grid2d, monkeypatch):
+    # H's fields and value, and each P_i and K_i field, are built once per
+    # state; H's fields take no spectral gradient of rho, which they never read
+    hydro = boosted_2d_hydro(grid2d)
+    built, valued, rho_gradients = [], [], []
+    derivs, value, gradient = brackets.generator_derivs, brackets.generator_value, brackets.spectral_gradient
+    monkeypatch.setattr(brackets, "generator_derivs", lambda name, *a: built.append(name) or derivs(name, *a))
+    monkeypatch.setattr(brackets, "generator_value", lambda name, *a: valued.append(name) or value(name, *a))
+    monkeypatch.setattr(brackets, "spectral_gradient",
+                        lambda f, grid: rho_gradients.append(f is hydro.rho) or gradient(f, grid))
+    report = bargmann_check(hydro, np.zeros(grid2d.shape), C.alpha_star, C, t=0.3)
+    assert report.passed()
+    assert sorted(built) == ["H", "K0", "K1", "P0", "P1"]
+    assert sorted(valued) == ["H", "P0", "P1"]
+    rho_gradients.clear()
+    derivs("H", hydro, np.zeros(grid2d.shape), C.alpha_star, C)
+    assert rho_gradients == [False, False]  # d/dx j_x and d/dy j_y only

@@ -25,7 +25,10 @@ from fisher_hydro.cli import (
     run_all,
     run_one,
 )
-from fisher_hydro.propagate import NumericalAbort, evolve
+from fisher_hydro.fields import WaveField
+from fisher_hydro.functionals import shannon_entropy_rate
+from fisher_hydro.grid import make_grid
+from fisher_hydro.propagate import EvolutionSpec, NumericalAbort, Trajectory, evolve, evolve_density_diffusion
 
 
 def test_load_config_defaults():
@@ -281,8 +284,8 @@ def test_run_all_summary(tmp_path):
     verdict = json.loads((tmp_path / "out" / "galilei" / "galilei.verdict.json").read_text())
     assert list(verdict["thresholds"]) == ["bracket_gap_over_tolerance"]
     assert verdict["pass"] == galilei["pass"]
-    # superposition's own state threads nest inside the suite pool and leave
-    # its residuals as a serial run writes them
+    # run-all leaves superposition's residuals as a run of that suite alone
+    # writes them
     run_one("superposition", str(confdir / "superposition.json"), str(tmp_path / "serial"), {})
     serial = (tmp_path / "serial" / "superposition.csv").read_bytes()
     assert (tmp_path / "out" / "superposition" / "superposition.csv").read_bytes() == serial
@@ -431,6 +434,59 @@ def test_dg_entropy_at_zero_diffusion_is_a_config_error(tmp_path):
     assert (code, verdict) == (EXIT_CONFIG, None)
     assert _partial_verdict(tmp_path, "dg-entropy")["error"] == "dg-entropy needs diffusion > 0, got 0"
     assert not (tmp_path / "dg_entropy.csv").exists()
+
+
+def _unrelated_packet(grid, k, center, chirp):
+    """A chirped, modulated packet that no evolution made."""
+    x = grid.axes[0] - center
+    amp = (1.0 + 0.3 * np.cos(0.7 * x + k)) * np.exp(-(x**2) / (2.0 * (1.0 + 0.1 * k) ** 2))
+    return WaveField(grid, amp * np.exp(1j * (0.4 * k * x + chirp * x**2))).normalized()
+
+
+def test_model_derived_rows_pass_on_fields_no_dynamics_produced(tmp_path, monkeypatch):
+    # scan-alpha, continuity and complexifier take S_t and rho_t from the linear
+    # model at the config's hbar and m, not from the data: fed packets that no
+    # evolution made, every one of their rows still passes, and the rows say so
+    grid = make_grid(1, DEFAULTS["scan-alpha"]["n"], DEFAULTS["scan-alpha"]["length"])
+    snaps = [(0.2 * i, _unrelated_packet(grid, 0.1 * i, grid.length / 2 + 0.3 * i, 0.02 * (i - 9) + 0.01))
+             for i in range(19)]
+    traj = Trajectory(snaps, EvolutionSpec(dt=DEFAULTS["scan-alpha"]["dt"]))
+    monkeypatch.setattr(cli, "_table1_trajectory", lambda cfg, constants, D=0.0: (traj, np.zeros(grid.shape), grid))
+
+    def two_unrelated_fields(psi0, V, spec, constants):
+        return Trajectory([(0.0, psi0)] + [(t, _unrelated_packet(psi0.grid, k, 21.0, chirp))
+                                           for t, k, chirp in [(0.35, 1.0, 0.05), (0.7, 2.5, -0.03)]], spec)
+
+    monkeypatch.setattr(cli, "evolve", two_unrelated_fields)
+    model_rows = {"scan-alpha": {"argmin_tol", "min_r_hj_low", "min_r_hj_high", "mean_r_cont", "boundary"},
+                  "continuity": {"mean_r_cont"},
+                  "complexifier": {"argmin_polar_cell", "minimum_cells", "floor", "off_cell_wall"}}
+    for test, names in model_rows.items():
+        code, verdict = run_one(test, None, str(tmp_path), {})
+        assert code == EXIT_PASS and set(verdict.thresholds) >= names
+        assert all("model-derived" in verdict.thresholds[name]["source"] for name in names)
+    assert "model-derived" in dict((row[0], row[3]) for row in CHECKS["scan-alpha"])["argmin_refined_tol"]
+
+    # a D = 0 step adds 0 Lap rho: any density stays bit for bit, at entropy rate 0.0
+    rho = _unrelated_packet(make_grid(1, 512, 40.0), 1.0, 20.0, 0.05).density()
+    spec = EvolutionSpec(kind="density_diffusion", dt=0.01, t_final=0.3, record_stride=10, D=0.0)
+    rho_traj = evolve_density_diffusion(rho, spec, make_grid(1, 512, 40.0))
+    assert all(np.array_equal(r, rho) for _, r in rho_traj.snapshots)
+    assert np.all(shannon_entropy_rate(rho_traj)[1] == 0.0)
+    assert "an identity" in dict((row[0], row[3]) for row in CHECKS["dg-entropy"])["zero_diffusion_rate"]
+
+
+def test_time_reversal_at_zero_diffusion_is_a_config_error(tmp_path, monkeypatch):
+    # floor_ratio divides the diffusive defect by the D = 0 one, the same
+    # involution at D = 0: the run exits 2 before any evolution, with a partial
+    # verdict that names the setting, not 1 as if falsified
+    diffusions = []
+    monkeypatch.setattr(stresstests, "evolve", lambda psi0, V, spec, constants: diffusions.append(spec.D))
+    code, verdict = run_one("time-reversal", None, str(tmp_path), {"diffusion": 0.0})
+    assert (code, verdict) == (EXIT_CONFIG, None)
+    assert _partial_verdict(tmp_path, "time-reversal")["error"] == "time-reversal needs diffusion > 0, got 0"
+    assert not (tmp_path / "time_reversal.csv").exists()
+    assert diffusions == []
 
 
 @pytest.mark.parametrize("radius, side", [(10.0, 256), (12.0, 308)])

@@ -31,6 +31,15 @@ def test_make_grid_2d_for_vortex_tests():
     assert g.wavenumbers.shape == (256,)
 
 
+def test_grids_compare_and_hash_by_shape_and_length():
+    # the wavenumber array is derived from (dim, n, length) and takes no part
+    # in == or hash
+    a, b = make_grid(1, 512, 40.0), make_grid(1, 512, 40.0)
+    assert a == b and hash(a) == hash(b)
+    assert a != make_grid(1, 256, 40.0) and a != make_grid(1, 512, 20.0) and a != make_grid(2, 512, 40.0)
+    assert len({a, b, make_grid(2, 512, 40.0)}) == 2
+
+
 @pytest.mark.parametrize("bad_n", [15, 17, 100, 12])
 def test_make_grid_rejects_non_power_of_two(bad_n):
     with pytest.raises(ValueError):

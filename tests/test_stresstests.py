@@ -122,12 +122,19 @@ def test_beta_drops_split_at_the_plateau():
 
 
 def test_superposition_disjointness_enforced():
-    # packets 2 sigma apart overlap; 6 sigma is the smallest separation allowed
-    with pytest.raises(ValueError):
-        small_config(separation_sigmas=2.0)
-    with pytest.raises(ValueError):
-        small_config(separation_sigmas=5.999)
-    small_config(separation_sigmas=6.0)
+    # packets 2 sigma apart overlap; 6 sigma is the smallest separation allowed.
+    # The box cuts off a packet whose density at the periodic seam exceeds
+    # ROUNDOFF_FLOOR times its peak: a centre closer than sqrt(-ln 1e-13) =
+    # 5.47 sigma to x = +-L/2 (sigma = sqrt(5) here).
+    for kw in [{"separation_sigmas": 2.0}, {"separation_sigmas": 5.999}]:
+        with pytest.raises(ValueError, match="disjoint"):
+            small_config(**kw)
+    for kw in [{"separation_sigmas": 30.0}, {"separation_sigmas": 19.47}, {"length": 37.8}, {"omega": 0.02}]:
+        with pytest.raises(ValueError, match="periodic seam"):
+            small_config(**kw)
+    for kw in [{"separation_sigmas": 6.0}, {"separation_sigmas": 19.46}, {"length": 38.0}]:
+        small_config(**kw)
+    SuperpositionConfig()  # 12.2 sigma from the seam
 
 
 def _old_superposition_residual(config, beta, refined):
