@@ -108,7 +108,7 @@ def generator_derivs(
         for axis in range(grid.dim):
             div_j += spectral_gradient(hydro.j[axis], grid)[axis]
         deep = rho > ROUNDOFF_FLOOR * rho.max()
-        q = quantum_potential(rho, alpha, grid, deep, scheme="spectral")
+        q = quantum_potential(rho, alpha, grid, deep)
         d_rho = np.sum(grad_s**2, axis=0) / (2.0 * constants.m) + V + q
         return FunctionalDerivs(d_rho=d_rho, d_S=-div_j, label="H")
 

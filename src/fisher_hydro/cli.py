@@ -39,7 +39,6 @@ from .residuals import (
     continuity_residual,
     default_alpha_grid,
     eigen_coefficient_curve,
-    momentum_balance_residual,
     multi_mass_scan,
 )
 from .states import (
@@ -425,17 +424,12 @@ def run_scan_alpha(cfg: dict, outdir: str) -> tuple[dict, dict]:
     ratios = default_alpha_grid(cfg["alpha_min"], cfg["alpha_max"], cfg["alpha_steps"])
     result = alpha_scan(traj, V, ratios, constants, cfg["mask_eps"])
 
-    _, mid = traj.snapshots[len(traj.snapshots) // 2]
-    minus, plus = symmetric_pair(mid, V, traj.spec.dt, constants)
-    audit_star = momentum_balance_residual((minus, mid, plus), constants.alpha_star, constants, cfg["mask_eps"], V)
-
     measured = {
         "argmin": result.argmin,
         "argmin_grid": result.argmin_grid,
         "min_r_hj": result.min_value,
         "mean_r_cont": result.r_cont_mean,
         "boundary": result.boundary,
-        "momentum_audit_at_alpha_star": audit_star,
     }
     refined_gap = None
     if cfg.get("refine"):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, fd_gradient4, fd_laplacian4, spectral_gradient, spectral_laplacian
+from .grid import Grid, spectral_gradient, spectral_laplacian
 
 __all__ = [
     "PhysicalConstants",
@@ -163,36 +163,13 @@ def polar_decompose(
     return HydroFields(grid=grid, rho=rho, S=S, j=j, mask=mask)
 
 
-def quantum_potential(
-    rho: np.ndarray,
-    coeff: float,
-    grid: Grid,
-    mask: np.ndarray,
-    scheme: str = "spectral",
-) -> np.ndarray:
+def quantum_potential(rho: np.ndarray, coeff: float, grid: Grid, mask: np.ndarray) -> np.ndarray:
     """Masked Bohm potential -coeff * Delta sqrt(rho) / sqrt(rho); 0 off-mask.
 
-    The spectral scheme differentiates sqrt(rho) directly (half the dynamic
-    range of rho, so round-off at the mask edge stays small); it assumes a
-    node-free density.  The fd4 diagnostics scheme uses the square-root-free
-    form Delta rho/(2 rho) - |grad rho|^2/(4 rho^2), pointwise identical on
-    {rho > 0} and clean through nodes where sqrt(rho) has a kink.
+    Differentiates sqrt(rho) spectrally (half the dynamic range of rho, so
+    round-off at the mask edge stays small); it assumes a node-free density.
     """
-    rho = np.asarray(rho, dtype=float)
-    safe = mask & (rho > _RHO_GUARD)
-    if scheme == "spectral":
-        out = root_laplacian_quotient(np.sqrt(np.clip(rho, 0.0, None)), grid, safe)
-    elif scheme == "fd4":
-        lap = fd_laplacian4(rho, grid)
-        grad = fd_gradient4(rho, grid)
-        grad_sq = np.sum(grad**2, axis=0)
-        out = np.zeros_like(rho)
-        np.divide(lap, 2.0 * rho, out=out, where=safe)
-        tmp = np.zeros_like(rho)
-        np.divide(grad_sq, 4.0 * rho**2, out=tmp, where=safe)
-        out -= tmp
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    out = laplacian_quotient(rho, grid, mask)
     out *= -coeff
     out[~mask] = 0.0
     return out
@@ -207,9 +184,10 @@ def root_laplacian_quotient(root: np.ndarray, grid: Grid, where: np.ndarray) -> 
     return out
 
 
-def laplacian_quotient(rho: np.ndarray, grid: Grid, mask: np.ndarray, scheme: str = "spectral") -> np.ndarray:
-    """Delta sqrt(rho)/sqrt(rho) in the square-root-free form, masked."""
-    return quantum_potential(rho, -1.0, grid, mask, scheme=scheme)
+def laplacian_quotient(rho: np.ndarray, grid: Grid, mask: np.ndarray) -> np.ndarray:
+    """Spectral Delta sqrt(rho)/sqrt(rho) on the mask, 0 elsewhere."""
+    rho = np.asarray(rho, dtype=float)
+    return root_laplacian_quotient(np.sqrt(np.clip(rho, 0.0, None)), grid, mask & (rho > _RHO_GUARD))
 
 
 def phase_time_derivative(psi: WaveField, V: np.ndarray, constants: PhysicalConstants) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Periodic uniform grids with spectral and fourth-order finite-difference operators.
 
 Two independent discretisations live here on purpose: the spectral operators
-drive the propagators, while the 5-point fourth-order stencils are reserved for
-residual diagnostics, so a diagnostic never certifies the scheme that produced
-the data.
+drive the propagators, while the 5-point fourth-order gradient and divergence
+are reserved for residual diagnostics, so a diagnostic never certifies the
+discretisation that produced the data.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "spectral_gradient",
     "spectral_laplacian",
     "fd_gradient4",
-    "fd_laplacian4",
     "fd_divergence4",
     "integrate",
     "norm_l2",
@@ -163,22 +162,6 @@ def fd_gradient4(f: np.ndarray, grid: Grid) -> np.ndarray:
     """
     _check_shape(f, grid)
     return np.stack([_fd_axis_derivative(f, grid.spacing, ax) for ax in range(grid.dim)])
-
-
-def fd_laplacian4(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Fourth-order centered Laplacian on the same 5-point-per-axis footprint."""
-    _check_shape(f, grid)
-    h2 = grid.spacing**2
-    out = np.zeros_like(np.asarray(f))
-    for axis in range(grid.dim):
-        out = out + (
-            -np.roll(f, -2, axis=axis)
-            + 16.0 * np.roll(f, -1, axis=axis)
-            - 30.0 * f
-            + 16.0 * np.roll(f, 1, axis=axis)
-            - np.roll(f, 2, axis=axis)
-        ) / (12.0 * h2)
-    return out
 
 
 def fd_divergence4(vec: np.ndarray, grid: Grid) -> np.ndarray:

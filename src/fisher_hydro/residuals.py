@@ -1,5 +1,5 @@
-"""Operational falsifiers: continuity and Hamilton-Jacobi residuals, alpha scans,
-multi-mass scans, and the momentum-balance closure check.
+"""Operational falsifiers: continuity and Hamilton-Jacobi residuals, alpha scans
+and multi-mass scans.
 
 Both residuals are dimensionless masked quotients.  Numerators are exactly
 Galilean-invariant; the normalising denominators are evaluated in the frame
@@ -26,7 +26,7 @@ from .fields import (
     polar_decompose,
     root_laplacian_quotient,
 )
-from .grid import Grid, fd_divergence4, fd_gradient4, fd_laplacian4, integrate
+from .grid import Grid, fd_divergence4, fd_gradient4, integrate
 from .states import harmonic_potential, oscillator_energy, oscillator_state
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "hj_residual",
     "alpha_scan",
     "multi_mass_scan",
-    "momentum_balance_residual",
 ]
 
 
@@ -154,10 +153,7 @@ def _hj_parts(
     s_t = phase_time_derivative(wavefield, V, constants)
     grad_s = fd_gradient4(hydro.S, grid)
     kin = np.sum(grad_s**2, axis=0) / (2.0 * constants.m)
-    # the Laplacian quotient uses the spectral square-root route: the fd4
-    # square-root-free form is truncation-limited near the mask edge, well
-    # above the eigenstate floor this residual must resolve
-    qtilde = laplacian_quotient(hydro.rho, grid, hydro.mask, scheme="spectral")
+    qtilde = laplacian_quotient(hydro.rho, grid, hydro.mask)
 
     vbar = _mean_velocity(hydro)
     vb = vbar.reshape((-1,) + (1,) * grid.dim)
@@ -306,60 +302,3 @@ def multi_mass_scan(
         )
         results[m_i] = ScanResult.from_curve(c_grid, curve)
     return results
-
-
-def momentum_balance_residual(
-    snapshot_triple: tuple[WaveField, WaveField, WaveField],
-    alpha: float,
-    constants: PhysicalConstants,
-    eps_mask: float = DEFAULT_EPS_MASK,
-    V: np.ndarray | None = None,
-) -> float:
-    """Masked defect of d_t(rho v) + d_x Pi + (rho/m) d_x V - (rho/m)(alpha - alpha*) d_x(Lap sqrt rho / sqrt rho).
-
-    1D only.  Pi is the classical flux rho v^2 plus the standard quantum Cauchy
-    stress -(hbar^2/4m^2) rho d^2(ln rho)/dx^2, which carries the physical hbar;
-    the candidate alpha enters only the closure term, which vanishes identically
-    at alpha = alpha_star.
-    """
-    wf_minus, wf_center, wf_plus = snapshot_triple
-    grid = wf_center.grid
-    if grid.dim != 1:
-        raise ValueError("momentum balance check is 1D")
-    dt = 0.5 * (wf_plus.time - wf_minus.time)
-    c = constants
-    hydro = polar_decompose(wf_center, eps_mask, c)
-    mask = hydro.mask
-    if not mask.any():
-        raise EmptyMaskError("momentum balance: empty mask")
-
-    h_minus = polar_decompose(wf_minus, eps_mask, c)
-    h_plus = polar_decompose(wf_plus, eps_mask, c)
-    dj_dt = (h_plus.j[0] - h_minus.j[0]) / (2.0 * dt)
-
-    rho = hydro.rho
-    rho_x = fd_gradient4(rho, grid)[0]
-    rho_xx = fd_laplacian4(rho, grid)
-    v2rho = np.zeros_like(rho)
-    np.divide(hydro.j[0] ** 2, rho, out=v2rho, where=rho > 0)
-    grad_sq_over_rho = np.zeros_like(rho)
-    np.divide(rho_x**2, rho, out=grad_sq_over_rho, where=rho > 0)
-    quantum = (c.hbar**2 / (4.0 * c.m**2)) * (grad_sq_over_rho - rho_xx)
-    pi = v2rho + quantum
-    dpi = fd_gradient4(pi, grid)[0]
-
-    if V is None:
-        force = np.zeros_like(rho)
-    else:
-        force = (rho / c.m) * fd_gradient4(V, grid)[0]
-
-    qtilde = laplacian_quotient(rho, grid, mask, scheme="fd4")
-    closure = (rho / c.m) * (alpha - c.alpha_star) * fd_gradient4(qtilde, grid)[0]
-
-    resid = dj_dt + dpi + force - closure
-    num = masked_mean(resid**2, mask)
-    den = masked_mean(dj_dt**2 + dpi**2 + force**2 + closure**2, mask)
-    floor = (1e-12 * float(rho.max()) / dt) ** 2
-    if den <= floor:
-        return 0.0
-    return float(math.sqrt(num / den))

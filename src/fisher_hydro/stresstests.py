@@ -47,7 +47,8 @@ class SuperpositionConfig:
     sigma = sqrt(hbar/(m omega)) in a harmonic trap, separation_sigmas >= 6
     sigma apart about the box center, on a base grid and the refined (2n, dt/2).
     Each packet's density at the periodic seam x = +-L/2 must stay below
-    ROUNDOFF_FLOOR times its peak, so the box cuts off no packet.
+    ROUNDOFF_FLOOR times its peak, so the box cuts off no packet.  Every beta
+    is >= 0 and eps_reg > 0, as EvolutionSpec requires of its beta kick.
     """
 
     n: int = 4096
@@ -64,6 +65,9 @@ class SuperpositionConfig:
     def __post_init__(self) -> None:
         if self.separation_sigmas < 6.0:
             raise ValueError("packets must start disjoint: separation_sigmas >= 6")
+        if any(b < 0 for b in self.beta_list) or self.eps_reg <= 0:
+            raise ValueError(f"require beta >= 0, eps_reg > 0, got beta_list {list(self.beta_list)}, "
+                             f"eps_reg {self.eps_reg:g}")
         c = PhysicalConstants(self.hbar, self.mass)  # refuses hbar or mass <= 0 before they divide
         sigma = math.sqrt(c.hbar / (c.m * self.omega))
         seam = 0.5 * self.length / sigma - 0.5 * self.separation_sigmas  # from a centre to x = +-L/2
@@ -192,10 +196,14 @@ def complexifier_scan(
     The true hydrodynamic flow supplies the instantaneous rates rho_t = -div j
     and S_t = -Re(H psi/psi); the defect is the masked, normalised residual of
     i kappa d_t phi - (-(kappa^2/2m) Lap + V) phi.  Only the polar cell
-    (p, s) = (1/2, 1/hbar) linearises the flow.
+    (p, s) = (1/2, 1/hbar) linearises the flow among s > 0; every s must be
+    positive.
     """
     p_grid = np.asarray(p_grid, dtype=float)
     s_grid = np.asarray(s_grid, dtype=float)
+    if np.any(s_grid <= 0):
+        raise ValueError("s must be positive: kappa = 1/s, and s < 0 maps to the conjugate psi*, "
+                         "which linearises the time-reversed flow too")
     total = np.zeros((len(p_grid), len(s_grid)))
     den_floor = 0.0
 

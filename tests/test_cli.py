@@ -131,6 +131,7 @@ def test_scan_alpha_deterministic_artifacts(tmp_path):
     body2 = (out2 / "scan_alpha.csv").read_bytes()
     assert body1 == body2
     assert v1.measured == v2.measured
+    assert "momentum_audit_at_alpha_star" not in v1.measured
     # r_cont is alpha-independent: one value down the column, the verdict's mean
     col = [line.split(",")[2] for line in body1.decode().splitlines()[1:]]
     assert set(col) == {f"{v1.measured['mean_r_cont']:.17g}"}
@@ -520,6 +521,10 @@ def test_multi_mass_edge_minimum_fails_its_row(tmp_path):
     ("complexifier", {"omega": 0.0}),
     ("superposition", {"omega": 0.0}),
     ("galilei", {"dt": 0.0}),
+    ("superposition", {"eps_reg": 0.0}),
+    ("superposition", {"beta_list": [-0.01, 0.0, 0.005, 0.01, 0.02, 0.05]}),
+    ("complexifier", {"s_grid": [0.0, 0.8, 0.9, 1.0, 1.1, 1.25]}),
+    ("complexifier", {"s_grid": [-1.0, 0.8, 0.9, 1.0, 1.1, 1.25]}),
 ])
 def test_zero_divisor_is_a_config_error(tmp_path, test, user):
     # a config whose zero a runner divides by cannot be measured: exit 2 with

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from fisher_hydro import PhysicalConstants, make_grid, polar_compose, polar_decompose
-from fisher_hydro.fields import masked_mean, phase_time_derivative, quantum_potential, root_laplacian_quotient
+from fisher_hydro.fields import (
+    laplacian_quotient,
+    masked_mean,
+    phase_time_derivative,
+    quantum_potential,
+    root_laplacian_quotient,
+)
 from fisher_hydro.functionals import fisher_laplacian_quotient
-from fisher_hydro.grid import fd_gradient4, fd_laplacian4, integrate, spectral_laplacian
+from fisher_hydro.grid import integrate, spectral_laplacian
 from fisher_hydro.propagate import step_linear
 from fisher_hydro.residuals import eigen_coefficient_curve
 from fisher_hydro.states import (
@@ -100,14 +106,13 @@ def test_quantum_potential_uniform_is_zero(grid1d, constants):
     assert np.max(np.abs(q)) <= 1e-10
 
 
-# the fd4 diagnostics stencil is truncation-limited at the mask edge
-@pytest.mark.parametrize("scheme,tol", [("spectral", 1e-8), ("fd4", 2e-5)])
-def test_quantum_potential_gaussian_closed_form(grid1d_fine, constants, scheme, tol):
+@pytest.mark.parametrize("tol", [1e-8], ids=["spectral-1e-08"])
+def test_quantum_potential_gaussian_closed_form(grid1d_fine, constants, tol):
     sigma = 1.5
     rho = gaussian_rho(grid1d_fine, sigma=sigma)
     mask = rho > 1e-6 * rho.max()
     alpha = 0.37
-    q = quantum_potential(rho, alpha, grid1d_fine, mask, scheme=scheme)
+    q = quantum_potential(rho, alpha, grid1d_fine, mask)
     x = grid1d_fine.axes[0] - 20.0
     expected = alpha * (1.0 / sigma**2 - x**2 / sigma**4)
     assert np.max(np.abs(q - expected)[mask]) <= tol
@@ -221,17 +226,11 @@ def test_laplacian_quotients_keep_the_bits_of_the_inline_formulas(constants):
         assert np.array_equal(eigen_coefficient_curve(rho, root, V, 1.5, c_grid, 0.5, grid, mask), old_curve)
 
         sqrt_rho = np.sqrt(np.clip(rho, 0.0, None))
-        old_q = np.zeros_like(rho)
-        np.divide(spectral_laplacian(sqrt_rho, grid), sqrt_rho, out=old_q, where=mask & (rho > 1e-300))
+        old_lq = np.zeros_like(rho)
+        np.divide(spectral_laplacian(sqrt_rho, grid), sqrt_rho, out=old_lq, where=mask & (rho > 1e-300))
+        assert np.array_equal(laplacian_quotient(rho, grid, mask), old_lq)
+
+        old_q = old_lq.copy()
         old_q *= -0.5
         old_q[~mask] = 0.0
-        assert np.array_equal(quantum_potential(rho, 0.5, grid, mask, scheme="spectral"), old_q)
-
-        old_fd = np.zeros_like(rho)
-        np.divide(fd_laplacian4(rho, grid), 2.0 * rho, out=old_fd, where=mask & (rho > 1e-300))
-        tmp = np.zeros_like(rho)
-        np.divide(np.sum(fd_gradient4(rho, grid) ** 2, axis=0), 4.0 * rho**2, out=tmp, where=mask & (rho > 1e-300))
-        old_fd -= tmp
-        old_fd *= -0.5
-        old_fd[~mask] = 0.0
-        assert np.array_equal(quantum_potential(rho, 0.5, grid, mask, scheme="fd4"), old_fd)
+        assert np.array_equal(quantum_potential(rho, 0.5, grid, mask), old_q)

@@ -6,7 +6,6 @@ from fisher_hydro import make_grid
 from fisher_hydro.grid import (
     fd_divergence4,
     fd_gradient4,
-    fd_laplacian4,
     integrate,
     norm_l2,
     spectral_gradient,
@@ -126,7 +125,7 @@ def test_parseval(grid1d):
     assert abs(phys - spec) / phys <= 1e-12
 
 
-@pytest.mark.parametrize("op", [spectral_gradient, spectral_laplacian, fd_gradient4, fd_laplacian4])
+@pytest.mark.parametrize("op", [spectral_gradient, spectral_laplacian, fd_gradient4])
 def test_operators_linear(op, grid1d):
     r = np.random.default_rng(11)
     f = r.standard_normal(grid1d.shape)

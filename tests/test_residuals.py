@@ -1,10 +1,10 @@
-"""Continuity and HJ residual diagnostics, alpha scans, momentum balance."""
+"""Continuity and HJ residual diagnostics, alpha scans, multi-mass scans."""
 import math
 
 import numpy as np
 import pytest
 
-from fisher_hydro import EvolutionSpec, PhysicalConstants, evolve, make_grid, polar_compose
+from fisher_hydro import EvolutionSpec, PhysicalConstants, evolve, make_grid
 from fisher_hydro.fields import WaveField, laplacian_quotient, masked_mean, phase_time_derivative, polar_decompose
 from fisher_hydro.grid import fd_gradient4, integrate
 from fisher_hydro.propagate import step_linear, symmetric_pair
@@ -15,7 +15,6 @@ from fisher_hydro.residuals import (
     continuity_residual,
     default_alpha_grid,
     hj_residual,
-    momentum_balance_residual,
     multi_mass_scan,
     subtract_masked_mean,
 )
@@ -169,39 +168,6 @@ def test_multi_mass_miscalibrated_base(grid1d_fine):
     assert abs(results[1.0].argmin - 1.0 / 1.2) <= 0.01
 
 
-def momentum_triple(n=2048, dt_diag=2e-3):
-    grid = make_grid(1, n, 61.44)
-    psi = gaussian_packet(grid, grid.length / 2, 1.0, 0.0, C)
-    V = np.zeros(grid.shape)
-    spec = EvolutionSpec(kind="linear", dt=0.01, t_final=0.5, record_stride=50)
-    wf = evolve(psi, V, spec, C).snapshots[-1][1]
-    minus, plus = symmetric_pair(wf, V, dt_diag, C)
-    return (minus, wf, plus), grid
-
-
-def test_momentum_balance_floor_and_refinement():
-    triple, _ = momentum_triple(n=2048, dt_diag=2e-3)
-    r_base = momentum_balance_residual(triple, C.alpha_star, C)
-    assert r_base <= 1e-5
-    triple2, _ = momentum_triple(n=4096, dt_diag=5e-4)
-    r_fine = momentum_balance_residual(triple2, C.alpha_star, C)
-    assert r_base / r_fine >= 4.0
-
-
-def test_momentum_balance_uniform_state(grid1d):
-    rho = np.full(grid1d.shape, 1.0 / grid1d.length)
-    wf = polar_compose(rho, np.zeros(grid1d.shape), C.hbar, grid1d)
-    triple = (WaveField(grid1d, wf.values, -0.01), wf, WaveField(grid1d, wf.values, 0.01))
-    assert momentum_balance_residual(triple, C.alpha_star, C) == 0.0
-
-
-def test_momentum_balance_detects_wrong_alpha():
-    triple, _ = momentum_triple()
-    r_star = momentum_balance_residual(triple, C.alpha_star, C)
-    r_off = momentum_balance_residual(triple, 1.2 * C.alpha_star, C)
-    assert r_off >= 10.0 * r_star
-
-
 def test_alpha_scan_boundary_flagged():
     traj, V, grid = table1_trajectory(n=1024, t_final=0.6)
     shifted = np.linspace(1.2, 2.2, 21)  # true minimum sits below the window
@@ -224,7 +190,7 @@ def _hj_curve_per_alpha(wf, V, ratios, eps_mask=1e-6):
     s_t = phase_time_derivative(wf, V, C)
     grad_s = fd_gradient4(hydro.S, grid)
     kin = np.sum(grad_s**2, axis=0) / (2.0 * C.m)
-    qtilde = laplacian_quotient(hydro.rho, grid, hydro.mask, scheme="spectral")
+    qtilde = laplacian_quotient(hydro.rho, grid, hydro.mask)
     vbar = np.array([integrate(hydro.j[a], grid) for a in range(grid.dim)])
     vb = vbar.reshape((-1,) + (1,) * grid.dim)
     s_t_com = s_t + np.sum(vb * grad_s, axis=0) - 0.5 * C.m * float(np.sum(vbar**2))
