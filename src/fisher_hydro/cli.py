@@ -285,7 +285,7 @@ def evaluate_checks(test: str, values: dict) -> dict:
 def _environment() -> dict:
     """What a verdict ran on: Python, numpy, the FFT behind np.fft (numpy's
     own is pocketfft; a build that swaps in another names its module) and the
-    CPUs that superposition_residual may spread its states over."""
+    usable CPUs, which size superposition_curve's process pool."""
     module = np.fft.fft.__module__
     return {"python": platform.python_version(), "numpy": np.__version__,
             "fft_backend": "numpy.fft (pocketfft)" if module == "numpy.fft" else module,
@@ -688,9 +688,7 @@ def run_superposition(cfg: dict, outdir: str) -> tuple[dict, dict]:
     by_beta = {r["beta"]: r for r in rows}
     measured = {f"base_{r['beta']:g}": r["base"] for r in rows}
     measured.update({f"refined_{r['beta']:g}": r["refined"] for r in rows})
-    min_refinement_ratio = min(
-        r["refined"] / r["base"] for r in rows if r["beta"] > 0 and r["base"] > 0
-    )
+    min_refinement_ratio = min(r["refined"] / r["base"] for r in rows if r["beta"] > 0 and r["base"] > 0)
     measured["min_refinement_ratio"] = min_refinement_ratio
     drops = dict(zip(("monotone_in_beta", "plateau_jitter"), beta_drops(rows)))
     measured.update(drops)

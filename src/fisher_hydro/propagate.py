@@ -55,6 +55,9 @@ class _NonFinite(NumericalAbort):
         super().__init__(f"non-finite state after {steps} steps")
         self.steps = steps
 
+    def __reduce__(self):  # pickle rebuilds from steps, not from the message
+        return type(self), (self.steps,)
+
 
 @dataclass(frozen=True)
 class EvolutionSpec:
@@ -119,8 +122,7 @@ class _Work:
     real rho and scratch shaped like the stack of states, and its complex
     half spectrum.  The beta kick adds a half-spectrum gradient, a real
     second gradient component in 2D and its complex factor.  peak holds the
-    per-state max rho that the last kick read.  Each call builds its own, so
-    threads never share one."""
+    per-state max rho that the last kick read.  Each call builds its own."""
 
     def __init__(self, shape: tuple[int, ...], grid: Grid, beta: bool) -> None:
         half = shape[:-1] + (grid.n // 2 + 1,)

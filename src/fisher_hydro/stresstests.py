@@ -104,20 +104,13 @@ def projective_residual(a: np.ndarray, b: np.ndarray, grid: Grid) -> tuple[float
 
 
 def _usable_cpus() -> int:
-    """The process's CPU affinity set where the platform has one, else
-    os.cpu_count(), or 1 where that is unknown."""
+    """The size of the process's CPU affinity set, else os.cpu_count(), else 1."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def superposition_residual(config: SuperpositionConfig, beta: float, refined: bool = False) -> float:
     """Evolve psi1, psi2 separately and (psi1+psi2)/sqrt(2) jointly; return the
-    phase-optimised L2 distance between the joint state and the summed state.
-
-    The three states step on up to min(3, usable CPUs) threads, one
-    contiguous chunk of the batch each, with no setting; _usable_cpus counts
-    the CPUs.
-    Each state's kick reads only its own max rho, so a chunk steps bit for bit
-    as in the whole batch and the residual does not depend on the CPU count."""
+    phase-optimised L2 distance between the joint state and the summed state."""
     c = PhysicalConstants(config.hbar, config.mass)
     grid = config.grid(refined)
     dt = config.timestep(refined)
@@ -129,24 +122,31 @@ def superposition_residual(config: SuperpositionConfig, beta: float, refined: bo
     batch = np.stack([p1, p2, (p1 + p2) / np.sqrt(2.0)])
     batch /= np.sqrt(np.sum(np.abs(batch) ** 2, axis=-1, keepdims=True) * grid.cell_volume)
     n_steps = int(round(config.t_final / dt))
-    advance = _strang(V, grid, dt, c, "beta_nonlinear", beta=beta, eps_reg=config.eps_reg)
-    chunks = np.array_split(batch, min(len(batch), _usable_cpus()))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        out = np.concatenate(list(pool.map(lambda chunk: advance(chunk, n_steps), chunks)))
+    out = _strang(V, grid, dt, c, "beta_nonlinear", beta=beta, eps_reg=config.eps_reg)(batch, n_steps)
     residual, _ = projective_residual(out[2], out[0] + out[1], grid)
     return residual
 
 
+def _row(config: SuperpositionConfig, beta: float, refined: bool) -> float:
+    """superposition_residual by its global name, so that a forked worker runs what the parent had bound there."""
+    return superposition_residual(config, beta, refined)
+
+
 def superposition_curve(config: SuperpositionConfig) -> list[dict]:
-    """Residuals on base and refined grids, one row per coupling in ascending beta."""
-    return [
-        {
-            "beta": beta,
-            "base": superposition_residual(config, beta, refined=False),
-            "refined": superposition_residual(config, beta, refined=True),
-        }
-        for beta in sorted(config.beta_list)
-    ]
+    """Residuals on base and refined grids, one row per coupling in ascending beta.
+
+    The (beta, grid) calls run on min(calls, usable CPUs) forked processes, longest
+    first (refined grid, larger beta); each is one evolution in one process."""
+    import multiprocessing
+    calls = sorted(((refined, beta) for beta in config.beta_list for refined in (True, False)), reverse=True)
+    pool = concurrent.futures.ProcessPoolExecutor(min(len(calls), _usable_cpus()), multiprocessing.get_context("fork"))
+    try:
+        futures = {(beta, refined): pool.submit(_row, config, beta, refined) for refined, beta in calls}
+        residual = {key: future.result() for key, future in futures.items()}
+    finally:
+        pool.shutdown(cancel_futures=True)  # after an abort, no queued call runs
+    return [{"beta": beta, "base": residual[beta, False], "refined": residual[beta, True]}
+            for beta in sorted(config.beta_list)]
 
 
 # Two states are orthogonal to within the residual-overlap noise once the

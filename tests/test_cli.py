@@ -1,6 +1,7 @@
 """CLI surface: configs, exit codes, artefact determinism, verdict round-trip."""
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 
@@ -28,7 +29,14 @@ from fisher_hydro.cli import (
 from fisher_hydro.fields import WaveField
 from fisher_hydro.functionals import shannon_entropy_rate
 from fisher_hydro.grid import make_grid
-from fisher_hydro.propagate import EvolutionSpec, NumericalAbort, Trajectory, evolve, evolve_density_diffusion
+from fisher_hydro.propagate import (
+    EvolutionSpec,
+    NumericalAbort,
+    Trajectory,
+    _NonFinite,
+    evolve,
+    evolve_density_diffusion,
+)
 
 
 def test_load_config_defaults():
@@ -354,6 +362,36 @@ def test_superposition_falling_residual_fails_its_row(tmp_path, monkeypatch):
     assert payload["measured"]["plateau_jitter"] == pytest.approx(-0.01)
     body = (tmp_path / "superposition.csv").read_text().splitlines()
     assert [float(row.split(",")[1]) for row in body[1:]] == list(table.values())
+
+
+def test_superposition_abort_in_a_pooled_row(tmp_path, monkeypatch):
+    # the residual calls run in forked worker processes, which run what the
+    # parent bound to superposition_residual; a worker's abort reaches the
+    # partial verdict with its message, and no run leaves a worker behind
+    table = {0.0: 0.0, 0.005: 0.2, 0.01: 0.5, 0.02: 1.35, 0.05: 1.36}
+    monkeypatch.setattr(stresstests, "superposition_residual", lambda config, beta, refined=False: table[beta])
+    assert run_one("superposition", None, str(tmp_path / "pass"), {})[0] == EXIT_PASS
+    assert multiprocessing.active_children() == []
+
+    def abort(config, beta, refined=False):
+        if beta == 0.02:
+            raise NumericalAbort(f"aborted in process {os.getpid()}")
+        return table[beta]
+
+    monkeypatch.setattr(stresstests, "superposition_residual", abort)
+    assert run_one("superposition", None, str(tmp_path / "abort"), {}) == (EXIT_NUMERICAL, None)
+    error = _partial_verdict(tmp_path / "abort", "superposition")["error"]
+    assert error.startswith("aborted in process ") and int(error.split()[-1]) != os.getpid()
+    assert multiprocessing.active_children() == []
+
+    def blow_up(config, beta, refined=False):
+        raise _NonFinite(5)
+
+    # the stepper's own abort keeps its message through the pickle
+    monkeypatch.setattr(stresstests, "superposition_residual", blow_up)
+    assert run_one("superposition", None, str(tmp_path / "blow_up"), {}) == (EXIT_NUMERICAL, None)
+    assert _partial_verdict(tmp_path / "blow_up", "superposition")["error"] == "non-finite state after 5 steps"
+    assert multiprocessing.active_children() == []
 
 
 def test_superposition_beta_list_order_is_free(tmp_path):

@@ -1,5 +1,7 @@
 """Split-step propagators: unitarity, accuracy order, reversibility, DG and
 beta variants, and the density-level diffusion solver."""
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fisher_hydro.grid import integrate, norm_l2, spectral_gradient, spectral_la
 from fisher_hydro.propagate import (
     NumericalAbort,
     _dg_exponent,
+    _NonFinite,
     _phase_factor,
     _strang,
     _Work,
@@ -250,6 +253,20 @@ def test_dg_abort_states_diffusion_number(constants, record_stride):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericalAbort, match=r"^non-finite state at t=0\.03$"):
             evolve(psi, harmonic_potential(grid, 1.0, constants), spec, constants)
+
+
+def test_non_finite_abort_survives_pickling(constants):
+    # a worker process hands its exception back pickled: the round trip must
+    # keep the class, steps and the message
+    grid = make_grid(1, 16384, 40.0)
+    psi = gaussian_packet(grid, 20.0, 1.0, 0.3, constants)
+    advance = _strang(harmonic_potential(grid, 1.0, constants), grid, 0.01, constants, "dg_diffusion", D=0.05)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(_NonFinite) as raised:
+        advance(psi.values, 10)
+    back = pickle.loads(pickle.dumps(raised.value))
+    assert type(back) is _NonFinite and isinstance(back, NumericalAbort)
+    assert back.steps == raised.value.steps == 3
+    assert str(back) == str(raised.value) == "non-finite state after 3 steps"
 
 
 def test_spec_validation():

@@ -1,6 +1,7 @@
 """Superposition, complexifier rigidity, time reversal, circulation."""
 import dataclasses
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -16,6 +17,7 @@ from fisher_hydro.stresstests import (
     circulation,
     complexifier_scan,
     projective_residual,
+    superposition_curve,
     superposition_residual,
     time_reversal_defect,
 )
@@ -43,49 +45,53 @@ def test_superposition_beta_turns_on_residual():
     assert r1 > 1e-3 > r0
 
 
-def test_superposition_residual_independent_of_cpu_count(monkeypatch):
-    # superposition_residual steps its three states in min(3, usable CPUs)
-    # contiguous chunks on threads.  Each state's kick reads only its own max
-    # rho, so every split gives the residual of one advance of the whole batch.
+def test_superposition_curve_independent_of_cpu_count(monkeypatch):
+    # superposition_curve runs its (beta, grid) calls on min(calls, usable
+    # CPUs) forked processes, and each call steps its three states in one
+    # advance of the whole batch, so every pool gives the rows of serial
+    # superposition_residual calls bit for bit.
+    import concurrent.futures
+
     from fisher_hydro import stresstests
 
     strang = stresstests._strang
-    calls = []
+    advances, pools = [], []
 
     def spy(*args, **kwargs):
         advance = strang(*args, **kwargs)
 
         def recorded(values, n_steps):
-            calls.append(values.shape[0])
+            advances.append(values.shape[0])
             return advance(values, n_steps)
         return recorded
 
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context):
+            pools.append((max_workers, mp_context.get_start_method()))
+            super().__init__(max_workers, mp_context)
+
     monkeypatch.setattr(stresstests, "_strang", spy)
-    cfg = small_config(n=512, t_final=0.2)
-    sigma = np.sqrt(C.hbar / (C.m * cfg.omega))
-    for beta in (0.0, 0.02):
-        for refined in (False, True):
-            grid, dt = cfg.grid(refined), cfg.timestep(refined)
-            V = harmonic_potential(grid, cfg.omega, C)
-            p1 = stresstests._packet(grid, -3.0 * sigma, sigma)
-            p2 = stresstests._packet(grid, 3.0 * sigma, sigma)
-            batch = np.stack([p1, p2, (p1 + p2) / np.sqrt(2.0)])
-            batch /= np.sqrt(np.sum(np.abs(batch) ** 2, axis=-1, keepdims=True) * grid.cell_volume)
-            whole = strang(V, grid, dt, C, "beta_nonlinear", beta=beta, eps_reg=cfg.eps_reg)(
-                batch, int(round(cfg.t_final / dt)))
-            expected, _ = projective_residual(whole[2], whole[0] + whole[1], grid)
-            for cpus, rows in ((1, [3]), (2, [2, 1]), (3, [1, 1, 1])):
-                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
-                calls.clear()
-                assert superposition_residual(cfg, beta, refined=refined) == expected
-                assert sorted(calls, reverse=True) == rows
-            # without sched_getaffinity (off Linux) os.cpu_count() counts, or 1 where it is unknown
-            monkeypatch.delattr(os, "sched_getaffinity")
-            for cpus, rows in ((2, [2, 1]), (None, [3])):
-                monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
-                calls.clear()
-                assert superposition_residual(cfg, beta, refined=refined) == expected
-                assert sorted(calls, reverse=True) == rows
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    cfg = small_config(n=512, t_final=0.2, beta_list=(0.02, 0.0))
+    expected = [(beta, superposition_residual(cfg, beta).hex(), superposition_residual(cfg, beta, refined=True).hex())
+                for beta in (0.0, 0.02)]
+    assert advances == [3, 3, 3, 3]
+
+    def check(cpus):
+        pools.clear()
+        rows = superposition_curve(cfg)
+        assert [(r["beta"], r["base"].hex(), r["refined"].hex()) for r in rows] == expected
+        assert pools == [(min(4, cpus), "fork")]
+        assert multiprocessing.active_children() == []
+
+    for cpus in (1, 2, 3, 5):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        check(cpus)
+    # without sched_getaffinity (off Linux) os.cpu_count() counts, or 1 where it is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for cpus in (2, None):
+        monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+        check(cpus or 1)
 
 
 def test_superposition_degenerate_inputs_zero_residual(grid1d):
