@@ -10,19 +10,19 @@ into the state, and the kicks into work arrays built once per call, so a
 step allocates no array of the stack's size: with glibc's allocator, fresh
 temporaries of that size cost a page fault per page on every step.  The
 kicks transform the real density rho = |psi|^2 on its half spectrum
-(np.fft.rfft over the last grid axis).
+(np.fft.rfft over the last grid axis), where the density-level diffusion is
+solved exactly, with no time step.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import PhysicalConstants, WaveField
-from .grid import Grid, spectral_laplacian
+from .grid import Grid
 
 __all__ = [
     "EvolutionSpec",
@@ -134,15 +134,20 @@ class _Work:
         self.peak = None
 
 
-def _density_spectrum(values: np.ndarray, grid: Grid, work: _Work) -> tuple[np.ndarray, np.ndarray]:
-    """rho = |values|^2 in work.rho and its half spectrum in work.spectrum,
-    transformed in the order of np.fft.rfftn: rfft over the last grid axis,
-    then fft over the first in 2D."""
-    rho = np.add(np.square(values.real, out=work.rho), np.square(values.imag, out=work.real), out=work.rho)
-    np.fft.rfft(rho, axis=-1, out=work.spectrum)
+def _half_spectrum(rho: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """The half spectrum of a real field, in out if given, transformed in the
+    order of np.fft.rfftn: rfft over the last grid axis, then fft over the
+    first in 2D."""
+    out = np.fft.rfft(rho, axis=-1, out=out)
     for axis in _grid_axes(grid)[-2::-1]:
-        np.fft.fft(work.spectrum, axis=axis, out=work.spectrum)
-    return rho, work.spectrum
+        np.fft.fft(out, axis=axis, out=out)
+    return out
+
+
+def _density_spectrum(values: np.ndarray, grid: Grid, work: _Work) -> tuple[np.ndarray, np.ndarray]:
+    """rho = |values|^2 in work.rho and its half spectrum in work.spectrum."""
+    rho = np.add(np.square(values.real, out=work.rho), np.square(values.imag, out=work.real), out=work.rho)
+    return rho, _half_spectrum(rho, grid, work.spectrum)
 
 
 def _real_inverse(spectrum: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
@@ -343,46 +348,32 @@ def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: Physi
     return Trajectory(snapshots, spec)
 
 
-def symmetric_pair(
-    psi: WaveField,
-    V: np.ndarray,
-    dt: float,
-    constants: PhysicalConstants,
-    kind: str = "linear",
-    D: float = 0.0,
-) -> tuple[WaveField, WaveField]:
-    """Single backward/forward steps (t-dt, t+dt) for centered time stencils.
+def symmetric_pair(psi: WaveField, V: np.ndarray, spec: EvolutionSpec,
+                   constants: PhysicalConstants) -> tuple[WaveField, WaveField]:
+    """Single steps of spec's flow, its kind and couplings, back and forward
+    by spec.dt (t - dt, t + dt), for centered time stencils.
 
     Produced fresh at diagnostic time rather than from stored history, so the
     stencil spacing is independent of the snapshot stride.
     """
-    if kind not in ("linear", "dg_diffusion"):
-        raise ValueError(f"no symmetric pair for kind {kind!r}")
-    return _step(psi, V, -dt, constants, kind, D=D), _step(psi, V, dt, constants, kind, D=D)
+    coupling = {"D": spec.D, "beta": spec.beta, "eps_reg": spec.eps_reg}
+    return tuple(_step(psi, V, dt, constants, spec.kind, **coupling) for dt in (-spec.dt, spec.dt))
 
 
 def evolve_density_diffusion(rho0: np.ndarray, spec: EvolutionSpec, grid: Grid) -> DensityTrajectory:
-    """Explicit RK4 for rho_t = D Lap rho with spectral derivatives, D = spec.D.
+    """The exact flow of rho_t = D Lap rho with the spectral Laplacian, D = spec.D.
 
-    Warns when dt * D / h^2 exceeds 0.25.  Aborts with NumericalAbort at the
-    first step whose density sums to a non-finite value, naming dt*D/h^2.
+    The flow is diagonal on the half spectrum: rho(t) = rho0 +
+    F^-1[expm1(-D k^2 t) F rho0], finite and of rho0's mass for any
+    dt * D / h^2, and rho0 bit for bit at D = 0, since expm1(0) = 0.
+    Snapshots sit every record_stride steps of spec.dt and at the last step,
+    stamped step * dt.
     """
-    D = spec.D
-    diffusion_number = spec.dt * D / grid.spacing**2
-    if diffusion_number > 0.25:
-        warnings.warn(f"dt*D/h^2 = {diffusion_number:.3f} > 0.25: explicit step may be unstable", RuntimeWarning)
-    rho = np.array(rho0, dtype=float)
-    snapshots = [(0.0, rho.copy())]
-    dt = spec.dt
-    for step in range(1, spec.n_steps + 1):
-        k1 = D * spectral_laplacian(rho, grid)
-        k2 = D * spectral_laplacian(rho + 0.5 * dt * k1, grid)
-        k3 = D * spectral_laplacian(rho + 0.5 * dt * k2, grid)
-        k4 = D * spectral_laplacian(rho + dt * k3, grid)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # a NaN or infinite entry makes the sum non-finite, with no array of the grid's size
-        if not math.isfinite(rho.sum()):
-            raise NumericalAbort(f"non-finite density at t={step * dt:g} (dt*D/h^2 = {diffusion_number:.3g})")
-        if step % spec.record_stride == 0 or step == spec.n_steps:
-            snapshots.append((step * dt, rho.copy()))
+    rho0 = np.array(rho0, dtype=float)
+    rho_hat, neg_k2 = _half_spectrum(rho0, grid), -grid._k2[..., : grid.n // 2 + 1]
+    snapshots = []
+    for step in sorted({*range(0, spec.n_steps, spec.record_stride), spec.n_steps}):
+        t = step * spec.dt
+        change = np.multiply(np.expm1(np.multiply(spec.D * t, neg_k2)), rho_hat)
+        snapshots.append((t, rho0 + _real_inverse(change, grid, np.empty_like(rho0))))
     return DensityTrajectory(snapshots, spec, grid)

@@ -27,11 +27,13 @@ from .fields import (
     root_laplacian_quotient,
 )
 from .grid import Grid, fd_divergence4, fd_gradient4, integrate
+from .propagate import symmetric_pair
 from .states import harmonic_potential, oscillator_energy, oscillator_state
 
 __all__ = [
     "ScanResult",
     "continuity_residual",
+    "continuity_curve",
     "hj_residual",
     "alpha_scan",
     "multi_mass_scan",
@@ -139,6 +141,20 @@ def continuity_residual(
     return float(num / den)
 
 
+def continuity_curve(trajectory, V: np.ndarray, constants: PhysicalConstants,
+                     eps_mask: float = DEFAULT_EPS_MASK) -> list[float]:
+    """continuity_residual at each interior snapshot, its centered pair one
+    step back and forward of the trajectory's own flow (symmetric_pair)."""
+    interior = trajectory.snapshots[1:-1]
+    if not interior:
+        raise ValueError("trajectory has no interior snapshots")
+    residuals = []
+    for _, wf in interior:
+        minus, plus = symmetric_pair(wf, V, trajectory.spec, constants)
+        residuals.append(continuity_residual((minus, wf, plus), constants, eps_mask))
+    return residuals
+
+
 def _hj_parts(
     wavefield: WaveField,
     V: np.ndarray,
@@ -216,35 +232,23 @@ def alpha_scan(
     """Time-averaged HJ residual per alpha over interior snapshots.
 
     alpha_grid is in units of alpha/alpha_star, strictly increasing, covering
-    at least [0.5, 1.5].  r_cont is alpha-independent and averaged once; its
-    centered pair is single linear steps at the trajectory's own dt.
+    at least [0.5, 1.5].  r_cont is alpha-independent: the mean of
+    continuity_curve, whose centered pairs step the trajectory's own flow.
     """
-    from .propagate import symmetric_pair
-
     ratios = np.asarray(alpha_grid, dtype=float)
     if len(ratios) < 21:
         raise ValueError("alpha grid must have at least 21 points")
     if np.any(np.diff(ratios) <= 0):
         raise ValueError("alpha grid must be strictly increasing")
 
-    interior = trajectory.snapshots[1:-1]
-    if not interior:
-        raise ValueError("trajectory has no interior snapshots")
-    dt = trajectory.spec.dt
-
+    r_conts = continuity_curve(trajectory, V, constants, eps_mask)
     curves = []
-    r_conts = []
     alpha_star = constants.alpha_star
-    for _, wf in interior:
+    for _, wf in trajectory.snapshots[1:-1]:
         parts = _hj_parts(wf, V, constants, eps_mask)
         curves.append([_hj_from_parts(parts, r * alpha_star) for r in ratios])
-        minus, plus = symmetric_pair(wf, V, dt, constants)
-        r_conts.append(continuity_residual((minus, wf, plus), constants, eps_mask))
-
     curve = np.array([math.fsum(col) / len(curves) for col in zip(*curves)])
-    r_cont_mean = math.fsum(r_conts) / len(r_conts)
-
-    return ScanResult.from_curve(ratios, curve, r_cont_mean)
+    return ScanResult.from_curve(ratios, curve, math.fsum(r_conts) / len(r_conts))
 
 
 def eigen_coefficient_curve(

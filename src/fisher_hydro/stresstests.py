@@ -283,21 +283,6 @@ def time_reversal_defect(
     return defect, defect if D == 0.0 else run(0.0)
 
 
-def _loop_cells(i0: int, j0: int, radius_cells: int, n: int) -> list[tuple[int, int]]:
-    """Counterclockwise square lattice loop centered on (i0, j0)."""
-    r = radius_cells
-    cells = []
-    for dj in range(-r, r):
-        cells.append(((i0 + r) % n, (j0 + dj) % n))
-    for di in range(r, -r, -1):
-        cells.append(((i0 + di) % n, (j0 + r) % n))
-    for dj in range(r, -r, -1):
-        cells.append(((i0 - r) % n, (j0 + dj) % n))
-    for di in range(-r, r):
-        cells.append(((i0 + di) % n, (j0 - r) % n))
-    return cells
-
-
 def circulation(
     psi2d: WaveField,
     loop_radius: float,
@@ -327,23 +312,21 @@ def circulation(
         raise ValueError(f"loop of {2 * r_cells} cells a side (loop_radius {loop_radius:g}) does not fit "
                          f"inside the periodic box of {grid.n} cells")
 
-    values = psi2d.values
-    rho = psi2d.density()
-    rho_floor = eps_mask * float(rho.max())
-    cells = _loop_cells(i0, j0, r_cells, grid.n)
-    path = np.array([values[c] for c in cells] + [values[cells[0]]])
-    if np.any(np.abs(path) ** 2 <= rho_floor):
+    # One gather: the block's boundary, counterclockwise from (i0 + r, j0 - r)
+    # and closed on that cell, is the loop.  np.multiply keeps the operand
+    # order, which `*` on a large temporary may swap: a complex product is
+    # not bitwise commutative.
+    span = (np.arange(-r_cells, r_cells + 1) + np.array([[i0], [j0]])) % grid.n
+    block = psi2d.values[np.ix_(span[0], span[1])]
+    path = np.concatenate([block[-1, :-1], block[:0:-1, -1], block[0, :0:-1], block[:-1, 0], block[-1:, 0]])
+    if np.any(np.abs(path) ** 2 <= eps_mask * float(psi2d.density().max())):
         raise LoopThroughNodeError("loop intersects the masked nodal region")
-    increments = np.angle(path[1:] * np.conj(path[:-1]))
-    line_value = constants.hbar * float(np.sum(increments))
+    line_value = constants.hbar * float(np.sum(np.angle(np.multiply(path[1:], np.conj(path[:-1])))))
 
     # Each enclosed plaquette's winding sums its four edge increments,
     # counterclockwise from its lower-left corner; the windings are added one
     # by one in row-major order (np.sum or math.fsum over all of them would
-    # reorder that sum).  np.multiply keeps the operand order, which `*` on a
-    # large temporary may swap: a complex product is not bitwise commutative.
-    span = (np.arange(-r_cells, r_cells + 1) + np.array([[i0], [j0]])) % grid.n
-    block = values[np.ix_(span[0], span[1])]
+    # reorder that sum).
     corners = np.stack([block[:-1, :-1], block[1:, :-1], block[1:, 1:], block[:-1, 1:], block[:-1, :-1]])
     windings = np.sum(np.angle(np.multiply(corners[1:], np.conj(corners[:-1]))), axis=0)
     area_sum = 0.0

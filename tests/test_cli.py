@@ -99,6 +99,27 @@ def test_load_config_rejects_empty_lists(tmp_path):
         assert not (tmp_path / "out").exists()
 
 
+_LIST_KEYS = [(test, key) for test, defaults in DEFAULTS.items() for key, value in defaults.items()
+              if isinstance(value, list)]
+
+
+@pytest.mark.parametrize("test, key", _LIST_KEYS)
+def test_load_config_rejects_repeated_list_values(tmp_path, test, key):
+    # a repeated entry would run a row twice or, for the complexifier's p_grid
+    # with 0.5 twice, read as two minimum cells (exit 1); 0 and 0.0 are one value
+    default = DEFAULTS[test][key]
+    middle = len(default) // 2
+    repeats = [default[:middle + 1] + default[middle:]]
+    repeats += [default + [int(v)] for v in default if isinstance(v, float) and v.is_integer()][:1]
+    path = tmp_path / "repeat.json"
+    for value in repeats:
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=f"config key '{key}' repeats a value"):
+            load_config(test, str(path), {})
+        assert main([test, "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("test, key", [("dg-entropy", "mask_eps"), ("time-reversal", "mask_eps"),
                                        ("galilei", "mask_eps"), ("circulation", "mass"),
                                        ("scan-alpha", "forced_alpha_ratio")])
@@ -407,16 +428,18 @@ def test_superposition_beta_list_order_is_free(tmp_path):
 
 
 def test_runner_value_error_writes_partial_verdict(tmp_path):
-    # t_final 0.2 leaves the alpha scan no interior snapshot: alpha_scan raises ValueError
+    # t_final 0.2 leaves the alpha scan and the continuity curve no interior
+    # snapshot: continuity_curve raises ValueError
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"n": 1024, "t_final": 0.2}))
-    code, verdict = run_one("scan-alpha", str(p), str(tmp_path), {})
-    assert (code, verdict) == (EXIT_CONFIG, None)
-    payload = _partial_verdict(tmp_path, "scan-alpha")
-    assert payload["exit_code"] == EXIT_CONFIG
-    assert payload["error"] == "trajectory has no interior snapshots"
-    assert payload["config"]["t_final"] == 0.2
-    assert main(["scan-alpha", "--config", str(p), "--out", str(tmp_path / "main")]) == EXIT_CONFIG
+    for test in ("scan-alpha", "continuity"):
+        code, verdict = run_one(test, str(p), str(tmp_path), {})
+        assert (code, verdict) == (EXIT_CONFIG, None)
+        payload = _partial_verdict(tmp_path, test)
+        assert payload["exit_code"] == EXIT_CONFIG
+        assert payload["error"] == "trajectory has no interior snapshots"
+        assert payload["config"]["t_final"] == 0.2
+        assert main([test, "--config", str(p), "--out", str(tmp_path / "main")]) == EXIT_CONFIG
 
 
 def test_numerical_abort_writes_partial_verdict(tmp_path, monkeypatch, capsys):
@@ -458,12 +481,12 @@ def test_time_reversal_verdict_makes_four_evolutions(tmp_path, monkeypatch):
 
 
 def test_density_diffusion_aborts_at_first_non_finite_step(tmp_path):
-    # the first non-finite step is at t = 0.33, not the next snapshot at t = 0.4
-    with pytest.warns(RuntimeWarning) as caught:
+    # at D = 40 (dt*D/h^2 = 65.5) the exact density flow stays finite, and
+    # dg-entropy aborts in its DG wavefunction run, at that run's first step
+    with np.errstate(over="ignore", invalid="ignore"):
         code, verdict = run_one("dg-entropy", None, str(tmp_path), {"diffusion": 40.0})
-    assert "dt*D/h^2 = 65.536 > 0.25: explicit step may be unstable" in [str(w.message) for w in caught]
     assert (code, verdict) == (EXIT_NUMERICAL, None)
-    assert _partial_verdict(tmp_path, "dg-entropy")["error"] == "non-finite density at t=0.33 (dt*D/h^2 = 65.5)"
+    assert _partial_verdict(tmp_path, "dg-entropy")["error"] == "non-finite state at t=0.01"
 
 
 def test_dg_entropy_at_zero_diffusion_is_a_config_error(tmp_path):
@@ -506,7 +529,7 @@ def test_model_derived_rows_pass_on_fields_no_dynamics_produced(tmp_path, monkey
         assert all("model-derived" in verdict.thresholds[name]["source"] for name in names)
     assert "model-derived" in dict((row[0], row[3]) for row in CHECKS["scan-alpha"])["argmin_refined_tol"]
 
-    # a D = 0 step adds 0 Lap rho: any density stays bit for bit, at entropy rate 0.0
+    # the D = 0 flow adds expm1(0) = 0: any density stays bit for bit, at entropy rate 0.0
     rho = _unrelated_packet(make_grid(1, 512, 40.0), 1.0, 20.0, 0.05).density()
     spec = EvolutionSpec(kind="density_diffusion", dt=0.01, t_final=0.3, record_stride=10, D=0.0)
     rho_traj = evolve_density_diffusion(rho, spec, make_grid(1, 512, 40.0))

@@ -1,6 +1,7 @@
 """Split-step propagators: unitarity, accuracy order, reversibility, DG and
 beta variants, and the density-level diffusion solver."""
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ def test_dg_matches_pde_under_refinement(constants):
     wf = evolve(psi, V, spec, constants).snapshots[-1][1]
 
     def pde_residual(dt_diag):
-        minus, plus = symmetric_pair(wf, V, dt_diag, constants, kind="dg_diffusion", D=D)
+        minus, plus = symmetric_pair(wf, V, replace(spec, dt=dt_diag), constants)
         rho_t = (plus.density() - minus.density()) / (2 * dt_diag)
         hydro = polar_decompose(wf, 1e-6, constants)
         div_j = spectral_gradient(hydro.j[0], grid)[0]
@@ -316,12 +317,36 @@ def test_density_diffusion_entropy_monotone(grid1d):
     assert all(b > a for a, b in zip(entropies, entropies[1:]))
 
 
-def test_density_diffusion_cfl_warning():
-    grid = make_grid(1, 64, 4.0)
-    rho0 = np.full(grid.shape, 1.0 / grid.length)
-    spec = EvolutionSpec(kind="density_diffusion", dt=0.05, t_final=0.1, record_stride=1, D=0.05)
-    with pytest.warns(RuntimeWarning):
-        evolve_density_diffusion(rho0, spec, grid)
+def test_density_diffusion_is_exact_far_past_the_explicit_limit(grid1d):
+    # dt*D/h^2 = 8.2, 33 times an explicit stepper's 0.25: the exact flow stays
+    # finite, keeps its mass and spreads as the heat kernel, sigma0^2 + 2 D t;
+    # at t = 2 the packet's width is 2.2, clear of the seam 20 away
+    x = grid1d.axes[0]
+    rho0 = np.exp(-((x - 20.0) ** 2) / 2.0)
+    rho0 /= integrate(rho0, grid1d)
+    D = 1.0
+    spec = EvolutionSpec(kind="density_diffusion", dt=0.05, t_final=2.0, record_stride=8, D=D)
+    assert spec.dt * D / grid1d.spacing**2 > 8.0
+    traj = evolve_density_diffusion(rho0, spec, grid1d)
+    assert [t for t, _ in traj.snapshots] == [k * spec.dt for k in (0, 8, 16, 24, 32, 40)]
+    for t, rho in traj.snapshots:
+        assert np.all(np.isfinite(rho))
+        mass = integrate(rho, grid1d)
+        assert abs(mass - 1.0) <= 1e-12
+        mean = integrate(rho * x, grid1d) / mass
+        var = integrate(rho * (x - mean) ** 2, grid1d) / mass
+        assert abs(var - (1.0 + 2.0 * D * t)) <= 1e-12 * (1.0 + 2.0 * D * t)
+
+
+def test_symmetric_pair_steps_the_beta_flow(grid1d, constants):
+    # a beta trajectory's centred pair is step_beta at -dt and +dt, bit for bit
+    psi = gaussian_packet(grid1d, 20.0, 1.0, 0.3, constants)
+    V = harmonic_potential(grid1d, 1.0, constants)
+    spec = EvolutionSpec(kind="beta_nonlinear", dt=0.01, beta=0.02, eps_reg=1e-4)
+    minus, plus = symmetric_pair(psi, V, spec, constants)
+    for wf, dt in ((minus, -spec.dt), (plus, spec.dt)):
+        assert np.array_equal(wf.values, step_beta(psi, V, dt, spec.beta, spec.eps_reg, constants).values)
+    assert not np.array_equal(plus.values, step_linear(psi, V, spec.dt, constants).values)
 
 
 def test_trajectory_times_strictly_increasing(grid1d, constants):
@@ -401,6 +426,6 @@ def test_in_place_kernel_never_aliases(kind, grid_name, stride, request, constan
     for step in (lambda: step_linear(psi0, V, 0.01, constants),
                  lambda: step_dg(psi0, V, 0.01, 0.05, constants),
                  lambda: step_beta(psi0, V, 0.01, 0.02, 1e-6, constants),
-                 lambda: symmetric_pair(psi0, V, 0.01, constants, "dg_diffusion", D=0.05)):
+                 lambda: symmetric_pair(psi0, V, spec, constants)):
         step()
         assert np.array_equal(psi0.values, kept)

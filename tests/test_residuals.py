@@ -12,6 +12,7 @@ from fisher_hydro.residuals import (
     _hj_from_parts,
     _hj_parts,
     alpha_scan,
+    continuity_curve,
     continuity_residual,
     default_alpha_grid,
     hj_residual,
@@ -57,7 +58,7 @@ def test_continuity_stationary_state_at_floor(grid1d):
 def test_continuity_free_packet_floor():
     traj, V, grid = table1_trajectory()
     _, wf = traj.snapshots[len(traj.snapshots) // 2]
-    minus, plus = symmetric_pair(wf, V, traj.spec.dt, C)
+    minus, plus = symmetric_pair(wf, V, traj.spec, C)
     rc = continuity_residual((minus, wf, plus), C)
     assert rc <= 1e-6
 
@@ -69,7 +70,7 @@ def test_continuity_rises_under_diffusion():
     spec = EvolutionSpec(kind="dg_diffusion", dt=0.005, t_final=0.5, record_stride=50, D=0.05)
     traj = evolve(psi, V, spec, C)
     _, wf = traj.snapshots[-1]
-    minus, plus = symmetric_pair(wf, V, spec.dt, C, kind="dg_diffusion", D=0.05)
+    minus, plus = symmetric_pair(wf, V, spec, C)
     rc = continuity_residual((minus, wf, plus), C)
     assert rc > 1e-3
 
@@ -122,6 +123,19 @@ def test_alpha_scan_r_cont_independent_of_alpha():
     other = alpha_scan(traj, V, np.linspace(0.3, 2.0, 35), C)
     assert np.isfinite(base.r_cont_mean)
     assert other.r_cont_mean == base.r_cont_mean
+
+
+def test_alpha_scan_r_cont_steps_the_trajectory_own_flow():
+    # on a DG trajectory the centred pairs are DG steps: alpha_scan reports
+    # the mean of continuity_curve, which diffusion lifts off the floor
+    grid = make_grid(1, 1024, 60.0)
+    V = np.zeros(grid.shape)
+    spec = EvolutionSpec(kind="dg_diffusion", dt=0.005, t_final=0.5, record_stride=25, D=0.05)
+    traj = evolve(gaussian_packet(grid, 30.0, 1.0, 0.0, C), V, spec, C)
+    curve = continuity_curve(traj, V, C)
+    assert len(curve) == len(traj.snapshots) - 2
+    assert alpha_scan(traj, V, default_alpha_grid(), C).r_cont_mean == math.fsum(curve) / len(curve)
+    assert min(curve) > 1e-3
 
 
 def test_alpha_scan_boost_invariance():

@@ -329,6 +329,37 @@ def test_circulation_area_keeps_the_bits_of_the_plaquette_loop(psi, center, radi
     assert area.hex() == _area_by_plaquette_loop(psi.values, center, radius, psi.grid).hex()
 
 
+def _line_by_cell_walk(values, center, loop_radius, grid):
+    """The line value as the per-cell walk computed it: the counterclockwise
+    loop's cells one by one from (i0 + r, j0 - r), closed on the first."""
+    n, h = grid.n, grid.spacing
+    i0, j0 = int(round(center[0] / h)) % n, int(round(center[1] / h)) % n
+    r = int(round(loop_radius / h))
+    cells = [((i0 + r) % n, (j0 + dj) % n) for dj in range(-r, r)]
+    cells += [((i0 + di) % n, (j0 + r) % n) for di in range(r, -r, -1)]
+    cells += [((i0 - r) % n, (j0 + dj) % n) for dj in range(r, -r, -1)]
+    cells += [((i0 + di) % n, (j0 - r) % n) for di in range(-r, r)]
+    path = np.array([values[c] for c in cells] + [values[cells[0]]])
+    return C.hbar * float(np.sum(np.angle(path[1:] * np.conj(path[:-1]))))
+
+
+def _line_cases():
+    # the area's cases, winding -1 and a radius of 5 (64 cells), and noise
+    # on a 5.0 loop across both periodic seams
+    grid = make_grid(2, 256, 20.0)
+    center = (10.0 + grid.spacing / 2, 10.0 + grid.spacing / 2)
+    cases = [pytest.param(vortex_state(grid, w, 2.0, center), center, radius, id=f"vortex-{w}-r{radius:g}")
+             for w, radius in [(-1, 2.0), (-1, 5.0), (0, 5.0), (1, 5.0), (2, 5.0)]]
+    seam = (grid.spacing, grid.length - 3 * grid.spacing)
+    return _circulation_cases() + cases + [pytest.param(_white_noise(grid, 4), seam, 5.0, id="noise-seam-r5")]
+
+
+@pytest.mark.parametrize("psi, center, radius", _line_cases())
+def test_circulation_line_keeps_the_bits_of_the_cell_walk(psi, center, radius):
+    line, _, _ = circulation(psi, radius, center, C, 1e-300)
+    assert line.hex() == _line_by_cell_walk(psi.values, center, radius, psi.grid).hex()
+
+
 def test_circulation_line_area_and_integer_are_identities():
     # on complex white noise, which is full of vortices, line and area agree
     # and n is an integer to round-off: both hold for any field, so only
