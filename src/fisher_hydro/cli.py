@@ -65,38 +65,26 @@ EXIT_FALSIFIED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+# The resolution table's free packet and its diagnostics, which scan-alpha and
+# continuity both evolve (_table1_trajectory).
+_TABLE1 = {
+    "n": 4096,
+    "dt": 0.020,
+    "length": 122.88,
+    "sigma0": 1.0,
+    "t_final": 3.6,
+    "snapshot_interval": 0.2,
+    "boost": 0.0,
+    "mask_eps": 1e-6,
+    "hbar": 1.0,
+    "mass": 1.0,
+}
+
 # Defaults follow the published configurations where one exists; every entry
 # is overrideable from a JSON config file or a CLI flag.
 DEFAULTS: dict[str, dict] = {
-    "scan-alpha": {
-        "n": 4096,
-        "dt": 0.020,
-        "length": 122.88,
-        "sigma0": 1.0,
-        "t_final": 3.6,
-        "snapshot_interval": 0.2,
-        "boost": 0.0,
-        "alpha_min": 0.5,
-        "alpha_max": 1.5,
-        "alpha_steps": 40,
-        "mask_eps": 1e-6,
-        "hbar": 1.0,
-        "mass": 1.0,
-        "refine": False,
-    },
-    "continuity": {
-        "n": 4096,
-        "dt": 0.020,
-        "length": 122.88,
-        "sigma0": 1.0,
-        "t_final": 3.6,
-        "snapshot_interval": 0.2,
-        "boost": 0.0,
-        "diffusion": 0.0,
-        "mask_eps": 1e-6,
-        "hbar": 1.0,
-        "mass": 1.0,
-    },
+    "scan-alpha": dict(_TABLE1, alpha_min=0.5, alpha_max=1.5, alpha_steps=40, refine=False),
+    "continuity": dict(_TABLE1, diffusion=0.0),
     "dg-entropy": {
         "n": 512,
         "length": 40.0,

@@ -4,6 +4,12 @@ Two independent discretisations live here on purpose: the spectral operators
 drive the propagators, while the 5-point fourth-order gradient and divergence
 are reserved for residual diagnostics, so a diagnostic never certifies the
 discretisation that produced the data.
+
+Every Fourier transform of the package runs through the helpers here, on
+fields or on stacks of fields shaped (*batch, *grid.shape): _over_grid for a
+complex field's full spectrum, _half_spectrum and _real_inverse for a real
+field's half spectrum, each in the axis order of np.fft.fftn, rfftn or
+irfftn, so with their bits.  The grid holds the multipliers on both spectra.
 """
 
 from __future__ import annotations
@@ -53,18 +59,11 @@ class Grid:
             kmesh = [k1[:, None], k1[None, :]]
             object.__setattr__(self, "_k2", k1[:, None] ** 2 + k1[None, :] ** 2)
         object.__setattr__(self, "_kmesh", kmesh)
-        # i k on the half spectrum of a real field (np.fft.rfft over the last
-        # axis keeps its first n//2 + 1 entries), with every Nyquist entry
-        # zeroed: that mode's first derivative is imaginary, and the real part
-        # of the full-spectrum transform drops it.
-        ik = 1j * np.where(np.arange(self.n) == self.n // 2, 0.0, k1)
-        half = ik[: self.n // 2 + 1]
-        object.__setattr__(self, "_ik", [half] if self.dim == 1 else [ik[:, None], half[None, :]])
 
     # The multipliers of spectral_laplacian and spectral_gradient, with the
-    # bits of the -k^2 and 1j * k that each call used to build, built on a
-    # grid's first spectral call: a grid only the propagators use (their
-    # factors come from _k2 and _ik) never holds them.
+    # bits of the -k^2 and 1j * k that each call used to build, and those of
+    # the propagators' kicks, each built on its first use: a grid holds only
+    # the ones its callers read.
     @functools.cached_property
     def _neg_k2(self) -> np.ndarray:
         return -self._k2
@@ -72,6 +71,20 @@ class Grid:
     @functools.cached_property
     def _ikmesh(self) -> list[np.ndarray]:
         return [1j * k for k in self._kmesh]
+
+    # -k^2 and i k on the half spectrum of a real field (np.fft.rfft over the
+    # last axis keeps its first n//2 + 1 entries).  i k has every Nyquist
+    # entry zeroed: that mode's first derivative is imaginary, and the real
+    # part of the full-spectrum transform drops it.
+    @functools.cached_property
+    def _neg_k2_half(self) -> np.ndarray:
+        return -self._k2[..., : self.n // 2 + 1]
+
+    @functools.cached_property
+    def _ik_half(self) -> list[np.ndarray]:
+        ik = 1j * np.where(np.arange(self.n) == self.n // 2, 0.0, self.wavenumbers)
+        half = ik[: self.n // 2 + 1]
+        return [half] if self.dim == 1 else [ik[:, None], half[None, :]]
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -110,11 +123,40 @@ def _check_shape(f: np.ndarray, grid: Grid) -> None:
         raise ValueError(f"field shape {f.shape} does not match grid shape {grid.shape}")
 
 
-def _transforms(grid: Grid):
-    """np.fft.fftn and ifftn, or in 1D fft and ifft, which give a 1D field
-    the same bits without fftn's per-call argument handling.  Looked up per
-    call, so a wrapper installed on np.fft sees every transform."""
-    return (np.fft.fft, np.fft.ifft) if grid.dim == 1 else (np.fft.fftn, np.fft.ifftn)
+def _grid_axes(grid: Grid) -> tuple[int, ...]:
+    """The trailing axes of a (*batch, *grid.shape) stack of fields."""
+    return tuple(range(-grid.dim, 0))
+
+
+def _over_grid(transform, values: np.ndarray, grid: Grid) -> np.ndarray:
+    """np.fft.fft or ifft of a complex stack over its grid axes, in place, in
+    the order of np.fft.fftn (same bits) without its per-call argument
+    handling, which costs several percent of a 1D step.  The caller passes
+    np.fft.fft or ifft as it finds it, so a wrapper installed on np.fft sees
+    every transform."""
+    for axis in reversed(_grid_axes(grid)):
+        transform(values, axis=axis, out=values)
+    return values
+
+
+def _half_spectrum(rho: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """The half spectrum of a real field, in out if given, transformed in the
+    order of np.fft.rfftn: rfft over the last grid axis, then fft over the
+    first in 2D."""
+    out = np.fft.rfft(rho, axis=-1, out=out)
+    for axis in _grid_axes(grid)[-2::-1]:
+        np.fft.fft(out, axis=axis, out=out)
+    return out
+
+
+def _real_inverse(spectrum: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
+    """The real field of a half spectrum in out, in the order of
+    np.fft.irfftn: ifft over the first grid axis in 2D, in place, then irfft
+    over the last.  irfft drops the imaginary part of the last axis's zero
+    and Nyquist entries, as the real part of a full inverse does."""
+    for axis in _grid_axes(grid)[:-1]:
+        np.fft.ifft(spectrum, axis=axis, out=spectrum)
+    return np.fft.irfft(spectrum, n=grid.n, axis=-1, out=out)
 
 
 def spectral_gradient(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -124,11 +166,10 @@ def spectral_gradient(f: np.ndarray, grid: Grid) -> np.ndarray:
     output; complex input stays complex.
     """
     _check_shape(f, grid)
-    forward, inverse = _transforms(grid)
-    fh = forward(f)
+    fh = _over_grid(np.fft.fft, np.array(f, dtype=complex), grid)
     out = np.empty((grid.dim,) + grid.shape, dtype=complex)
     for axis, ik in enumerate(grid._ikmesh):
-        out[axis] = inverse(ik * fh)
+        _over_grid(np.fft.ifft, np.multiply(ik, fh, out=out[axis]), grid)
     if not np.iscomplexobj(f):
         return out.real.copy()
     return out
@@ -137,8 +178,8 @@ def spectral_gradient(f: np.ndarray, grid: Grid) -> np.ndarray:
 def spectral_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Spectral Laplacian (multiplier -|k|^2)."""
     _check_shape(f, grid)
-    forward, inverse = _transforms(grid)
-    out = inverse(grid._neg_k2 * forward(f))
+    fh = _over_grid(np.fft.fft, np.array(f, dtype=complex), grid)
+    out = _over_grid(np.fft.ifft, np.multiply(grid._neg_k2, fh, out=fh), grid)
     if not np.iscomplexobj(f):
         return out.real.copy()
     return out

@@ -3,15 +3,17 @@ nonlinear perturbation, and density-level diffusion.
 
 Every wavefunction stepper, evolve and the batched superposition evolution
 run one Strang kernel, _strang, on states stacked as (*batch, *grid.shape).
+The kernel takes its flow, the kind and its couplings, from one
+EvolutionSpec, so a new kick is one spec field and one branch of _strang.
 The DG and beta variants add a state-dependent half-step kick that is absent
 at D = 0 and beta = 0, so there they are the linear step bit for bit.  The
 kernel steps a copy of its input in place: transforms and products write
 into the state, and the kicks into work arrays built once per call, so a
 step allocates no array of the stack's size: with glibc's allocator, fresh
 temporaries of that size cost a page fault per page on every step.  The
-kicks transform the real density rho = |psi|^2 on its half spectrum
-(np.fft.rfft over the last grid axis), where the density-level diffusion is
-solved exactly, with no time step.
+transforms and their multipliers come from grid: the kicks transform the
+real density rho = |psi|^2 on its half spectrum, where the density-level
+diffusion is solved exactly, with no time step.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import PhysicalConstants, WaveField
-from .grid import Grid
+from .grid import Grid, _grid_axes, _half_spectrum, _over_grid, _real_inverse
 
 __all__ = [
     "EvolutionSpec",
@@ -48,19 +50,14 @@ class NumericalAbort(RuntimeError):
     """Raised when an evolution produces non-finite values (unstable parameters)."""
 
 
-class _NonFinite(NumericalAbort):
-    """A kick met a non-finite state after `steps` steps of its advance call."""
-
-    def __init__(self, steps: int) -> None:
-        super().__init__(f"non-finite state after {steps} steps")
-        self.steps = steps
-
-    def __reduce__(self):  # pickle rebuilds from steps, not from the message
-        return type(self), (self.steps,)
-
-
 @dataclass(frozen=True)
 class EvolutionSpec:
+    """A flow, its kind and couplings, and the time steps that sample it.
+
+    D is read by dg_diffusion and density_diffusion only, beta by
+    beta_nonlinear only; a nonzero coupling that the kind never reads is
+    refused rather than dropped."""
+
     kind: str = "linear"
     dt: float = 0.01
     t_final: float = 1.0
@@ -78,6 +75,10 @@ class EvolutionSpec:
             raise ValueError("t_final must be non-negative")
         if self.D < 0 or self.beta < 0 or self.eps_reg <= 0:
             raise ValueError("require D >= 0, beta >= 0, eps_reg > 0")
+        if self.D and self.kind not in ("dg_diffusion", "density_diffusion"):
+            raise ValueError(f"kind {self.kind!r} never reads D, got D={self.D:g}")
+        if self.beta and self.kind != "beta_nonlinear":
+            raise ValueError(f"kind {self.kind!r} never reads beta, got beta={self.beta:g}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 
@@ -99,24 +100,6 @@ class DensityTrajectory:
     grid: Grid
 
 
-def _kinetic_factor(grid: Grid, dt: float, c: PhysicalConstants) -> np.ndarray:
-    return np.exp(-1j * c.hbar * grid._k2 * dt / (2.0 * c.m))
-
-
-def _grid_axes(grid: Grid) -> tuple[int, ...]:
-    """The trailing axes of a (*batch, *grid.shape) stack of states."""
-    return tuple(range(-grid.dim, 0))
-
-
-def _over_grid(transform, values: np.ndarray, grid: Grid) -> np.ndarray:
-    """np.fft.fft or ifft of a complex stack over its grid axes, in place, in
-    the order of np.fft.fftn (same bits) without its per-call argument
-    handling, which costs several percent of a 1D step."""
-    for axis in reversed(_grid_axes(grid)):
-        transform(values, axis=axis, out=values)
-    return values
-
-
 class _Work:
     """Arrays which the kicks of one advance call reuse across its steps:
     real rho and scratch shaped like the stack of states, and its complex
@@ -134,35 +117,16 @@ class _Work:
         self.peak = None
 
 
-def _half_spectrum(rho: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
-    """The half spectrum of a real field, in out if given, transformed in the
-    order of np.fft.rfftn: rfft over the last grid axis, then fft over the
-    first in 2D."""
-    out = np.fft.rfft(rho, axis=-1, out=out)
-    for axis in _grid_axes(grid)[-2::-1]:
-        np.fft.fft(out, axis=axis, out=out)
-    return out
-
-
 def _density_spectrum(values: np.ndarray, grid: Grid, work: _Work) -> tuple[np.ndarray, np.ndarray]:
     """rho = |values|^2 in work.rho and its half spectrum in work.spectrum."""
     rho = np.add(np.square(values.real, out=work.rho), np.square(values.imag, out=work.real), out=work.rho)
     return rho, _half_spectrum(rho, grid, work.spectrum)
 
 
-def _real_inverse(spectrum: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
-    """The real field of a half spectrum in out, in the order of
-    np.fft.irfftn: ifft over the first grid axis in 2D, in place, then irfft
-    over the last.  irfft drops the imaginary part of the last axis's zero
-    and Nyquist entries, as the real part of a full inverse does."""
-    for axis in _grid_axes(grid)[:-1]:
-        np.fft.ifft(spectrum, axis=axis, out=spectrum)
-    return np.fft.irfft(spectrum, n=grid.n, axis=-1, out=out)
-
-
-def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, kind: str = "linear",
-            D: float = 0.0, beta: float = 0.0, eps_reg: float = 1e-6):
-    """The Strang step of every wavefunction kind, as advance(values, n_steps).
+def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, spec: EvolutionSpec):
+    """The Strang step of spec's flow, its kind and couplings, by dt, as
+    advance(values, n_steps, t0=0.0).  spec's own dt and horizon are not
+    read: a backward step passes -dt.
 
     values stacks states as (*batch, *grid.shape).  One step is kick,
     exp(-iV dt/2h), F^-1 exp(-i h k^2 dt/2m) F over the grid axes,
@@ -176,27 +140,26 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
     kicks in work arrays built once per call: it never writes into its
     argument, so a caller may pass back an array it keeps.  With a kick, it
     raises NumericalAbort at the first state it steps whose |psi|^2 is not
-    finite.
+    finite, naming the time t0 + done * dt of that state, t0 the time of
+    values.
     """
-    if kind not in _WAVE_KINDS:
-        raise ValueError(f"kind {kind!r} is not a wavefunction evolution")
+    if spec.kind not in _WAVE_KINDS:
+        raise ValueError(f"kind {spec.kind!r} is not a wavefunction evolution")
     kick = None
-    if kind == "dg_diffusion" and D != 0.0:
-        neg_k2 = -grid._k2[..., : grid.n // 2 + 1]
-
+    if spec.kind == "dg_diffusion" and spec.D != 0.0:
         def kick(values, work):
-            factor = np.multiply((D / 4.0) * dt, _dg_exponent(values, grid, neg_k2, work), out=work.rho)
+            factor = np.multiply((spec.D / 4.0) * dt, _dg_exponent(values, grid, work), out=work.rho)
             return np.exp(factor, out=factor)
-    elif kind == "beta_nonlinear" and beta != 0.0:
+    elif spec.kind == "beta_nonlinear" and spec.beta != 0.0:
         def kick(values, work):
-            return _phase_factor(beta_potential(values, grid, beta, eps_reg, work), dt, constants.hbar,
+            return _phase_factor(beta_potential(values, grid, spec.beta, spec.eps_reg, work), dt, constants.hbar,
                                  work.factor)
     half_v = np.exp(-1j * V * dt / (2.0 * constants.hbar))
-    kin = _kinetic_factor(grid, dt, constants)
+    kin = np.exp(-1j * constants.hbar * grid._k2 * dt / (2.0 * constants.m))
 
-    def advance(values: np.ndarray, n_steps: int) -> np.ndarray:
+    def advance(values: np.ndarray, n_steps: int, t0: float = 0.0) -> np.ndarray:
         values = np.array(values, dtype=complex)
-        work = None if kick is None else _Work(values.shape, grid, beta=kind == "beta_nonlinear")
+        work = None if kick is None else _Work(values.shape, grid, beta=spec.kind == "beta_nonlinear")
         # Every product is np.multiply with a fixed operand order: numpy may
         # evaluate `*` on a large temporary in place with swapped operands,
         # and a complex product is not bitwise commutative (FMA), so `*`
@@ -209,7 +172,7 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
                 # sums to a non-finite value.  That also catches a state whose
                 # entries are finite but whose |psi|^2 overflows.
                 if not math.isfinite(work.peak.sum()):
-                    raise _NonFinite(done)
+                    raise NumericalAbort(f"non-finite state at t={t0 + done * dt:g}")
                 np.multiply(values, factor, out=values)
             np.multiply(half_v, values, out=values)
             np.multiply(kin, _over_grid(np.fft.fft, values, grid), out=values)
@@ -222,20 +185,19 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
     return advance
 
 
-def _step(psi: WaveField, V: np.ndarray, dt: float, constants: PhysicalConstants, kind: str = "linear",
-          **coupling) -> WaveField:
-    values = _strang(V, psi.grid, dt, constants, kind, **coupling)(psi.values, 1)
+def _step(psi: WaveField, V: np.ndarray, dt: float, constants: PhysicalConstants, spec: EvolutionSpec) -> WaveField:
+    values = _strang(V, psi.grid, dt, constants, spec)(psi.values, 1, psi.time)
     return WaveField(psi.grid, values, psi.time + dt)
 
 
 def step_linear(psi: WaveField, V: np.ndarray, dt: float, constants: PhysicalConstants) -> WaveField:
     """One Strang step exp(-iV dt/2h) F^-1 exp(-i h k^2 dt/2m) F exp(-iV dt/2h)."""
-    return _step(psi, V, dt, constants)
+    return _step(psi, V, dt, constants, EvolutionSpec())
 
 
-def _dg_exponent(values: np.ndarray, grid: Grid, neg_k2: np.ndarray, work: _Work) -> np.ndarray:
+def _dg_exponent(values: np.ndarray, grid: Grid, work: _Work) -> np.ndarray:
     """Smoothly regularised Delta rho / rho for the DG amplitude factor, in
-    work.rho; neg_k2 is -grid._k2 on the half spectrum.
+    work.rho.
 
     A hard mask cutoff would imprint a kink at the mask edge every step and
     ring under the spectral diagnostics; Delta rho / (rho + eps max rho),
@@ -244,7 +206,7 @@ def _dg_exponent(values: np.ndarray, grid: Grid, neg_k2: np.ndarray, work: _Work
     rho is taken per state.
     """
     rho, rho_hat = _density_spectrum(values, grid, work)
-    lap = _real_inverse(np.multiply(neg_k2, rho_hat, out=rho_hat), grid, work.real)
+    lap = _real_inverse(np.multiply(grid._neg_k2_half, rho_hat, out=rho_hat), grid, work.real)
     work.peak = rho.max(axis=_grid_axes(grid), keepdims=True)
     np.add(rho, _DG_EPS_MASK * work.peak, out=rho)
     return np.divide(lap, rho, out=rho)
@@ -259,7 +221,7 @@ def step_dg(psi: WaveField, V: np.ndarray, dt: float, D: float, constants: Physi
     regularisation scale _DG_EPS_MASK sits below the diagnostic mask so its
     bias stays under the PDE-residual tolerance.
     """
-    return _step(psi, V, dt, constants, "dg_diffusion", D=D)
+    return _step(psi, V, dt, constants, EvolutionSpec("dg_diffusion", D=D))
 
 
 def beta_potential(values: np.ndarray, grid: Grid, beta: float, eps_reg: float,
@@ -275,7 +237,7 @@ def beta_potential(values: np.ndarray, grid: Grid, beta: float, eps_reg: float,
         work = _Work(values.shape, grid, beta=True)
     rho, rho_hat = _density_spectrum(values, grid, work)
     grad_sq = work.real
-    for axis, ik in enumerate(grid._ik):
+    for axis, ik in enumerate(grid._ik_half):
         component = _real_inverse(np.multiply(ik, rho_hat, out=work.gradient), grid,
                                   work.component if axis else grad_sq)
         if axis:
@@ -314,7 +276,7 @@ def step_beta(
     U_beta is real and state-dependent, so the step stays norm-preserving but
     nonlinear.  Exactly step_linear at beta = 0.
     """
-    return _step(psi, V, dt, constants, "beta_nonlinear", beta=beta, eps_reg=eps_reg)
+    return _step(psi, V, dt, constants, EvolutionSpec("beta_nonlinear", beta=beta, eps_reg=eps_reg))
 
 
 def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: PhysicalConstants) -> Trajectory:
@@ -328,21 +290,16 @@ def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: Physi
     """
     psi0.check_finite()
     grid = psi0.grid
-    advance = _strang(V, grid, spec.dt, constants, spec.kind, spec.D, spec.beta, spec.eps_reg)
+    advance = _strang(V, grid, spec.dt, constants, spec)
     values = psi0.values.copy()
     snapshots: list[tuple[float, WaveField]] = [(0.0, WaveField(grid, values, 0.0))]
     step = 0
     while step < spec.n_steps:
         chunk = min(spec.record_stride, spec.n_steps - step)
-        try:
-            values = advance(values, chunk)
-            step += chunk
-            finite = math.isfinite(np.vdot(values, values).real)
-        except _NonFinite as exc:
-            step += exc.steps
-            finite = False
+        values = advance(values, chunk, step * spec.dt)
+        step += chunk
         t = step * spec.dt
-        if not finite:
+        if not math.isfinite(np.vdot(values, values).real):
             raise NumericalAbort(f"non-finite state at t={t:g}")
         snapshots.append((t, WaveField(grid, values, t)))
     return Trajectory(snapshots, spec)
@@ -356,8 +313,7 @@ def symmetric_pair(psi: WaveField, V: np.ndarray, spec: EvolutionSpec,
     Produced fresh at diagnostic time rather than from stored history, so the
     stencil spacing is independent of the snapshot stride.
     """
-    coupling = {"D": spec.D, "beta": spec.beta, "eps_reg": spec.eps_reg}
-    return tuple(_step(psi, V, dt, constants, spec.kind, **coupling) for dt in (-spec.dt, spec.dt))
+    return tuple(_step(psi, V, dt, constants, spec) for dt in (-spec.dt, spec.dt))
 
 
 def evolve_density_diffusion(rho0: np.ndarray, spec: EvolutionSpec, grid: Grid) -> DensityTrajectory:
@@ -370,10 +326,10 @@ def evolve_density_diffusion(rho0: np.ndarray, spec: EvolutionSpec, grid: Grid) 
     stamped step * dt.
     """
     rho0 = np.array(rho0, dtype=float)
-    rho_hat, neg_k2 = _half_spectrum(rho0, grid), -grid._k2[..., : grid.n // 2 + 1]
+    rho_hat = _half_spectrum(rho0, grid)
     snapshots = []
     for step in sorted({*range(0, spec.n_steps, spec.record_stride), spec.n_steps}):
         t = step * spec.dt
-        change = np.multiply(np.expm1(np.multiply(spec.D * t, neg_k2)), rho_hat)
+        change = np.multiply(np.expm1(np.multiply(spec.D * t, grid._neg_k2_half)), rho_hat)
         snapshots.append((t, rho0 + _real_inverse(change, grid, np.empty_like(rho0))))
     return DensityTrajectory(snapshots, spec, grid)

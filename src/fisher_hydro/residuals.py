@@ -26,7 +26,7 @@ from .fields import (
     polar_decompose,
     root_laplacian_quotient,
 )
-from .grid import Grid, fd_divergence4, fd_gradient4, integrate
+from .grid import Grid, _over_grid, fd_divergence4, fd_gradient4, integrate
 from .propagate import symmetric_pair
 from .states import harmonic_potential, oscillator_energy, oscillator_state
 
@@ -84,7 +84,7 @@ def _spectral_shift(f: np.ndarray, grid: Grid, displacement: float, axis: int = 
     shape = [1] * grid.dim
     shape[axis] = grid.n
     phase = np.exp(1j * k * displacement).reshape(shape)
-    out = np.fft.ifftn(phase * np.fft.fftn(f))
+    out = _over_grid(np.fft.ifft, phase * _over_grid(np.fft.fft, np.array(f, dtype=complex), grid), grid)
     return out.real if not np.iscomplexobj(f) else out
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,7 +113,6 @@ def superposition_residual(config: SuperpositionConfig, beta: float, refined: bo
     phase-optimised L2 distance between the joint state and the summed state."""
     c = PhysicalConstants(config.hbar, config.mass)
     grid = config.grid(refined)
-    dt = config.timestep(refined)
     V = harmonic_potential(grid, config.omega, c)
     sigma = math.sqrt(c.hbar / (c.m * config.omega))
     half_sep = 0.5 * config.separation_sigmas * sigma
@@ -121,8 +120,8 @@ def superposition_residual(config: SuperpositionConfig, beta: float, refined: bo
     p2 = _packet(grid, half_sep, sigma)
     batch = np.stack([p1, p2, (p1 + p2) / np.sqrt(2.0)])
     batch /= np.sqrt(np.sum(np.abs(batch) ** 2, axis=-1, keepdims=True) * grid.cell_volume)
-    n_steps = int(round(config.t_final / dt))
-    out = _strang(V, grid, dt, c, "beta_nonlinear", beta=beta, eps_reg=config.eps_reg)(batch, n_steps)
+    spec = EvolutionSpec("beta_nonlinear", config.timestep(refined), config.t_final, beta=beta, eps_reg=config.eps_reg)
+    out = _strang(V, grid, spec.dt, c, spec)(batch, spec.n_steps)
     residual, _ = projective_residual(out[2], out[0] + out[1], grid)
     return residual
 
@@ -172,8 +171,6 @@ def beta_drops(rows: list[dict]) -> tuple[float | None, float | None]:
 
 @dataclass
 class ComplexifierScanResult:
-    p_grid: np.ndarray
-    s_grid: np.ndarray
     defect: np.ndarray
     argmin: tuple[int, int]
     floor: float
@@ -238,8 +235,6 @@ def complexifier_scan(
     argmin = np.unravel_index(int(np.argmin(defect)), defect.shape)
     kappa = 1.0 / s_grid[argmin[1]]
     return ComplexifierScanResult(
-        p_grid=p_grid,
-        s_grid=s_grid,
         defect=defect,
         argmin=(int(argmin[0]), int(argmin[1])),
         floor=float(defect[argmin]),
@@ -263,7 +258,8 @@ def time_reversal_defect(
     the reconstructed state to psi0 at diffusion D; floor is that defect at
     D = 0 on the same grid, which at D = 0 is defect itself.
     """
-    n_steps = int(round(T / dt))
+    horizon = EvolutionSpec(dt=dt, t_final=T)
+    n_steps = horizon.n_steps
     if n_steps and abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("T must be a multiple of dt")
 
@@ -271,7 +267,7 @@ def time_reversal_defect(
         if n_steps == 0:
             return 0.0
         kind = "linear" if diffusion == 0.0 else "dg_diffusion"
-        spec = EvolutionSpec(kind=kind, dt=dt, t_final=T, record_stride=max(n_steps, 1), D=diffusion)
+        spec = replace(horizon, kind=kind, record_stride=n_steps, D=diffusion)
         state = psi0
         for _ in range(2):
             traj = evolve(state, V, spec, constants)

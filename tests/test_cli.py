@@ -33,7 +33,6 @@ from fisher_hydro.propagate import (
     EvolutionSpec,
     NumericalAbort,
     Trajectory,
-    _NonFinite,
     evolve,
     evolve_density_diffusion,
 )
@@ -406,12 +405,26 @@ def test_superposition_abort_in_a_pooled_row(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
     def blow_up(config, beta, refined=False):
-        raise _NonFinite(5)
+        raise NumericalAbort("non-finite state at t=0.05")
 
     # the stepper's own abort keeps its message through the pickle
     monkeypatch.setattr(stresstests, "superposition_residual", blow_up)
     assert run_one("superposition", None, str(tmp_path / "blow_up"), {}) == (EXIT_NUMERICAL, None)
-    assert _partial_verdict(tmp_path / "blow_up", "superposition")["error"] == "non-finite state after 5 steps"
+    assert _partial_verdict(tmp_path / "blow_up", "superposition")["error"] == "non-finite state at t=0.05"
+    assert multiprocessing.active_children() == []
+
+
+def test_superposition_kernel_abort_names_its_time(tmp_path, monkeypatch):
+    # non-finite packets blow up every beta > 0 row at its first kick; the
+    # worker's abort reaches exit 3 naming the time of that state.  The
+    # forked workers inherit the errstate that silences NaN arithmetic.
+    monkeypatch.setattr(stresstests, "_packet", lambda grid, center, sigma: np.full(grid.n, np.nan, complex))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"n": 256, "t_final": 0.05}))
+    with np.errstate(invalid="ignore"):
+        code = main(["superposition", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    assert _partial_verdict(tmp_path / "out", "superposition")["error"] == "non-finite state at t=0"
     assert multiprocessing.active_children() == []
 
 

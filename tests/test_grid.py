@@ -168,9 +168,9 @@ def test_shape_mismatch_raises(grid1d):
 @pytest.mark.parametrize("dim, n", [(1, 512), (2, 64)])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_spectral_operators_keep_the_bits_of_the_per_call_formulas(dim, n, kind):
-    # the multipliers -k^2 and 1j * k built once per grid, and fft/ifft in
-    # place of fftn/ifftn in 1D, give the bits of the formulas that built
-    # them on every call
+    # the multipliers -k^2 and 1j * k built once per grid, and fft/ifft per
+    # grid axis in place of fftn/ifftn, give the bits of the formulas that
+    # built them on every call
     g = make_grid(dim, n, 20.0)
     r = np.random.default_rng(7 + dim)
     f = r.standard_normal(g.shape)
@@ -187,3 +187,17 @@ def test_spectral_operators_keep_the_bits_of_the_per_call_formulas(dim, n, kind)
         grad, lap = grad.real.copy(), lap.real.copy()
     assert np.array_equal(spectral_gradient(f, g), grad)
     assert np.array_equal(spectral_laplacian(f, g), lap)
+
+
+def test_grid_owns_every_transform():
+    # the spectral multipliers and the axis order of every transform live in
+    # grid.py: no other module slices its k^2 or calls an n-dimensional FFT
+    import pathlib
+    import re
+
+    import fisher_hydro
+
+    package = pathlib.Path(fisher_hydro.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "grid.py":
+            assert not re.search(r"_k2\[|\.i?r?fftn\b", path.read_text()), path.name

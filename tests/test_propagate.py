@@ -12,7 +12,6 @@ from fisher_hydro.grid import integrate, norm_l2, spectral_gradient, spectral_la
 from fisher_hydro.propagate import (
     NumericalAbort,
     _dg_exponent,
-    _NonFinite,
     _phase_factor,
     _strang,
     _Work,
@@ -24,6 +23,11 @@ from fisher_hydro.propagate import (
     symmetric_pair,
 )
 from fisher_hydro.states import gaussian_packet, harmonic_potential, oscillator_state, vortex_state
+
+
+def own_coupling(kind, D=0.05, beta=0.02):
+    """The coupling that kind reads, as EvolutionSpec keywords."""
+    return {"dg_diffusion": {"D": D}, "beta_nonlinear": {"beta": beta}}.get(kind, {})
 
 
 def coherent_state(grid, x0, omega, constants):
@@ -192,8 +196,7 @@ def test_half_spectrum_kicks_match_full_spectrum_operators(dim, n):
     values = np.sqrt(rho).astype(complex)
     beta, eps_reg = 0.01, 1e-6
     U = beta_potential(values, grid, beta, eps_reg)
-    neg_k2 = -grid._k2[..., : n // 2 + 1]
-    exponent = _dg_exponent(values, grid, neg_k2, _Work(values.shape, grid, beta=False))
+    exponent = _dg_exponent(values, grid, _Work(values.shape, grid, beta=False))
     for state, u, e in zip(rho, U, exponent):
         grad_sq = np.sum(spectral_gradient(state, grid) ** 2, axis=0)
         u_ref = beta * grad_sq / (state + eps_reg * state.max()) ** 2
@@ -258,16 +261,16 @@ def test_dg_abort_states_diffusion_number(constants, record_stride):
 
 def test_non_finite_abort_survives_pickling(constants):
     # a worker process hands its exception back pickled: the round trip must
-    # keep the class, steps and the message
+    # keep the class and the message, which names the time of the state
     grid = make_grid(1, 16384, 40.0)
     psi = gaussian_packet(grid, 20.0, 1.0, 0.3, constants)
-    advance = _strang(harmonic_potential(grid, 1.0, constants), grid, 0.01, constants, "dg_diffusion", D=0.05)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(_NonFinite) as raised:
+    spec = EvolutionSpec("dg_diffusion", D=0.05)
+    advance = _strang(harmonic_potential(grid, 1.0, constants), grid, 0.01, constants, spec)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalAbort) as raised:
         advance(psi.values, 10)
     back = pickle.loads(pickle.dumps(raised.value))
-    assert type(back) is _NonFinite and isinstance(back, NumericalAbort)
-    assert back.steps == raised.value.steps == 3
-    assert str(back) == str(raised.value) == "non-finite state after 3 steps"
+    assert type(back) is NumericalAbort
+    assert str(back) == str(raised.value) == "non-finite state at t=0.03"
 
 
 def test_spec_validation():
@@ -279,6 +282,36 @@ def test_spec_validation():
         EvolutionSpec(D=-1.0)
     with pytest.raises(ValueError):
         EvolutionSpec(eps_reg=0.0)
+
+
+@pytest.mark.parametrize("kind, coupling", [
+    ("linear", {"D": 0.05}),
+    ("linear", {"beta": 0.02}),
+    ("dg_diffusion", {"beta": 0.02}),
+    ("density_diffusion", {"beta": 0.02}),
+    ("beta_nonlinear", {"D": 0.05}),
+])
+def test_spec_refuses_a_coupling_its_kind_never_reads(kind, coupling):
+    # the flow would run without it, so the spec would report a coupling
+    # that no step applied
+    with pytest.raises(ValueError, match="never reads"):
+        EvolutionSpec(kind=kind, **coupling)
+    EvolutionSpec(kind=kind, **{name: 0.0 for name in coupling})
+
+
+@pytest.mark.parametrize("time", [0.0, 0.25])
+def test_step_abort_names_the_state_time(grid1d, constants, time):
+    # a kick that meets a non-finite state names that state's time, which a
+    # backward step reads as it does a forward one (never "t=-0")
+    psi = WaveField(grid1d, np.full(grid1d.shape, np.nan, complex), time)
+    V = harmonic_potential(grid1d, 1.0, constants)
+    spec = EvolutionSpec(kind="beta_nonlinear", dt=0.01, beta=0.02)
+    message = rf"^non-finite state at t={time:g}$"
+    with pytest.raises(NumericalAbort, match=message):
+        symmetric_pair(psi, V, spec, constants)
+    for dt in (-spec.dt, spec.dt):
+        with pytest.raises(NumericalAbort, match=message):
+            step_beta(psi, V, dt, spec.beta, spec.eps_reg, constants)
 
 
 def test_density_diffusion_static_when_off(grid1d):
@@ -363,7 +396,7 @@ def test_trajectory_times_strictly_increasing(grid1d, constants):
 def test_trajectory_times_are_step_multiples(grid1d, constants, kind):
     psi = gaussian_packet(grid1d, 20.0, 1.0, 0.3, constants)
     V = harmonic_potential(grid1d, 1.0, constants)
-    spec = EvolutionSpec(kind=kind, dt=0.01, t_final=0.4, record_stride=7, D=0.05, beta=0.01)
+    spec = EvolutionSpec(kind=kind, dt=0.01, t_final=0.4, record_stride=7, **own_coupling(kind, beta=0.01))
     traj = evolve(psi, V, spec, constants)
     expected = [k * spec.dt for k in (0, 7, 14, 21, 28, 35, 40)]
     assert [t for t, _ in traj.snapshots] == expected
@@ -389,9 +422,9 @@ def test_batch_rows_match_solo_evolution(kind, dim, n, constants):
         p1 = vortex_state(grid, 0, 1.0, (7.0, 10.0)).values
         p2 = 0.5 * vortex_state(grid, 0, 1.5, (13.0, 10.0)).values
     V = harmonic_potential(grid, 0.5, constants)
-    spec = EvolutionSpec(kind=kind, dt=0.01, t_final=0.2, record_stride=20, D=0.05, beta=0.02)
+    spec = EvolutionSpec(kind=kind, dt=0.01, t_final=0.2, record_stride=20, **own_coupling(kind))
     batch = np.stack([p1, p2, (p1 + p2) / np.sqrt(2.0)])
-    advance = _strang(V, grid, spec.dt, constants, kind, D=spec.D, beta=spec.beta, eps_reg=spec.eps_reg)
+    advance = _strang(V, grid, spec.dt, constants, spec)
     kept = batch.copy()
     rows = advance(batch, spec.n_steps)
     assert np.array_equal(batch, kept)
@@ -414,7 +447,7 @@ def test_in_place_kernel_never_aliases(kind, grid_name, stride, request, constan
         psi0 = WaveField(grid, vortex_state(grid, 0, 1.5, (9.0, 10.5)).values * np.exp(0.3j * grid.coords()[0]))
     kept = psi0.values.copy()
     V = harmonic_potential(grid, 1.0, constants)
-    spec = EvolutionSpec(kind=kind, dt=0.01, t_final=0.1, record_stride=stride, D=0.05, beta=0.02)
+    spec = EvolutionSpec(kind=kind, dt=0.01, t_final=0.1, record_stride=stride, **own_coupling(kind))
     snapshots = evolve(psi0, V, spec, constants).snapshots
     assert np.array_equal(psi0.values, kept)
     arrays = [psi0.values] + [wf.values for _, wf in snapshots]

@@ -163,8 +163,8 @@ def _old_superposition_residual(config, beta, refined):
     p1, p2 = packet(x1), packet(x2)
     batch = np.stack([p1, p2, (p1 + p2) / np.sqrt(2.0)])
     batch /= np.sqrt(np.sum(np.abs(batch) ** 2, axis=-1, keepdims=True) * grid.cell_volume)
-    advance = stresstests._strang(harmonic_potential(grid, config.omega, c), grid, dt, c, "beta_nonlinear",
-                                  beta=beta, eps_reg=config.eps_reg)
+    spec = EvolutionSpec("beta_nonlinear", dt, config.t_final, beta=beta, eps_reg=config.eps_reg)
+    advance = stresstests._strang(harmonic_potential(grid, config.omega, c), grid, dt, c, spec)
     out = advance(batch, int(round(config.t_final / dt)))
     return projective_residual(out[2], out[0] + out[1], grid)[0]
 
@@ -415,7 +415,7 @@ def test_batched_beta_evolution_matches_scalar_stepper():
     psi0 = gaussian_packet(grid, 22.0, 1.2, 0.0, C)
     beta, eps_reg, dt, n = 0.01, 1e-6, 0.01, 40
 
-    advance = _strang(V, grid, dt, C, "beta_nonlinear", beta=beta, eps_reg=eps_reg)
+    advance = _strang(V, grid, dt, C, EvolutionSpec("beta_nonlinear", beta=beta, eps_reg=eps_reg))
     batch = advance(psi0.values[None, :].copy(), n)
     wf = psi0
     for _ in range(n):
