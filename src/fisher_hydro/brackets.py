@@ -1,9 +1,8 @@
 """Discrete functional Poisson brackets on (rho, S) and the Bargmann algebra checks.
 
 Generator derivative fields are assembled from the density and the probability
-current: grad S enters only as m v = m j / rho under a deep density guard, and
-never via the unwrapped phase, whose periodic branch seam would ring under
-spectral differentiation.  Moment integrals use packet-centered coordinates
+current: grad S enters only as fields.grad_phase, m j / rho under a deep
+density guard.  Moment integrals use packet-centered coordinates
 (the standard periodic surrogate for decay on R^d) and refuse states whose
 mass reaches the coordinate branch seam.
 """
@@ -15,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ROUNDOFF_FLOOR, HydroFields, PhysicalConstants, quantum_potential
-from .grid import Grid, integrate, spectral_gradient
+from .fields import ROUNDOFF_FLOOR, HydroFields, PhysicalConstants, grad_phase, quantum_potential
+from .grid import Grid, integrate, spectral_divergence, spectral_gradient
 
 __all__ = [
     "FunctionalDerivs",
@@ -78,15 +77,6 @@ def _centered_coords(hydro: HydroFields) -> np.ndarray:
     return out
 
 
-def _grad_s_fields(hydro: HydroFields, constants: PhysicalConstants) -> np.ndarray:
-    """m * v with a deep division guard, standing in for grad S."""
-    rho = hydro.rho
-    guard = rho > ROUNDOFF_FLOOR * rho.max()
-    out = np.zeros_like(hydro.j)
-    np.divide(constants.m * hydro.j, rho[None], out=out, where=guard[None])
-    return out
-
-
 def generator_derivs(
     name: str,
     hydro: HydroFields,
@@ -101,12 +91,10 @@ def generator_derivs(
     """
     grid = hydro.grid
     rho = hydro.rho
-    grad_s = _grad_s_fields(hydro, constants)
+    grad_s = grad_phase(hydro, constants)
 
     if name == "H":
-        div_j = np.zeros(grid.shape)
-        for axis in range(grid.dim):
-            div_j += spectral_gradient(hydro.j[axis], grid)[axis]
+        div_j = spectral_divergence(hydro.j, grid)
         deep = rho > ROUNDOFF_FLOOR * rho.max()
         q = quantum_potential(rho, alpha, grid, deep)
         d_rho = np.sum(grad_s**2, axis=0) / (2.0 * constants.m) + V + q

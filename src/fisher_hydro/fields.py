@@ -18,6 +18,7 @@ __all__ = [
     "HydroFields",
     "polar_compose",
     "polar_decompose",
+    "grad_phase",
     "quantum_potential",
     "laplacian_quotient",
     "root_laplacian_quotient",
@@ -85,7 +86,7 @@ class HydroFields:
     """Madelung fields rho, S, j with node mask.
 
     S is unwrapped phase times hbar, defined up to a global constant;
-    consumers must use only grad S or S differences.
+    consumers must use only S differences, and take grad S from grad_phase.
     """
 
     grid: Grid
@@ -161,6 +162,17 @@ def polar_decompose(
     anchor = np.unravel_index(int(np.argmax(rho)), rho.shape)
     S = c.hbar * _unwrap_from_anchor(np.angle(psi.values), anchor)
     return HydroFields(grid=grid, rho=rho, S=S, j=j, mask=mask)
+
+
+def grad_phase(hydro: HydroFields, constants: PhysicalConstants) -> np.ndarray:
+    """grad S as m j / rho, shape (dim, *shape), 0 where rho <= ROUNDOFF_FLOOR *
+    max(rho).  j is spectral and smooth, so this never differentiates the
+    unwrapped phase, whose periodic branch seam would ring."""
+    rho = hydro.rho
+    guard = rho > ROUNDOFF_FLOOR * rho.max()
+    out = np.zeros_like(hydro.j)
+    np.divide(constants.m * hydro.j, rho[None], out=out, where=guard[None])
+    return out
 
 
 def quantum_potential(rho: np.ndarray, coeff: float, grid: Grid, mask: np.ndarray) -> np.ndarray:

@@ -1,9 +1,4 @@
-"""Periodic uniform grids with spectral and fourth-order finite-difference operators.
-
-Two independent discretisations live here on purpose: the spectral operators
-drive the propagators, while the 5-point fourth-order gradient and divergence
-are reserved for residual diagnostics, so a diagnostic never certifies the
-discretisation that produced the data.
+"""Periodic uniform grids with spectral operators.
 
 Every Fourier transform of the package runs through the helpers here, on
 fields or on stacks of fields shaped (*batch, *grid.shape): _over_grid for a
@@ -24,8 +19,7 @@ __all__ = [
     "make_grid",
     "spectral_gradient",
     "spectral_laplacian",
-    "fd_gradient4",
-    "fd_divergence4",
+    "spectral_divergence",
     "integrate",
     "norm_l2",
 ]
@@ -60,10 +54,10 @@ class Grid:
             object.__setattr__(self, "_k2", k1[:, None] ** 2 + k1[None, :] ** 2)
         object.__setattr__(self, "_kmesh", kmesh)
 
-    # The multipliers of spectral_laplacian and spectral_gradient, with the
-    # bits of the -k^2 and 1j * k that each call used to build, and those of
-    # the propagators' kicks, each built on its first use: a grid holds only
-    # the ones its callers read.
+    # The multipliers of spectral_laplacian, spectral_gradient and
+    # spectral_divergence, with the bits of the -k^2 and 1j * k that each call
+    # used to build, and those of the propagators' kicks, each built on its
+    # first use: a grid holds only the ones its callers read.
     @functools.cached_property
     def _neg_k2(self) -> np.ndarray:
         return -self._k2
@@ -185,33 +179,16 @@ def spectral_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def _fd_axis_derivative(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    # 5-point fourth-order centered first derivative, periodic wrap via roll.
-    return (
-        -np.roll(f, -2, axis=axis)
-        + 8.0 * np.roll(f, -1, axis=axis)
-        - 8.0 * np.roll(f, 1, axis=axis)
-        + np.roll(f, 2, axis=axis)
-    ) / (12.0 * h)
-
-
-def fd_gradient4(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Fourth-order centered gradient, stacked per axis like spectral_gradient.
-
-    Diagnostics-only stencil; contract assumes smooth periodic data (a sawtooth
-    is out of contract, not an error).
-    """
-    _check_shape(f, grid)
-    return np.stack([_fd_axis_derivative(f, grid.spacing, ax) for ax in range(grid.dim)])
-
-
-def fd_divergence4(vec: np.ndarray, grid: Grid) -> np.ndarray:
-    """Fourth-order divergence of a stacked vector field (dim, *shape)."""
+def spectral_divergence(vec: np.ndarray, grid: Grid) -> np.ndarray:
+    """Spectral divergence of a real vector field stacked per axis, shape
+    (dim, *grid.shape): the sum over axes of spectral_gradient(vec[axis],
+    grid)[axis], with its bits, without the other components' gradients."""
     if vec.shape != (grid.dim,) + grid.shape:
         raise ValueError(f"vector field shape {vec.shape} does not match grid")
-    out = np.zeros(grid.shape, dtype=vec.dtype)
-    for axis in range(grid.dim):
-        out += _fd_axis_derivative(vec[axis], grid.spacing, axis)
+    out = np.zeros(grid.shape)
+    for axis, ik in enumerate(grid._ikmesh):
+        fh = _over_grid(np.fft.fft, np.array(vec[axis], dtype=complex), grid)
+        out += _over_grid(np.fft.ifft, np.multiply(ik, fh, out=fh), grid).real
     return out
 
 

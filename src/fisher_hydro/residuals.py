@@ -6,6 +6,10 @@ Galilean-invariant; the normalising denominators are evaluated in the frame
 co-moving with the state's mean velocity (P/m), which preserves their
 term-by-term structure, reduces to the lab-frame formula for a state at rest,
 and makes every reported value boost-invariant pointwise.
+
+Both take their spatial terms from the spectral current j of polar_decompose:
+grad S is m j / rho (fields.grad_phase) and every divergence is spectral.
+Neither reads the unwrapped phase.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ from .fields import (
     HydroFields,
     PhysicalConstants,
     WaveField,
+    grad_phase,
     laplacian_quotient,
     masked_mean,
     phase_time_derivative,
     polar_decompose,
     root_laplacian_quotient,
 )
-from .grid import Grid, _over_grid, fd_divergence4, fd_gradient4, integrate
+from .grid import Grid, _over_grid, integrate, spectral_divergence
 from .propagate import symmetric_pair
 from .states import harmonic_potential, oscillator_energy, oscillator_state
 
@@ -103,14 +108,14 @@ def continuity_residual(
     constants: PhysicalConstants,
     eps_mask: float = DEFAULT_EPS_MASK,
 ) -> float:
-    """Dimensionless continuity defect <|rho_t + div(rho grad S/m)|^2> / <|.|^2 + |.|^2>.
+    """Dimensionless continuity defect <|rho_t + div j|^2> / <|.|^2 + |.|^2>.
 
     rho_t comes from the centered snapshot pair with the stencil applied along
-    the co-moving characteristic (a spectral shift by vbar*dt), so the split of
-    the defect into its two members is frame-independent; spatial terms use the
-    fourth-order diagnostic stencils.  Independent of alpha.  When both members
-    sit at the stencil's measurement floor (a stationary state), the defect is
-    reported as zero rather than noise over noise.
+    the co-moving characteristic (a spectral shift by vbar*dt), and div j is
+    the spectral divergence of the co-moving flux j - rho vbar, so the split
+    of the defect into its two members is frame-independent.  Independent of
+    alpha.  When both members sit at the measurement floor (a stationary
+    state), the defect is reported as zero rather than noise over noise.
     """
     wf_minus, wf_center, wf_plus = snapshot_triple
     grid = wf_center.grid
@@ -128,9 +133,7 @@ def continuity_residual(
             rho_minus = _spectral_shift(rho_minus, grid, -vbar[axis] * dt, axis)
     rho_t_conv = (rho_plus - rho_minus) / (2.0 * dt)
 
-    grad_s = fd_gradient4(hydro.S, grid)
-    flux_com = hydro.rho[None] * (grad_s / constants.m - vbar.reshape((-1,) + (1,) * grid.dim))
-    div_com = fd_divergence4(flux_com, grid)
+    div_com = spectral_divergence(hydro.j - hydro.rho[None] * vbar.reshape((-1,) + (1,) * grid.dim), grid)
 
     mask = hydro.mask
     num = masked_mean((rho_t_conv + div_com) ** 2, mask)
@@ -167,7 +170,7 @@ def _hj_parts(
     if not hydro.mask.any():
         raise EmptyMaskError("hj residual: empty mask")
     s_t = phase_time_derivative(wavefield, V, constants)
-    grad_s = fd_gradient4(hydro.S, grid)
+    grad_s = grad_phase(hydro, constants)
     kin = np.sum(grad_s**2, axis=0) / (2.0 * constants.m)
     qtilde = laplacian_quotient(hydro.rho, grid, hydro.mask)
 

@@ -19,8 +19,8 @@ from .fields import (
     phase_time_derivative,
     polar_decompose,
 )
-from .grid import Grid, make_grid, norm_l2, spectral_gradient, spectral_laplacian
-from .propagate import EvolutionSpec, _strang, evolve
+from .grid import Grid, make_grid, norm_l2, spectral_divergence, spectral_laplacian
+from .propagate import EvolutionSpec, NumericalAbort, _strang, evolve
 from .states import harmonic_potential
 
 __all__ = [
@@ -122,6 +122,8 @@ def superposition_residual(config: SuperpositionConfig, beta: float, refined: bo
     batch /= np.sqrt(np.sum(np.abs(batch) ** 2, axis=-1, keepdims=True) * grid.cell_volume)
     spec = EvolutionSpec("beta_nonlinear", config.timestep(refined), config.t_final, beta=beta, eps_reg=config.eps_reg)
     out = _strang(V, grid, spec.dt, c, spec)(batch, spec.n_steps)
+    if not math.isfinite(np.vdot(out, out).real):  # a kick-free row has no abort of its own
+        raise NumericalAbort(f"non-finite state at t={spec.n_steps * spec.dt:g}")
     residual, _ = projective_residual(out[2], out[0] + out[1], grid)
     return residual
 
@@ -210,10 +212,7 @@ def complexifier_scan(
         mask = hydro.mask
         rho = hydro.rho
         s_field = hydro.S
-        rho_t = np.zeros(grid.shape)
-        for axis in range(grid.dim):
-            rho_t += spectral_gradient(hydro.j[axis], grid)[axis]
-        rho_t = -rho_t
+        rho_t = -spectral_divergence(hydro.j, grid)
         s_t = phase_time_derivative(wf, V, constants)
         rate_log_rho = np.zeros(grid.shape)
         np.divide(rho_t, rho, out=rate_log_rho, where=rho > ROUNDOFF_FLOOR * rho.max())

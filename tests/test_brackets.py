@@ -192,7 +192,8 @@ def test_bargmann_closure_2d(grid2d):
 
 def test_bargmann_check_builds_each_generator_once(grid2d, monkeypatch):
     # H's fields and value, and each P_i and K_i field, are built once per
-    # state; H's fields take no spectral gradient of rho, which they never read
+    # state; H's fields take no spectral gradient at all: not of rho, which
+    # they never read, and not of j, whose divergence is spectral_divergence's
     hydro = boosted_2d_hydro(grid2d)
     built, valued, rho_gradients = [], [], []
     derivs, value, gradient = brackets.generator_derivs, brackets.generator_value, brackets.spectral_gradient
@@ -206,4 +207,4 @@ def test_bargmann_check_builds_each_generator_once(grid2d, monkeypatch):
     assert sorted(valued) == ["H", "P0", "P1"]
     rho_gradients.clear()
     derivs("H", hydro, np.zeros(grid2d.shape), C.alpha_star, C)
-    assert rho_gradients == [False, False]  # d/dx j_x and d/dy j_y only
+    assert rho_gradients == []

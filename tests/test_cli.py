@@ -578,15 +578,24 @@ def test_circulation_loop_wider_than_box_is_a_config_error(tmp_path, radius, sid
     assert not (tmp_path / "circulation.csv").exists()
 
 
-def test_multi_mass_edge_minimum_fails_its_row(tmp_path):
-    # a mass too heavy for the grid puts its scan minimum on the edge c = 1.5:
-    # a full verdict whose failed row is multi_mass_argmins, not an exit 2
+@pytest.mark.parametrize("test, user, failed, measured", [
+    # a mass too heavy for the grid puts its scan minimum on the edge c = 1.5
+    ("fisher-el", {"masses": [1.0, 1e4]}, "multi_mass_argmins", 0.5),
+    # diffusion too weak to break the drift-only continuity law (> 1e-3)
+    ("continuity", {"diffusion": 0.015}, "mean_r_cont_broken", 9.3293e-4),
+    # diffusion too weak to break the involution by orders of magnitude (>= 1e3)
+    ("time-reversal", {"diffusion": 1e-12}, "floor_ratio", 103.61),
+], ids=["fisher-el-heavy-mass", "continuity-weak-diffusion", "time-reversal-weak-diffusion"])
+def test_physics_failing_input_fails_its_row(tmp_path, test, user, failed, measured):
+    # an input whose physics fails one check row: a full verdict whose only
+    # failed row on disk is that one, with exit 1, not an exit 2
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"masses": [1.0, 1e4]}))
-    code, verdict = run_one("fisher-el", str(p), str(tmp_path), {})
-    assert code == EXIT_FALSIFIED and verdict.measured["multi_mass_argmins"]["10000"] == 1.5
-    payload = json.loads((tmp_path / "fisher-el.verdict.json").read_text())
-    assert {name for name, check in payload["thresholds"].items() if not check["pass"]} == {"multi_mass_argmins"}
+    p.write_text(json.dumps(user))
+    code, verdict = run_one(test, str(p), str(tmp_path), {})
+    assert code == EXIT_FALSIFIED and verdict is not None
+    payload = json.loads((tmp_path / f"{test}.verdict.json").read_text())
+    assert {name for name, check in payload["thresholds"].items() if not check["pass"]} == {failed}
+    assert payload["thresholds"][failed]["measured"] == pytest.approx(measured, rel=1e-4)
 
 
 @pytest.mark.parametrize("test, user", [

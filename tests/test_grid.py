@@ -4,10 +4,9 @@ import pytest
 
 from fisher_hydro import make_grid
 from fisher_hydro.grid import (
-    fd_divergence4,
-    fd_gradient4,
     integrate,
     norm_l2,
+    spectral_divergence,
     spectral_gradient,
     spectral_laplacian,
 )
@@ -97,26 +96,6 @@ def test_spectral_laplacian_gaussian_closed_form(grid1d_fine):
     assert np.max(np.abs(err)) <= 1e-9
 
 
-def test_fd_gradient4_refinement_ratio():
-    # an off-lattice multi-mode profile so the fourth-order error is visible
-    def worst_err(n):
-        g = make_grid(1, n, 10.0)
-        x = g.axes[0]
-        f = np.sin(2 * np.pi * x / g.length * 3 + 0.7) + 0.5 * np.cos(2 * np.pi * x / g.length * 5)
-        exact = (
-            3 * 2 * np.pi / g.length * np.cos(2 * np.pi * x / g.length * 3 + 0.7)
-            - 2.5 * 2 * np.pi / g.length * np.sin(2 * np.pi * x / g.length * 5)
-        )
-        return np.max(np.abs(fd_gradient4(f, g)[0] - exact))
-
-    ratio = worst_err(64) / worst_err(128)
-    assert 14.0 <= ratio <= 18.0
-
-
-def test_fd_gradient4_constant_zero(grid1d):
-    assert np.max(np.abs(fd_gradient4(np.ones(grid1d.shape), grid1d))) == 0.0
-
-
 def test_parseval(grid1d):
     r = np.random.default_rng(7)
     f = r.standard_normal(grid1d.shape)
@@ -125,7 +104,7 @@ def test_parseval(grid1d):
     assert abs(phys - spec) / phys <= 1e-12
 
 
-@pytest.mark.parametrize("op", [spectral_gradient, spectral_laplacian, fd_gradient4])
+@pytest.mark.parametrize("op", [spectral_gradient, spectral_laplacian])
 def test_operators_linear(op, grid1d):
     r = np.random.default_rng(11)
     f = r.standard_normal(grid1d.shape)
@@ -136,20 +115,16 @@ def test_operators_linear(op, grid1d):
     assert np.max(np.abs(lhs - rhs)) / scale <= 1e-12
 
 
-def test_spectral_and_fd4_agree_on_bandlimited(grid1d):
-    # smooth field whose spectrum is negligible beyond n/8 modes
-    x = grid1d.axes[0]
-    f = np.exp(-((x - 20.0) ** 2) / 3.5**2) * (1.0 + 0.3 * np.sin(2 * np.pi * x / grid1d.length * 2))
-    a = spectral_gradient(f, grid1d)[0]
-    b = fd_gradient4(f, grid1d)[0]
-    rel = np.max(np.abs(a - b)) / np.max(np.abs(a))
-    assert rel <= 1e-6
-
-
-def test_divergence_matches_gradient_1d(grid1d):
-    r = np.random.default_rng(5)
-    f = r.standard_normal(grid1d.shape)
-    assert np.array_equal(fd_divergence4(f[None], grid1d), fd_gradient4(f, grid1d)[0])
+@pytest.mark.parametrize("grid_name", ["grid1d", "grid2d"])
+def test_divergence_keeps_the_bits_of_the_per_axis_gradients(grid_name, request):
+    # the sum over axes of each component's own spectral derivative, added
+    # in axis order from zero
+    grid = request.getfixturevalue(grid_name)
+    vec = np.random.default_rng(5).standard_normal((grid.dim,) + grid.shape)
+    expected = np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        expected += spectral_gradient(vec[axis], grid)[axis]
+    assert np.array_equal(spectral_divergence(vec, grid), expected)
 
 
 def test_integrate_and_norm(grid2d):
@@ -162,7 +137,7 @@ def test_shape_mismatch_raises(grid1d):
     with pytest.raises(ValueError):
         spectral_gradient(np.zeros(17), grid1d)
     with pytest.raises(ValueError):
-        fd_gradient4(np.zeros((4, 4)), grid1d)
+        spectral_divergence(np.zeros((4, 4)), grid1d)
 
 
 @pytest.mark.parametrize("dim, n", [(1, 512), (2, 64)])
@@ -201,3 +176,18 @@ def test_grid_owns_every_transform():
     for path in sorted(package.glob("*.py")):
         if path.name != "grid.py":
             assert not re.search(r"_k2\[|\.i?r?fftn\b", path.read_text()), path.name
+
+
+def test_only_the_complexifier_reads_the_unwrapped_phase():
+    # grad S has one route, m j / rho (fields.grad_phase): no module but
+    # fields.py, which builds S, and stresstests.py, whose complexifier takes
+    # exp(i s S), reads the unwrapped phase
+    import pathlib
+    import re
+
+    import fisher_hydro
+
+    package = pathlib.Path(fisher_hydro.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name not in ("fields.py", "stresstests.py"):
+            assert not re.search(r"\.S\b", path.read_text()), path.name

@@ -8,7 +8,7 @@ import pytest
 
 from fisher_hydro import EvolutionSpec, PhysicalConstants, evolve, make_grid
 from fisher_hydro.fields import WaveField, polar_decompose
-from fisher_hydro.grid import integrate, norm_l2, spectral_gradient, spectral_laplacian
+from fisher_hydro.grid import integrate, norm_l2, spectral_divergence, spectral_gradient, spectral_laplacian
 from fisher_hydro.propagate import (
     NumericalAbort,
     _dg_exponent,
@@ -156,7 +156,7 @@ def test_dg_matches_pde_under_refinement(constants):
         minus, plus = symmetric_pair(wf, V, replace(spec, dt=dt_diag), constants)
         rho_t = (plus.density() - minus.density()) / (2 * dt_diag)
         hydro = polar_decompose(wf, 1e-6, constants)
-        div_j = spectral_gradient(hydro.j[0], grid)[0]
+        div_j = spectral_divergence(hydro.j, grid)
         rhs = -div_j + D * spectral_laplacian(hydro.rho, grid)
         m = hydro.mask
         return norm_l2(np.where(m, rho_t - rhs, 0.0), grid) / norm_l2(np.where(m, rhs, 0.0), grid)

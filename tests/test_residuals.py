@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from fisher_hydro import EvolutionSpec, PhysicalConstants, evolve, make_grid
-from fisher_hydro.fields import WaveField, laplacian_quotient, masked_mean, phase_time_derivative, polar_decompose
-from fisher_hydro.grid import fd_gradient4, integrate
+from fisher_hydro.fields import (
+    WaveField,
+    grad_phase,
+    laplacian_quotient,
+    masked_mean,
+    phase_time_derivative,
+    polar_decompose,
+)
+from fisher_hydro.grid import integrate
 from fisher_hydro.propagate import step_linear, symmetric_pair
 from fisher_hydro.residuals import (
     _hj_from_parts,
@@ -73,6 +80,36 @@ def test_continuity_rises_under_diffusion():
     minus, plus = symmetric_pair(wf, V, spec, C)
     rc = continuity_residual((minus, wf, plus), C)
     assert rc > 1e-3
+
+
+def boosted_2d_state(v):
+    """A 2D Gaussian of width 1.5 at the centre of a 128^2 box of side 40,
+    boosted to velocity v and evolved freely to t = 0.5.  The boosts move it
+    by whole cells, so both frames sample it on the same lattice points."""
+    grid = make_grid(2, 128, 40.0)
+    x, y = grid.coords() - 20.0
+    phase = C.m * (v[0] * x + v[1] * y) / C.hbar
+    psi = WaveField(grid, np.exp(-(x**2 + y**2) / (2 * 1.5**2) + 1j * phase)).normalized()
+    V = np.zeros(grid.shape)
+    spec = EvolutionSpec(kind="linear", dt=0.01, t_final=0.5, record_stride=50)
+    return evolve(psi, V, spec, C).snapshots[-1][1], V, spec
+
+
+def test_2d_residuals_floor_and_boost_invariance():
+    # continuity and HJ on a two-axis state, at rest and moved by (2, -1)
+    # cells: at the floor in both frames, and the same in both
+    rest, moving = [], []
+    for v, out in (((0.0, 0.0), rest), ((1.25, -0.625), moving)):
+        wf, V, spec = boosted_2d_state(v)
+        minus, plus = symmetric_pair(wf, V, spec, C)
+        out.append(continuity_residual((minus, wf, plus), C))
+        out.extend(hj_residual(wf, V, r * C.alpha_star, C) for r in (0.9, 1.0, 1.1))
+    for r_cont, _, r_hj_star, _ in (rest, moving):
+        assert r_cont <= 1e-8
+        assert r_hj_star <= 1e-10
+    assert moving[0] == pytest.approx(rest[0], rel=1e-8)
+    assert moving[1] == pytest.approx(rest[1], rel=1e-10)
+    assert moving[3] == pytest.approx(rest[3], rel=1e-10)
 
 
 def test_hj_residual_eigenstate_floor(grid1d_fine):
@@ -202,7 +239,7 @@ def _hj_curve_per_alpha(wf, V, ratios, eps_mask=1e-6):
     grid = wf.grid
     hydro = polar_decompose(wf, eps_mask, C)
     s_t = phase_time_derivative(wf, V, C)
-    grad_s = fd_gradient4(hydro.S, grid)
+    grad_s = grad_phase(hydro, C)
     kin = np.sum(grad_s**2, axis=0) / (2.0 * C.m)
     qtilde = laplacian_quotient(hydro.rho, grid, hydro.mask)
     vbar = np.array([integrate(hydro.j[a], grid) for a in range(grid.dim)])

@@ -45,6 +45,18 @@ def test_superposition_beta_turns_on_residual():
     assert r1 > 1e-3 > r0
 
 
+def test_non_finite_beta_zero_superposition_row_aborts(monkeypatch):
+    # a beta = 0 row has no kick to see a non-finite state, so it checks its
+    # evolved batch and aborts naming its final time, as a beta > 0 row
+    # aborts at its first kick (test_superposition_kernel_abort_names_its_time)
+    from fisher_hydro import stresstests
+    from fisher_hydro.propagate import NumericalAbort
+
+    monkeypatch.setattr(stresstests, "_packet", lambda grid, center, sigma: np.full(grid.shape, np.nan, complex))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalAbort, match="^non-finite state at t=0.5$"):
+        superposition_residual(small_config(), 0.0)
+
+
 def test_superposition_curve_independent_of_cpu_count(monkeypatch):
     # superposition_curve runs its (beta, grid) calls on min(calls, usable
     # CPUs) forked processes, and each call steps its three states in one
