@@ -6,14 +6,15 @@ run one Strang kernel, _strang, on states stacked as (*batch, *grid.shape).
 The kernel takes its flow, the kind and its couplings, from one
 EvolutionSpec, so a new kick is one spec field and one branch of _strang.
 The DG and beta variants add a state-dependent half-step kick that is absent
-at D = 0 and beta = 0, so there they are the linear step bit for bit.  The
-kernel steps a copy of its input in place: transforms and products write
-into the state, and the kicks into work arrays built once per call, so a
-step allocates no array of the stack's size: with glibc's allocator, fresh
+at D = 0 and beta = 0, so there they are the linear step bit for bit.  A
+kick-free flow with V = 0 is diagonal in k, so the kernel advances a chunk of
+n steps as one exact kinetic factor; a snapshot then equals a fresh evolve to
+its time to round-off, not to the bit.  The kernel steps a copy of its input
+in place, and the kicks write into work arrays built once per call, so a step
+allocates no array of the stack's size: with glibc's allocator, fresh
 temporaries of that size cost a page fault per page on every step.  The
-transforms and their multipliers come from grid: the kicks transform the
-real density rho = |psi|^2 on its half spectrum, where the density-level
-diffusion is solved exactly, with no time step.
+transforms come from grid; the kicks transform the real density |psi|^2 on
+its half spectrum, where density-level diffusion is solved exactly.
 """
 
 from __future__ import annotations
@@ -134,7 +135,9 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
     The kick is the half-step factor of the state-dependent term, evaluated
     per state: exp((D/4) dt Lap rho/rho) for DG, exp(-i U_beta dt/2h) for
     beta, returned in a work array.  The linear kind, D = 0 and beta = 0
-    have no kick, so they are the linear step bit for bit.
+    have no kick, so they are the linear step bit for bit.  With no kick and
+    V = 0 every factor is diagonal in k, and advance takes n steps as one:
+    F^-1 exp(-i h k^2 n dt/2m) F, the kinetic factor itself at n = 1.
 
     advance copies values once and then steps the copy in place, with the
     kicks in work arrays built once per call: it never writes into its
@@ -154,11 +157,16 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
         def kick(values, work):
             return _phase_factor(beta_potential(values, grid, spec.beta, spec.eps_reg, work), dt, constants.hbar,
                                  work.factor)
+    free = kick is None and not np.any(V)
     half_v = np.exp(-1j * V * dt / (2.0 * constants.hbar))
     kin = np.exp(-1j * constants.hbar * grid._k2 * dt / (2.0 * constants.m))
 
     def advance(values: np.ndarray, n_steps: int, t0: float = 0.0) -> np.ndarray:
         values = np.array(values, dtype=complex)
+        if free and n_steps > 0:
+            chunk = np.exp(-1j * constants.hbar * grid._k2 * (n_steps * dt) / (2.0 * constants.m))
+            np.multiply(chunk, _over_grid(np.fft.fft, values, grid), out=values)
+            return _over_grid(np.fft.ifft, values, grid)
         work = None if kick is None else _Work(values.shape, grid, beta=spec.kind == "beta_nonlinear")
         # Every product is np.multiply with a fixed operand order: numpy may
         # evaluate `*` on a large temporary in place with swapped operands,
@@ -283,10 +291,12 @@ def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: Physi
     """Repeated stepping with snapshot recording every record_stride steps.
 
     Every kind runs the Strang kernel of step_linear, step_dg and step_beta,
-    with its factors built once, one record_stride chunk at a time.  The
-    snapshot k steps in is stamped k * dt.  Aborts with NumericalAbort at the
-    first state whose |psi|^2 is not finite, which the kicks of DG and beta
-    see at once and the norm at the end of each chunk sees for the rest.
+    with its factors built once, one record_stride chunk at a time; a
+    kick-free flow with V = 0 takes a chunk as one exact kinetic factor, so
+    its snapshot equals a fresh evolve to its time to round-off, not to the
+    bit.  The snapshot k steps in is stamped k * dt.  Aborts with
+    NumericalAbort at the first state whose |psi|^2 is not finite, which the
+    DG and beta kicks see at once and each chunk's end norm for the rest.
     """
     psi0.check_finite()
     grid = psi0.grid

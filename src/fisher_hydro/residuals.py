@@ -103,11 +103,8 @@ def subtract_masked_mean(f: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return f - masked_mean(f, mask)
 
 
-def continuity_residual(
-    snapshot_triple: tuple[WaveField, WaveField, WaveField],
-    constants: PhysicalConstants,
-    eps_mask: float = DEFAULT_EPS_MASK,
-) -> float:
+def continuity_residual(snapshot_triple: tuple[WaveField, WaveField, WaveField], constants: PhysicalConstants,
+                        eps_mask: float = DEFAULT_EPS_MASK) -> float:
     """Dimensionless continuity defect <|rho_t + div j|^2> / <|.|^2 + |.|^2>.
 
     rho_t comes from the centered snapshot pair with the stencil applied along
@@ -118,9 +115,13 @@ def continuity_residual(
     state), the defect is reported as zero rather than noise over noise.
     """
     wf_minus, wf_center, wf_plus = snapshot_triple
-    grid = wf_center.grid
+    return _continuity(polar_decompose(wf_center, eps_mask, constants), wf_minus, wf_plus)
+
+
+def _continuity(hydro: HydroFields, wf_minus: WaveField, wf_plus: WaveField) -> float:
+    """continuity_residual of the centre's decomposition hydro and its pair."""
+    grid = hydro.grid
     dt = 0.5 * (wf_plus.time - wf_minus.time)
-    hydro = polar_decompose(wf_center, eps_mask, constants)
     if not hydro.mask.any():
         raise EmptyMaskError("continuity residual: empty mask")
 
@@ -148,25 +149,24 @@ def continuity_curve(trajectory, V: np.ndarray, constants: PhysicalConstants,
                      eps_mask: float = DEFAULT_EPS_MASK) -> list[float]:
     """continuity_residual at each interior snapshot, its centered pair one
     step back and forward of the trajectory's own flow (symmetric_pair)."""
+    return [_continuity(hydro, *symmetric_pair(wf, V, trajectory.spec, constants))
+            for wf, hydro in _interior(trajectory, constants, eps_mask)]
+
+
+def _interior(trajectory, constants: PhysicalConstants, eps_mask: float):
+    """Each interior snapshot of trajectory with its decomposition, in turn."""
     interior = trajectory.snapshots[1:-1]
     if not interior:
         raise ValueError("trajectory has no interior snapshots")
-    residuals = []
-    for _, wf in interior:
-        minus, plus = symmetric_pair(wf, V, trajectory.spec, constants)
-        residuals.append(continuity_residual((minus, wf, plus), constants, eps_mask))
-    return residuals
+    return ((wf, polar_decompose(wf, eps_mask, constants)) for _, wf in interior)
 
 
-def _hj_parts(
-    wavefield: WaveField,
-    V: np.ndarray,
-    constants: PhysicalConstants,
-    eps_mask: float,
-):
-    """alpha-independent pieces of the HJ residual for one snapshot."""
+def _hj_parts(wavefield: WaveField, V: np.ndarray, constants: PhysicalConstants, eps_mask: float,
+              hydro: HydroFields | None = None):
+    """alpha-independent pieces of the HJ residual for one snapshot, whose
+    decomposition hydro is taken here unless given."""
     grid = wavefield.grid
-    hydro = polar_decompose(wavefield, eps_mask, constants)
+    hydro = polar_decompose(wavefield, eps_mask, constants) if hydro is None else hydro
     if not hydro.mask.any():
         raise EmptyMaskError("hj residual: empty mask")
     s_t = phase_time_derivative(wavefield, V, constants)
@@ -196,13 +196,8 @@ def _hj_from_parts(parts, alpha: float) -> float:
     return float(math.sqrt(num / den))
 
 
-def hj_residual(
-    wavefield: WaveField,
-    V: np.ndarray,
-    alpha: float,
-    constants: PhysicalConstants,
-    eps_mask: float = DEFAULT_EPS_MASK,
-) -> float:
+def hj_residual(wavefield: WaveField, V: np.ndarray, alpha: float, constants: PhysicalConstants,
+                eps_mask: float = DEFAULT_EPS_MASK) -> float:
     """Dimensionless Hamilton-Jacobi defect for a candidate coefficient alpha.
 
     Square root of the masked mean-square quotient of
@@ -225,13 +220,8 @@ def default_alpha_grid(lo: float = 0.5, hi: float = 1.5, cells: int = 40) -> np.
     return 0.5 * (edges[:-1] + edges[1:])
 
 
-def alpha_scan(
-    trajectory,
-    V: np.ndarray,
-    alpha_grid: np.ndarray,
-    constants: PhysicalConstants,
-    eps_mask: float = DEFAULT_EPS_MASK,
-) -> ScanResult:
+def alpha_scan(trajectory, V: np.ndarray, alpha_grid: np.ndarray, constants: PhysicalConstants,
+               eps_mask: float = DEFAULT_EPS_MASK) -> ScanResult:
     """Time-averaged HJ residual per alpha over interior snapshots.
 
     alpha_grid is in units of alpha/alpha_star, strictly increasing, covering
@@ -244,11 +234,11 @@ def alpha_scan(
     if np.any(np.diff(ratios) <= 0):
         raise ValueError("alpha grid must be strictly increasing")
 
-    r_conts = continuity_curve(trajectory, V, constants, eps_mask)
-    curves = []
+    r_conts, curves = [], []
     alpha_star = constants.alpha_star
-    for _, wf in trajectory.snapshots[1:-1]:
-        parts = _hj_parts(wf, V, constants, eps_mask)
+    for wf, hydro in _interior(trajectory, constants, eps_mask):
+        r_conts.append(_continuity(hydro, *symmetric_pair(wf, V, trajectory.spec, constants)))
+        parts = _hj_parts(wf, V, constants, eps_mask, hydro)
         curves.append([_hj_from_parts(parts, r * alpha_star) for r in ratios])
     curve = np.array([math.fsum(col) / len(curves) for col in zip(*curves)])
     return ScanResult.from_curve(ratios, curve, math.fsum(r_conts) / len(r_conts))

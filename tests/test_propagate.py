@@ -66,7 +66,8 @@ def test_free_packet_spreading_oracle(constants):
     var = integrate(rho * (x - mean) ** 2, grid)
     width_sq = 2 * var  # rho ~ exp(-x^2 / sigma(t)^2)
     expected = sigma0**2 * (1 + (constants.hbar * t / (constants.m * sigma0**2)) ** 2)
-    assert abs(width_sq - expected) / expected <= 1e-6
+    # each stride is one exact kinetic factor, so the closed form holds to round-off
+    assert abs(width_sq - expected) / expected <= 1e-12
 
 
 def test_boosted_packet_center_motion(constants):
@@ -132,6 +133,10 @@ def test_dg_zero_diffusion_bitwise(grid_name, request, constants):
     a = step_dg(psi, V, 0.01, 0.0, constants)
     b = step_linear(psi, V, 0.01, constants)
     assert np.array_equal(a.values, b.values)
+    # V = 0 is the free flow's single kinetic factor
+    free = np.zeros(grid.shape)
+    assert np.array_equal(step_dg(psi, free, 0.01, 0.0, constants).values,
+                          step_linear(psi, free, 0.01, constants).values)
 
 
 def test_dg_uniform_density_no_diffusion_effect(grid1d, constants):
@@ -173,6 +178,59 @@ def test_beta_zero_bitwise(grid_name, request, constants):
     a = step_beta(psi, V, 0.01, 0.0, 1e-6, constants)
     b = step_linear(psi, V, 0.01, constants)
     assert np.array_equal(a.values, b.values)
+    # V = 0 is the free flow's single kinetic factor
+    free = np.zeros(grid.shape)
+    assert np.array_equal(step_beta(psi, free, 0.01, 0.0, 1e-6, constants).values,
+                          step_linear(psi, free, 0.01, constants).values)
+
+
+def _free_grid(dim):
+    return make_grid(1, 512, 40.0) if dim == 1 else make_grid(2, 64, 20.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_free_chunk_matches_repeated_steps(dim, constants):
+    """With no kick and V = 0, n steps taken as one kinetic factor agree with
+    n single steps to round-off, and zero steps leave the values alone."""
+    grid = _free_grid(dim)
+    psi = moving_packet(grid, constants)
+    V = np.zeros(grid.shape)
+    advance = _strang(V, grid, 0.01, constants, EvolutionSpec())
+    wf = psi
+    for _ in range(10):
+        wf = step_linear(wf, V, 0.01, constants)
+    assert norm_l2(advance(psi.values, 10) - wf.values, grid) <= 1e-13
+    assert np.array_equal(advance(psi.values, 0), psi.values)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_free_snapshot_matches_fresh_evolve(dim, constants):
+    grid = _free_grid(dim)
+    psi0 = moving_packet(grid, constants)
+    V = np.zeros(grid.shape)
+    spec = EvolutionSpec(dt=0.01, t_final=0.3, record_stride=7)
+    for t, wf in evolve(psi0, V, spec, constants).snapshots[1:]:
+        fresh = replace(spec, t_final=t, record_stride=int(round(t / spec.dt)))
+        assert norm_l2(evolve(psi0, V, fresh, constants).snapshots[-1][1].values - wf.values, grid) <= 1e-13
+
+
+def test_one_nonzero_potential_cell_keeps_the_step_loop(grid1d, constants, monkeypatch):
+    """A V that is zero but for one cell is not free: advance takes one
+    transform pair per step, with the bits of single steps."""
+    V = np.zeros(grid1d.shape)
+    V[7] = 1e-3
+    psi = moving_packet(grid1d, constants)
+    wf = psi
+    for _ in range(5):
+        wf = step_linear(wf, V, 0.01, constants)
+    calls = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **k: calls.append(1) or fft(*a, **k))
+    assert np.array_equal(_strang(V, grid1d, 0.01, constants, EvolutionSpec())(psi.values, 5), wf.values)
+    assert len(calls) == 5
+    calls.clear()
+    _strang(np.zeros(grid1d.shape), grid1d, 0.01, constants, EvolutionSpec())(psi.values, 5)
+    assert len(calls) == 1
 
 
 def test_beta_uniform_density_identical_to_linear(grid1d, constants):

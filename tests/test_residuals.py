@@ -175,6 +175,16 @@ def test_alpha_scan_r_cont_steps_the_trajectory_own_flow():
     assert min(curve) > 1e-3
 
 
+def test_alpha_scan_decomposes_each_snapshot_once(monkeypatch):
+    # continuity and the HJ parts share one decomposition per interior snapshot
+    traj, V, grid = table1_trajectory(n=1024, t_final=1.0)
+    calls = []
+    monkeypatch.setattr("fisher_hydro.residuals.polar_decompose",
+                        lambda *a, **k: calls.append(1) or polar_decompose(*a, **k))
+    alpha_scan(traj, V, default_alpha_grid(), C)
+    assert len(calls) == len(traj.snapshots) - 2
+
+
 def test_alpha_scan_boost_invariance():
     _, c0, g = table1_trajectory(n=2048, dt=0.02, t_final=1.2)
     traj0, V, _ = table1_trajectory(n=2048, dt=0.02, t_final=1.2, boost_v=0.0)
