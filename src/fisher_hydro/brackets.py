@@ -1,10 +1,10 @@
 """Discrete functional Poisson brackets on (rho, S) and the Bargmann algebra checks.
 
 Generator derivative fields are assembled from the density and the probability
-current: grad S enters only as fields.grad_phase, m j / rho under a deep
-density guard.  Moment integrals use packet-centered coordinates
-(the standard periodic surrogate for decay on R^d) and refuse states whose
-mass reaches the coordinate branch seam.
+current: grad S enters only as HydroFields.grad_s, m j / rho under a deep
+density guard, which polar_decompose builds once for every generator.  Moment
+integrals use packet-centered coordinates (the standard periodic surrogate for
+decay on R^d) and refuse states whose mass reaches the coordinate branch seam.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ROUNDOFF_FLOOR, HydroFields, PhysicalConstants, grad_phase, quantum_potential
+from .fields import ROUNDOFF_FLOOR, HydroFields, PhysicalConstants, quantum_potential
 from .grid import Grid, integrate, spectral_divergence, spectral_gradient
 
 __all__ = [
@@ -91,7 +91,7 @@ def generator_derivs(
     """
     grid = hydro.grid
     rho = hydro.rho
-    grad_s = grad_phase(hydro, constants)
+    grad_s = hydro.grad_s
 
     if name == "H":
         div_j = spectral_divergence(hydro.j, grid)

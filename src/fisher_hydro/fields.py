@@ -1,5 +1,6 @@
 """Wavefunction storage, Madelung polar decomposition, and derived hydrodynamic fields.
 
+polar_decompose gives rho, j and grad S = m j / rho; unwrapped_phase gives S.
 All hydrodynamic quotients are evaluated on a node mask {rho > eps * max(rho)};
 off-mask entries are zeroed and excluded from every norm downstream.
 """
@@ -18,7 +19,7 @@ __all__ = [
     "HydroFields",
     "polar_compose",
     "polar_decompose",
-    "grad_phase",
+    "unwrapped_phase",
     "quantum_potential",
     "laplacian_quotient",
     "root_laplacian_quotient",
@@ -83,16 +84,16 @@ class WaveField:
 
 @dataclass
 class HydroFields:
-    """Madelung fields rho, S, j with node mask.
+    """Madelung fields rho, j and grad S with node mask.
 
-    S is unwrapped phase times hbar, defined up to a global constant;
-    consumers must use only S differences, and take grad S from grad_phase.
+    grad S is m j / rho, shape (dim, *shape), 0 where rho <= ROUNDOFF_FLOOR *
+    max(rho); the phase S itself is not held (see unwrapped_phase).
     """
 
     grid: Grid
     rho: np.ndarray
-    S: np.ndarray
     j: np.ndarray
+    grad_s: np.ndarray
     mask: np.ndarray
 
 
@@ -113,29 +114,22 @@ def polar_compose(rho: np.ndarray, S: np.ndarray, hbar: float, grid: Grid) -> Wa
     return WaveField(grid, amp * np.exp(1j * np.asarray(S) / hbar))
 
 
-def _unwrap_bidirectional(arr: np.ndarray, start: int, axis: int = 0) -> np.ndarray:
-    """Unwrap outward from index ``start`` along ``axis`` in both directions.
+def unwrapped_phase(psi: WaveField, hbar: float) -> np.ndarray:
+    """S = hbar arg(psi) of a 1D wavefield, unwrapped outward both ways from
+    the density maximum, so defined up to a global constant.
 
     A single forward chain would travel through the far (typically
     zero-amplitude) side of the box and re-enter with an arbitrary 2pi offset;
     two outward chains keep any phase noise confined to the far tails.
     """
-    a = np.moveaxis(arr, axis, 0)
-    out = np.empty_like(a)
-    out[start:] = np.unwrap(a[start:], axis=0)
-    out[: start + 1] = np.unwrap(a[: start + 1][::-1], axis=0)[::-1]
-    return np.moveaxis(out, 0, axis)
-
-
-def _unwrap_from_anchor(phase: np.ndarray, anchor: tuple[int, ...]) -> np.ndarray:
-    """Cumulative 2pi-jump correction along each axis, anchored at the anchor site."""
-    if phase.ndim == 1:
-        return _unwrap_bidirectional(phase, anchor[0])
-    # Unwrap the anchor row along axis 1, then every column along axis 0,
-    # re-anchoring each column to the corrected anchor row.
-    row_ref = _unwrap_bidirectional(phase[anchor[0]], anchor[1])
-    cols = _unwrap_bidirectional(phase, anchor[0], axis=0)
-    return cols + (row_ref - phase[anchor[0]])[None, :]
+    if psi.grid.dim != 1:
+        raise ValueError("unwrapped_phase takes a 1D wavefield; use arg increments in 2D")
+    phase = np.angle(psi.values)
+    start = int(np.argmax(psi.density()))
+    out = np.empty_like(phase)
+    out[start:] = np.unwrap(phase[start:])
+    out[: start + 1] = np.unwrap(phase[: start + 1][::-1])[::-1]
+    return hbar * out
 
 
 def polar_decompose(
@@ -143,12 +137,10 @@ def polar_decompose(
     eps_mask: float = DEFAULT_EPS_MASK,
     constants: PhysicalConstants | None = None,
 ) -> HydroFields:
-    """Extract (rho, S, j, mask) from a wavefield.
+    """Extract (rho, j, grad S, mask) from a wavefield.
 
-    j uses the spectral gradient of psi, so it stays smooth through regions
-    where the unwrapped phase is meaningless.  The unwrap is anchored at the
-    density maximum; on multiply-connected phase (vortices) S is intentionally
-    not globally consistent and circulation must use arg increments directly.
+    j uses the spectral gradient of psi, and grad S is m j / rho, so neither
+    differentiates the phase, whose branch seam and vortices would ring.
     """
     c = constants or PhysicalConstants()
     grid = psi.grid
@@ -158,21 +150,9 @@ def polar_decompose(
 
     grad_psi = spectral_gradient(psi.values, grid)
     j = (c.hbar / c.m) * (np.conj(psi.values)[None] * grad_psi).imag
-
-    anchor = np.unravel_index(int(np.argmax(rho)), rho.shape)
-    S = c.hbar * _unwrap_from_anchor(np.angle(psi.values), anchor)
-    return HydroFields(grid=grid, rho=rho, S=S, j=j, mask=mask)
-
-
-def grad_phase(hydro: HydroFields, constants: PhysicalConstants) -> np.ndarray:
-    """grad S as m j / rho, shape (dim, *shape), 0 where rho <= ROUNDOFF_FLOOR *
-    max(rho).  j is spectral and smooth, so this never differentiates the
-    unwrapped phase, whose periodic branch seam would ring."""
-    rho = hydro.rho
-    guard = rho > ROUNDOFF_FLOOR * rho.max()
-    out = np.zeros_like(hydro.j)
-    np.divide(constants.m * hydro.j, rho[None], out=out, where=guard[None])
-    return out
+    grad_s = np.zeros_like(j)
+    np.divide(c.m * j, rho[None], out=grad_s, where=(rho > ROUNDOFF_FLOOR * rho_max)[None])
+    return HydroFields(grid=grid, rho=rho, j=j, grad_s=grad_s, mask=mask)
 
 
 def quantum_potential(rho: np.ndarray, coeff: float, grid: Grid, mask: np.ndarray) -> np.ndarray:

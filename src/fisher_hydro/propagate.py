@@ -136,8 +136,8 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
     per state: exp((D/4) dt Lap rho/rho) for DG, exp(-i U_beta dt/2h) for
     beta, returned in a work array.  The linear kind, D = 0 and beta = 0
     have no kick, so they are the linear step bit for bit.  With no kick and
-    V = 0 every factor is diagonal in k, and advance takes n steps as one:
-    F^-1 exp(-i h k^2 n dt/2m) F, the kinetic factor itself at n = 1.
+    V = 0 every factor is diagonal in k, and advance takes n steps as one,
+    F^-1 exp(-i h k^2 n dt/2m) F (kin's bits at n = 1), and builds no step factor.
 
     advance copies values once and then steps the copy in place, with the
     kicks in work arrays built once per call: it never writes into its
@@ -158,8 +158,8 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
             return _phase_factor(beta_potential(values, grid, spec.beta, spec.eps_reg, work), dt, constants.hbar,
                                  work.factor)
     free = kick is None and not np.any(V)
-    half_v = np.exp(-1j * V * dt / (2.0 * constants.hbar))
-    kin = np.exp(-1j * constants.hbar * grid._k2 * dt / (2.0 * constants.m))
+    half_v = None if free else np.exp(-1j * V * dt / (2.0 * constants.hbar))
+    kin = None if free else np.exp(-1j * constants.hbar * grid._k2 * dt / (2.0 * constants.m))
 
     def advance(values: np.ndarray, n_steps: int, t0: float = 0.0) -> np.ndarray:
         values = np.array(values, dtype=complex)

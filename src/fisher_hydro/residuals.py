@@ -7,8 +7,8 @@ co-moving with the state's mean velocity (P/m), which preserves their
 term-by-term structure, reduces to the lab-frame formula for a state at rest,
 and makes every reported value boost-invariant pointwise.
 
-Both take their spatial terms from the spectral current j of polar_decompose:
-grad S is m j / rho (fields.grad_phase) and every divergence is spectral.
+Both take their spatial terms from polar_decompose: the spectral current j
+and grad S = m j / rho (HydroFields.grad_s); every divergence is spectral.
 Neither reads the unwrapped phase.
 """
 
@@ -24,7 +24,6 @@ from .fields import (
     HydroFields,
     PhysicalConstants,
     WaveField,
-    grad_phase,
     laplacian_quotient,
     masked_mean,
     phase_time_derivative,
@@ -170,7 +169,7 @@ def _hj_parts(wavefield: WaveField, V: np.ndarray, constants: PhysicalConstants,
     if not hydro.mask.any():
         raise EmptyMaskError("hj residual: empty mask")
     s_t = phase_time_derivative(wavefield, V, constants)
-    grad_s = grad_phase(hydro, constants)
+    grad_s = hydro.grad_s
     kin = np.sum(grad_s**2, axis=0) / (2.0 * constants.m)
     qtilde = laplacian_quotient(hydro.rho, grid, hydro.mask)
 

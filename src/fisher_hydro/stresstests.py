@@ -18,6 +18,7 @@ from .fields import (
     WaveField,
     phase_time_derivative,
     polar_decompose,
+    unwrapped_phase,
 )
 from .grid import Grid, make_grid, norm_l2, spectral_divergence, spectral_laplacian
 from .propagate import EvolutionSpec, NumericalAbort, _strang, evolve
@@ -211,7 +212,7 @@ def complexifier_scan(
         hydro = polar_decompose(wf, eps_mask, constants)
         mask = hydro.mask
         rho = hydro.rho
-        s_field = hydro.S
+        s_field = unwrapped_phase(wf, constants.hbar)
         rho_t = -spectral_divergence(hydro.j, grid)
         s_t = phase_time_derivative(wf, V, constants)
         rate_log_rho = np.zeros(grid.shape)
@@ -259,7 +260,7 @@ def time_reversal_defect(
     """
     horizon = EvolutionSpec(dt=dt, t_final=T)
     n_steps = horizon.n_steps
-    if n_steps and abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
+    if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("T must be a multiple of dt")
 
     def run(diffusion: float) -> float:

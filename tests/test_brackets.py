@@ -11,6 +11,7 @@ from fisher_hydro.brackets import (
     generator_value,
     poisson_bracket,
 )
+from fisher_hydro.fields import unwrapped_phase
 from fisher_hydro.grid import integrate
 from fisher_hydro.states import boost, gaussian_packet, harmonic_potential
 
@@ -73,7 +74,9 @@ def test_p_derivatives(grid1d_fine):
 def test_generator_gateaux(grid1d_fine):
     # directional derivative of the generator value matches the deriv fields
     grid = grid1d_fine
-    hydro = packet_hydro(grid, k0=0.0)
+    psi = gaussian_packet(grid, grid.length / 2, 1.0, 0.0, C)
+    hydro = polar_decompose(psi, 1e-6, C)
+    phase = unwrapped_phase(psi, C.hbar)
     x = grid.axes[0] - 20.0
     r = np.random.default_rng(5)
     window = np.exp(-(x**2) / 2.0)
@@ -96,7 +99,7 @@ def test_generator_gateaux(grid1d_fine):
         analytic = integrate(derivs.d_rho * eta_rho + derivs.d_S * eta_s, grid)
 
         def value(eps):
-            wf = polar_compose(hydro.rho + eps * eta_rho, hydro.S + eps * eta_s, C.hbar, grid)
+            wf = polar_compose(hydro.rho + eps * eta_rho, phase + eps * eta_s, C.hbar, grid)
             h = polar_decompose(wf, 1e-6, C)
             return generator_value(name, h, V, C.alpha_star, C, t=0.3)
 

@@ -4,25 +4,30 @@ import math
 import numpy as np
 import pytest
 
-from fisher_hydro import PhysicalConstants, make_grid, polar_compose, polar_decompose
+from fisher_hydro import EvolutionSpec, PhysicalConstants, evolve, make_grid, polar_compose, polar_decompose
+from fisher_hydro.brackets import bargmann_check
 from fisher_hydro.fields import (
+    ROUNDOFF_FLOOR,
     laplacian_quotient,
     masked_mean,
     phase_time_derivative,
     quantum_potential,
     root_laplacian_quotient,
+    unwrapped_phase,
 )
 from fisher_hydro.functionals import fisher_laplacian_quotient
 from fisher_hydro.grid import integrate, spectral_laplacian
 from fisher_hydro.propagate import step_linear
-from fisher_hydro.residuals import eigen_coefficient_curve
+from fisher_hydro.residuals import alpha_scan, continuity_curve, default_alpha_grid, eigen_coefficient_curve
 from fisher_hydro.states import (
     bump_density,
     gaussian_packet,
     harmonic_potential,
     oscillator_energy,
     oscillator_state,
+    vortex_state,
 )
+from fisher_hydro.stresstests import complexifier_scan
 
 
 def gaussian_rho(grid, sigma=1.5, center=None):
@@ -62,7 +67,7 @@ def test_polar_roundtrip_on_mask(grid1d_fine, constants):
     m = hydro.mask
     assert np.max(np.abs(hydro.rho - rho)[m]) <= 1e-10
     # S recovered up to a constant
-    ds = (hydro.S - S)[m]
+    ds = (unwrapped_phase(wf, constants.hbar) - S)[m]
     assert np.max(np.abs(ds - ds.mean())) <= 1e-8
 
 
@@ -74,6 +79,42 @@ def test_polar_decompose_plane_wave(grid1d, constants):
     assert np.allclose(hydro.rho, 1.0 / grid1d.length)
     m = hydro.mask
     assert np.max(np.abs(hydro.j[0][m] / hydro.rho[m] - constants.hbar * k0 / constants.m)) <= 1e-10
+
+
+def test_grad_s_is_m_j_over_rho_bitwise(grid1d_fine, grid2d):
+    # grad S is the guarded divide m j / rho, bit for bit, with the
+    # decomposition's own m (2 here, so a dropped m shows)
+    constants = PhysicalConstants(m=2.0)
+    for wf in (gaussian_packet(grid1d_fine, 21.0, 1.0, 0.7, constants), vortex_state(grid2d, 1, 2.0)):
+        hydro = polar_decompose(wf, 1e-6, constants)
+        rho = hydro.rho
+        expected = np.zeros_like(hydro.j)
+        np.divide(constants.m * hydro.j, rho[None], out=expected, where=(rho > ROUNDOFF_FLOOR * rho.max())[None])
+        assert np.array_equal(hydro.grad_s, expected)
+
+
+def test_unwrapped_phase_refuses_2d(grid2d, constants):
+    with pytest.raises(ValueError):
+        unwrapped_phase(vortex_state(grid2d, 1, 2.0), constants.hbar)
+
+
+def test_only_the_complexifier_unwraps(constants, monkeypatch):
+    # the continuity, HJ and bracket diagnostics read rho, j and grad S only;
+    # the complexifier unwraps each snapshot once, as two outward chains
+    grid = make_grid(1, 256, 40.0)
+    V = np.zeros(grid.shape)
+    traj = evolve(gaussian_packet(grid, 20.0, 1.0, 0.5, constants), V, EvolutionSpec(dt=0.01, t_final=0.04),
+                  constants)
+    calls = []
+    unwrap = np.unwrap
+    monkeypatch.setattr(np, "unwrap", lambda *a, **k: calls.append(1) or unwrap(*a, **k))
+    continuity_curve(traj, V, constants)
+    alpha_scan(traj, V, default_alpha_grid(), constants)
+    bargmann_check(polar_decompose(traj.snapshots[2][1], 1e-6, constants), V, constants.alpha_star, constants)
+    assert calls == []
+    snapshots = [wf for _, wf in traj.snapshots]
+    complexifier_scan(np.array([0.5]), np.array([1.0]), snapshots, V, constants)
+    assert len(calls) == 2 * len(snapshots)
 
 
 def test_polar_decompose_excited_state_node_masked(grid1d_fine, constants):
@@ -93,7 +134,7 @@ def test_gauge_covariance(grid1d_fine, constants):
     h2 = polar_decompose(wf2, 1e-6, constants)
     assert np.max(np.abs(h1.rho - h2.rho)) <= 1e-12
     assert np.max(np.abs(h1.j - h2.j)) <= 1e-12
-    ds = (h2.S - h1.S)[h1.mask] / constants.hbar
+    ds = (unwrapped_phase(wf2, constants.hbar) - unwrapped_phase(wf, constants.hbar))[h1.mask] / constants.hbar
     # constant offset theta mod 2 pi
     offset = np.mod(ds - theta + np.pi, 2 * np.pi) - np.pi
     assert np.max(np.abs(offset)) <= 1e-12
@@ -172,10 +213,9 @@ def test_phase_rate_matches_time_stencil(grid1d_fine, constants):
     V = np.zeros(grid1d_fine.shape)
     st = phase_time_derivative(wf, V, constants)
     delta = 2e-4
-    plus = polar_decompose(step_linear(wf, V, delta, constants), 1e-6, constants)
-    minus = polar_decompose(step_linear(wf, V, -delta, constants), 1e-6, constants)
-    mask = plus.mask & minus.mask
-    fd = (plus.S - minus.S) / (2 * delta)
+    plus, minus = step_linear(wf, V, delta, constants), step_linear(wf, V, -delta, constants)
+    mask = polar_decompose(plus, 1e-6, constants).mask & polar_decompose(minus, 1e-6, constants).mask
+    fd = (unwrapped_phase(plus, constants.hbar) - unwrapped_phase(minus, constants.hbar)) / (2 * delta)
     assert np.max(np.abs(st - fd)[mask]) <= 1e-6
 
 

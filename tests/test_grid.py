@@ -179,15 +179,24 @@ def test_grid_owns_every_transform():
 
 
 def test_only_the_complexifier_reads_the_unwrapped_phase():
-    # grad S has one route, m j / rho (fields.grad_phase): no module but
-    # fields.py, which builds S, and stresstests.py, whose complexifier takes
-    # exp(i s S), reads the unwrapped phase
+    # grad S has one route, m j / rho in polar_decompose (HydroFields.grad_s):
+    # no module but fields.py divides j by rho, and no module but
+    # stresstests.py, whose complexifier takes exp(i s S), calls
+    # unwrapped_phase.  Strings and comments are not code, so they are dropped.
+    import io
     import pathlib
     import re
+    import tokenize
 
     import fisher_hydro
 
+    divides_j = re.compile(r"\bj\b(\s*\[[^\]]*\])*\s*/\s*(\w+\s*\.\s*)?rho\b|divide\s*\([^,]*\bj\b\s*,[^,]*\brho\b")
+    unwraps = re.compile(r"(?<!def )\bunwrapped_phase\s*\(")
     package = pathlib.Path(fisher_hydro.__file__).parent
+    found = {}
     for path in sorted(package.glob("*.py")):
-        if path.name not in ("fields.py", "stresstests.py"):
-            assert not re.search(r"\.S\b", path.read_text()), path.name
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        code = " ".join(t.string for t in tokens if t.type not in (tokenize.STRING, tokenize.COMMENT))
+        found[path.name] = (bool(divides_j.search(code)), bool(unwraps.search(code)))
+    assert {name for name, (divides, _) in found.items() if divides} == {"fields.py"}
+    assert {name for name, (_, calls) in found.items() if calls} == {"stresstests.py"}

@@ -233,6 +233,18 @@ def test_one_nonzero_potential_cell_keeps_the_step_loop(grid1d, constants, monke
     assert len(calls) == 1
 
 
+def test_free_kernel_builds_no_step_factor(grid1d, constants, monkeypatch):
+    """A free flow (V = 0, no kick) never steps, so _strang builds neither
+    the potential nor the kinetic factor; a harmonic V builds both."""
+    calls = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda *a, **k: calls.append(1) or exp(*a, **k))
+    _strang(np.zeros(grid1d.shape), grid1d, 0.01, constants, EvolutionSpec())
+    assert len(calls) == 0
+    _strang(harmonic_potential(grid1d, 1.0, constants), grid1d, 0.01, constants, EvolutionSpec())
+    assert len(calls) == 2
+
+
 def test_beta_uniform_density_identical_to_linear(grid1d, constants):
     rho = np.full(grid1d.shape, 1.0 / grid1d.length)
     psi = WaveField(grid1d, np.sqrt(rho).astype(complex), 0.0)

@@ -7,7 +7,6 @@ import pytest
 from fisher_hydro import EvolutionSpec, PhysicalConstants, evolve, make_grid
 from fisher_hydro.fields import (
     WaveField,
-    grad_phase,
     laplacian_quotient,
     masked_mean,
     phase_time_derivative,
@@ -249,7 +248,7 @@ def _hj_curve_per_alpha(wf, V, ratios, eps_mask=1e-6):
     grid = wf.grid
     hydro = polar_decompose(wf, eps_mask, C)
     s_t = phase_time_derivative(wf, V, C)
-    grad_s = grad_phase(hydro, C)
+    grad_s = hydro.grad_s
     kin = np.sum(grad_s**2, axis=0) / (2.0 * C.m)
     qtilde = laplacian_quotient(hydro.rho, grid, hydro.mask)
     vbar = np.array([integrate(hydro.j[a], grid) for a in range(grid.dim)])

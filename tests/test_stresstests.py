@@ -263,9 +263,11 @@ def test_time_reversal_error_accumulation_bound(grid1d):
 
 
 def test_time_reversal_requires_commensurate_horizon(grid1d):
+    # T = 0.005 rounds to zero steps: it is refused, not read as a zero horizon
     psi = gaussian_packet(grid1d, 20.0, 1.0, 0.0, C)
-    with pytest.raises(ValueError):
-        time_reversal_defect(psi, np.zeros(grid1d.shape), 0.105, 0.0, C, dt=0.01)
+    for T in (0.105, 0.005):
+        with pytest.raises(ValueError):
+            time_reversal_defect(psi, np.zeros(grid1d.shape), T, 0.0, C, dt=0.01)
 
 
 @pytest.mark.parametrize("winding", [0, 1, 2])
