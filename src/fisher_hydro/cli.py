@@ -590,6 +590,8 @@ def run_time_reversal(cfg: dict, outdir: str) -> tuple[dict, dict]:
     D = cfg["diffusion"]
     if D <= 0.0:  # floor_ratio compares the diffusive defect with the D = 0 one
         raise ConfigError(f"time-reversal needs diffusion > 0, got {D:g}")
+    if cfg["t_final"] <= 0.0:  # at T = 0 both defects are 0 and floor_ratio reads 0
+        raise ConfigError(f"time-reversal needs t_final > 0, got {cfg['t_final']:g}")
     defect_d, defect0 = time_reversal_defect(psi, V, cfg["t_final"], D, constants, cfg["dt"])
     ratio = defect_d / max(defect0, 1e-300)
 

@@ -137,14 +137,14 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
     beta, returned in a work array.  The linear kind, D = 0 and beta = 0
     have no kick, so they are the linear step bit for bit.  With no kick and
     V = 0 every factor is diagonal in k, and advance takes n steps as one,
-    F^-1 exp(-i h k^2 n dt/2m) F (kin's bits at n = 1), and builds no step factor.
+    F^-1 exp(-i h k^2 n dt/2m) F from kin's own kinetic(t), and builds no step factor.
 
     advance copies values once and then steps the copy in place, with the
     kicks in work arrays built once per call: it never writes into its
-    argument, so a caller may pass back an array it keeps.  With a kick, it
-    raises NumericalAbort at the first state it steps whose |psi|^2 is not
-    finite, naming the time t0 + done * dt of that state, t0 the time of
-    values.
+    argument, so a caller may pass back an array it keeps.  Every evolution
+    aborts here: NumericalAbort names the time t0 + done * dt of the first
+    state whose |psi|^2 a kick finds not finite (t0 the time of values), else
+    t0 + n_steps * dt if the state advance returns has a non-finite norm.
     """
     if spec.kind not in _WAVE_KINDS:
         raise ValueError(f"kind {spec.kind!r} is not a wavefunction evolution")
@@ -158,27 +158,28 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
             return _phase_factor(beta_potential(values, grid, spec.beta, spec.eps_reg, work), dt, constants.hbar,
                                  work.factor)
     free = kick is None and not np.any(V)
+    def kinetic(t: float) -> np.ndarray:
+        return np.exp(-1j * constants.hbar * grid._k2 * t / (2.0 * constants.m))
     half_v = None if free else np.exp(-1j * V * dt / (2.0 * constants.hbar))
-    kin = None if free else np.exp(-1j * constants.hbar * grid._k2 * dt / (2.0 * constants.m))
+    kin = None if free else kinetic(dt)
 
     def advance(values: np.ndarray, n_steps: int, t0: float = 0.0) -> np.ndarray:
         values = np.array(values, dtype=complex)
         if free and n_steps > 0:
-            chunk = np.exp(-1j * constants.hbar * grid._k2 * (n_steps * dt) / (2.0 * constants.m))
-            np.multiply(chunk, _over_grid(np.fft.fft, values, grid), out=values)
-            return _over_grid(np.fft.ifft, values, grid)
+            np.multiply(kinetic(n_steps * dt), _over_grid(np.fft.fft, values, grid), out=values)
+            _over_grid(np.fft.ifft, values, grid)
         work = None if kick is None else _Work(values.shape, grid, beta=spec.kind == "beta_nonlinear")
         # Every product is np.multiply with a fixed operand order: numpy may
         # evaluate `*` on a large temporary in place with swapped operands,
         # and a complex product is not bitwise commutative (FMA), so `*`
         # would make a state's step depend on its batch.
-        for done in range(n_steps):
+        for done in range(0 if free else n_steps):
             if kick is not None:
                 factor = kick(values, work)
-                # The linear part is unitary, so only a kick blows a state
-                # up; the per-state max rho that the next kick reads then
-                # sums to a non-finite value.  That also catches a state whose
-                # entries are finite but whose |psi|^2 overflows.
+                # The per-state max rho that a kick reads sums to a
+                # non-finite value at the first state that a kick blew up,
+                # even one whose entries are finite but whose |psi|^2
+                # overflows, so the abort names that step.
                 if not math.isfinite(work.peak.sum()):
                     raise NumericalAbort(f"non-finite state at t={t0 + done * dt:g}")
                 np.multiply(values, factor, out=values)
@@ -188,6 +189,8 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
             np.multiply(half_v, values, out=values)
             if kick is not None:
                 np.multiply(values, kick(values, work), out=values)
+        if not math.isfinite(np.vdot(values, values).real):
+            raise NumericalAbort(f"non-finite state at t={t0 + n_steps * dt:g}")
         return values
 
     return advance
@@ -294,9 +297,9 @@ def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: Physi
     with its factors built once, one record_stride chunk at a time; a
     kick-free flow with V = 0 takes a chunk as one exact kinetic factor, so
     its snapshot equals a fresh evolve to its time to round-off, not to the
-    bit.  The snapshot k steps in is stamped k * dt.  Aborts with
-    NumericalAbort at the first state whose |psi|^2 is not finite, which the
-    DG and beta kicks see at once and each chunk's end norm for the rest.
+    bit.  The snapshot k steps in is stamped k * dt.  The kernel raises
+    NumericalAbort at the first non-finite state it sees: a kick's density or
+    a chunk's end state.
     """
     psi0.check_finite()
     grid = psi0.grid
@@ -309,8 +312,6 @@ def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: Physi
         values = advance(values, chunk, step * spec.dt)
         step += chunk
         t = step * spec.dt
-        if not math.isfinite(np.vdot(values, values).real):
-            raise NumericalAbort(f"non-finite state at t={t:g}")
         snapshots.append((t, WaveField(grid, values, t)))
     return Trajectory(snapshots, spec)
 

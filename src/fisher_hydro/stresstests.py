@@ -7,7 +7,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .fields import (
     unwrapped_phase,
 )
 from .grid import Grid, make_grid, norm_l2, spectral_divergence, spectral_laplacian
-from .propagate import EvolutionSpec, NumericalAbort, _strang, evolve
+from .propagate import EvolutionSpec, _strang
 from .states import harmonic_potential
 
 __all__ = [
@@ -42,6 +42,11 @@ class LoopThroughNodeError(ValueError):
     pass
 
 
+def _whole_steps(t_final: float, dt: float) -> bool:
+    """Whether t_final is a whole number of steps of dt, to 1e-9 relative."""
+    return abs(round(t_final / dt) * dt - t_final) <= 1e-9 * max(t_final, 1.0)
+
+
 @dataclass(frozen=True)
 class SuperpositionConfig:
     """The superposition suite's config: two coherent packets of width
@@ -50,6 +55,7 @@ class SuperpositionConfig:
     Each packet's density at the periodic seam x = +-L/2 must stay below
     ROUNDOFF_FLOOR times its peak, so the box cuts off no packet.  Every beta
     is >= 0 and eps_reg > 0, as EvolutionSpec requires of its beta kick.
+    t_final > 0 is a whole number of base steps dt, so both grids stop at it.
     """
 
     n: int = 4096
@@ -69,6 +75,11 @@ class SuperpositionConfig:
         if any(b < 0 for b in self.beta_list) or self.eps_reg <= 0:
             raise ValueError(f"require beta >= 0, eps_reg > 0, got beta_list {list(self.beta_list)}, "
                              f"eps_reg {self.eps_reg:g}")
+        if not (self.dt > 0 and self.t_final > 0):
+            raise ValueError(f"require dt > 0, t_final > 0, got dt {self.dt:g}, t_final {self.t_final:g}")
+        if not _whole_steps(self.t_final, self.dt):
+            raise ValueError(f"t_final {self.t_final:g} is not a whole number of base steps dt {self.dt:g}, "
+                             "so the base and refined grids would stop at different times")
         c = PhysicalConstants(self.hbar, self.mass)  # refuses hbar or mass <= 0 before they divide
         sigma = math.sqrt(c.hbar / (c.m * self.omega))
         seam = 0.5 * self.length / sigma - 0.5 * self.separation_sigmas  # from a centre to x = +-L/2
@@ -110,7 +121,8 @@ def _usable_cpus() -> int:
 
 
 def superposition_residual(config: SuperpositionConfig, beta: float, refined: bool = False) -> float:
-    """Evolve psi1, psi2 separately and (psi1+psi2)/sqrt(2) jointly; return the
+    """Evolve psi1, psi2 separately and (psi1+psi2)/sqrt(2) jointly, as one batch
+    of the Strang kernel, which aborts at the first non-finite state; return the
     phase-optimised L2 distance between the joint state and the summed state."""
     c = PhysicalConstants(config.hbar, config.mass)
     grid = config.grid(refined)
@@ -123,8 +135,6 @@ def superposition_residual(config: SuperpositionConfig, beta: float, refined: bo
     batch /= np.sqrt(np.sum(np.abs(batch) ** 2, axis=-1, keepdims=True) * grid.cell_volume)
     spec = EvolutionSpec("beta_nonlinear", config.timestep(refined), config.t_final, beta=beta, eps_reg=config.eps_reg)
     out = _strang(V, grid, spec.dt, c, spec)(batch, spec.n_steps)
-    if not math.isfinite(np.vdot(out, out).real):  # a kick-free row has no abort of its own
-        raise NumericalAbort(f"non-finite state at t={spec.n_steps * spec.dt:g}")
     residual, _ = projective_residual(out[2], out[0] + out[1], grid)
     return residual
 
@@ -197,8 +207,10 @@ def complexifier_scan(
     and S_t = -Re(H psi/psi); the defect is the masked, normalised residual of
     i kappa d_t phi - (-(kappa^2/2m) Lap + V) phi.  Only the polar cell
     (p, s) = (1/2, 1/hbar) linearises the flow among s > 0; every s must be
-    positive.
+    positive, and there must be a snapshot to scan.
     """
+    if not snapshots:
+        raise ValueError("complexifier_scan needs a snapshot, got none: an evolution to t_final = 0 records none")
     p_grid = np.asarray(p_grid, dtype=float)
     s_grid = np.asarray(s_grid, dtype=float)
     if np.any(s_grid <= 0):
@@ -256,24 +268,20 @@ def time_reversal_defect(
 
     K is complex conjugation (with t -> -t).  defect is the L2 distance from
     the reconstructed state to psi0 at diffusion D; floor is that defect at
-    D = 0 on the same grid, which at D = 0 is defect itself.
+    D = 0 on the same grid, which at D = 0 is defect itself.  Each diffusion
+    advances one Strang kernel twice, and an abort names its time in that leg.
     """
-    horizon = EvolutionSpec(dt=dt, t_final=T)
-    n_steps = horizon.n_steps
-    if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError("T must be a multiple of dt")
+    psi0.check_finite()
 
     def run(diffusion: float) -> float:
-        if n_steps == 0:
-            return 0.0
-        kind = "linear" if diffusion == 0.0 else "dg_diffusion"
-        spec = replace(horizon, kind=kind, record_stride=n_steps, D=diffusion)
-        state = psi0
+        spec = EvolutionSpec("linear" if diffusion == 0.0 else "dg_diffusion", dt, T, D=diffusion)
+        if not _whole_steps(T, dt):
+            raise ValueError("T must be a multiple of dt")
+        advance = _strang(V, psi0.grid, dt, constants, spec)
+        values = psi0.values
         for _ in range(2):
-            traj = evolve(state, V, spec, constants)
-            state = traj.snapshots[-1][1]
-            state = WaveField(state.grid, np.conj(state.values), 0.0)
-        return norm_l2(state.values - psi0.values, psi0.grid)
+            values = np.conj(advance(values, spec.n_steps))
+        return norm_l2(values - psi0.values, psi0.grid)
 
     defect = run(D)
     return defect, defect if D == 0.0 else run(0.0)

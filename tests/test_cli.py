@@ -33,7 +33,6 @@ from fisher_hydro.propagate import (
     EvolutionSpec,
     NumericalAbort,
     Trajectory,
-    evolve,
     evolve_density_diffusion,
 )
 
@@ -482,12 +481,17 @@ def test_time_reversal_verdict_makes_four_evolutions(tmp_path, monkeypatch):
     # two at D, two at D = 0: the D = 0 involution is run once and is both
     # defect_d0 and the floor of floor_ratio
     diffusions = []
+    strang = stresstests._strang
 
-    def counted(psi0, V, spec, constants):
-        diffusions.append(spec.D)
-        return evolve(psi0, V, spec, constants)
+    def counted(V, grid, dt, constants, spec):
+        advance = strang(V, grid, dt, constants, spec)
 
-    monkeypatch.setattr(stresstests, "evolve", counted)
+        def counted_advance(values, n_steps, t0=0.0):
+            diffusions.append(spec.D)
+            return advance(values, n_steps, t0)
+        return counted_advance
+
+    monkeypatch.setattr(stresstests, "_strang", counted)
     code, verdict = run_one("time-reversal", None, str(tmp_path), {})
     assert code == EXIT_PASS and sorted(diffusions) == [0.0, 0.0, 0.05, 0.05]
     assert verdict.measured["floor_ratio"] == verdict.measured["defect_diffusive"] / verdict.measured["defect_d0"]
@@ -556,12 +560,35 @@ def test_time_reversal_at_zero_diffusion_is_a_config_error(tmp_path, monkeypatch
     # involution at D = 0: the run exits 2 before any evolution, with a partial
     # verdict that names the setting, not 1 as if falsified
     diffusions = []
-    monkeypatch.setattr(stresstests, "evolve", lambda psi0, V, spec, constants: diffusions.append(spec.D))
+    monkeypatch.setattr(stresstests, "_strang", lambda V, grid, dt, constants, spec:
+                        lambda values, n_steps, t0=0.0: diffusions.append(spec.D))
     code, verdict = run_one("time-reversal", None, str(tmp_path), {"diffusion": 0.0})
     assert (code, verdict) == (EXIT_CONFIG, None)
     assert _partial_verdict(tmp_path, "time-reversal")["error"] == "time-reversal needs diffusion > 0, got 0"
     assert not (tmp_path / "time_reversal.csv").exists()
     assert diffusions == []
+
+
+@pytest.mark.parametrize("test, user, error", [
+    ("time-reversal", {"t_final": 0.0}, "time-reversal needs t_final > 0, got 0"),
+    ("complexifier", {"t_final": 0.0},
+     "complexifier_scan needs a snapshot, got none: an evolution to t_final = 0 records none"),
+    ("superposition", {"t_final": 0.0}, "require dt > 0, t_final > 0, got dt 0.005, t_final 0"),
+    ("superposition", {"t_final": 2.1025}, "t_final 2.1025 is not a whole number of base steps dt 0.005, "
+                                           "so the base and refined grids would stop at different times"),
+], ids=["time-reversal-zero", "complexifier-zero", "superposition-zero", "superposition-split"])
+def test_horizon_the_suite_cannot_measure_is_a_config_error(tmp_path, test, user, error):
+    # a horizon of zero steps evolves nothing, so a verdict would read its
+    # start state, not the physics; a superposition horizon that is not a
+    # whole number of base steps stops the base grid (t = 2.1 here) before
+    # the refined one (t = 2.1025).  Each exits 2 with a partial verdict that
+    # names the setting, not 1 as if falsified.
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(user))
+    code, verdict = run_one(test, str(p), str(tmp_path), {})
+    assert (code, verdict) == (EXIT_CONFIG, None)
+    assert _partial_verdict(tmp_path, test)["error"] == error
+    assert not (tmp_path / f"{test.replace('-', '_')}.csv").exists()
 
 
 @pytest.mark.parametrize("radius, side", [(10.0, 256), (12.0, 308)])

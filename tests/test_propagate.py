@@ -384,6 +384,41 @@ def test_step_abort_names_the_state_time(grid1d, constants, time):
             step_beta(psi, V, dt, spec.beta, spec.eps_reg, constants)
 
 
+def test_single_step_that_blows_up_aborts(constants):
+    # at D = 40 the DG step's closing kick overflows |psi|^2 (max|psi| =
+    # 1.8e228, norm inf); no later kick reads that state, so the kernel's
+    # check of the state it returns names the step's end time.  The -dt
+    # member of the pair stays finite, so the pair aborts at +dt.
+    grid = make_grid(1, 512, 40.0)
+    psi = gaussian_packet(grid, 20.0, 1.0)
+    V = np.zeros(grid.shape)
+    message = r"^non-finite state at t=0\.01$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalAbort, match=message):
+            step_dg(psi, V, 0.01, 40.0, constants)
+        with pytest.raises(NumericalAbort, match=message):
+            symmetric_pair(psi, V, EvolutionSpec("dg_diffusion", dt=0.01, D=40.0), constants)
+
+
+def test_only_the_kernel_raises_numerical_abort():
+    # every evolution aborts in the Strang kernel, so no module but
+    # propagate.py raises NumericalAbort.  Strings and comments are not code.
+    import io
+    import pathlib
+    import re
+    import tokenize
+
+    import fisher_hydro
+
+    raises = re.compile(r"\braise\s+(\w+\s*\.\s*)?NumericalAbort\b")
+    found = set()
+    for path in pathlib.Path(fisher_hydro.__file__).parent.glob("*.py"):
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        if raises.search(" ".join(t.string for t in tokens if t.type not in (tokenize.STRING, tokenize.COMMENT))):
+            found.add(path.name)
+    assert found == {"propagate.py"}
+
+
 def test_density_diffusion_static_when_off(grid1d):
     x = grid1d.axes[0]
     rho0 = np.exp(-((x - 20.0) ** 2)) / integrate(np.exp(-((x - 20.0) ** 2)), grid1d)

@@ -46,9 +46,10 @@ def test_superposition_beta_turns_on_residual():
 
 
 def test_non_finite_beta_zero_superposition_row_aborts(monkeypatch):
-    # a beta = 0 row has no kick to see a non-finite state, so it checks its
-    # evolved batch and aborts naming its final time, as a beta > 0 row
-    # aborts at its first kick (test_superposition_kernel_abort_names_its_time)
+    # a beta = 0 row has no kick to see a non-finite state, so the kernel's
+    # check of the batch it returns aborts, naming its final time, as a
+    # beta > 0 row aborts at its first kick
+    # (test_superposition_kernel_abort_names_its_time)
     from fisher_hydro import stresstests
     from fisher_hydro.propagate import NumericalAbort
 
