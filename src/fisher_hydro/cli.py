@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .brackets import bargmann_check
-from .fields import PhysicalConstants, polar_decompose
+from .fields import DEFAULT_EPS_MASK, PhysicalConstants, polar_decompose
 from .functionals import (
     RegulariserSpec,
     entropy_production_identity,
@@ -53,6 +53,7 @@ from .states import (
 from .stresstests import (
     SuperpositionConfig,
     _usable_cpus,
+    _whole_steps,
     beta_drops,
     circulation,
     complexifier_scan,
@@ -182,6 +183,8 @@ _FLAGS = {
 # say so: they passed on 19 chirped, modulated packets and on two unrelated
 # fields that no evolution made.
 _MODEL_DERIVED = "; model-derived: rates from the linear model, not the data; passes on fields no dynamics produced"
+# Rows that hold for any input at adequate resolution say "an identity", and why.
+_BARGMANN = "; an identity on any node-free state whose mass stays off the coordinate seam"
 CHECKS: dict[str, list[tuple[str, str, object, str]]] = {
     "scan-alpha": [
         ("argmin_tol", "<=", 0.025,
@@ -197,12 +200,16 @@ CHECKS: dict[str, list[tuple[str, str, object, str]]] = {
         ("mean_r_cont_broken", ">", 1e-3, "diffusion must break the drift-only form (D > 0)"),
     ],
     "dg-entropy": [
-        ("max_rel_rate_error", "<=", 1e-4, "measured entropy rate equals D I_F"),
+        ("max_rel_rate_error", "<=", 1e-4,
+         "measured entropy rate equals D I_F: an identity (de Bruijn's, for the exact heat flow) read through a "
+         "centred difference, which fails only by the stencil's O(dt^2)"),
         ("zero_diffusion_rate", "<=", 1e-10,
          "reversible corner produces no entropy: an identity, exactly 0.0 for any rho, since the exact flow "
          "at D = 0 adds expm1(0) = 0 to rho0 and leaves it bit for bit unchanged"),
-        ("dg_identity_rel_error", "<=", 1e-6, "production identity along DG trajectories"),
-        ("min_entropy_rate", ">", 0.0, "entropy grows at every snapshot (entropy_monotone)"),
+        ("dg_identity_rel_error", "<=", 1e-6,
+         "production identity along DG trajectories: an identity, integration by parts on any rho"),
+        ("min_entropy_rate", ">", 0.0,
+         "entropy grows at every snapshot (entropy_monotone): an identity, since the rate is D I_F and I_F > 0"),
     ],
     "circulation": [
         ("max_integer_gap", "<=", 1e-6,
@@ -219,12 +226,15 @@ CHECKS: dict[str, list[tuple[str, str, object, str]]] = {
         ("multi_mass_argmins", "<=", 0.01, "max |argmin - 1| over masses: one action scale for all components"),
     ],
     "time-reversal": [
-        ("defect_d0", "<=", 1e-10, "reversible involution closes at zero diffusion"),
+        ("defect_d0", "<=", 1e-10,
+         "reversible involution closes at zero diffusion: an identity, K U K U = I for any real V under a "
+         "symmetric splitting"),
         ("floor_ratio", ">=", 1e3, "diffusion breaks the involution by orders of magnitude"),
     ],
     "galilei": [
-        ("bracket_gap_over_tolerance", "<=", 1.0,
-         "max |value - expected| / tolerance over galilei.json entries: Bargmann closure at machine floor"),
+        ("hp", "<=", 1e-10, "{H, P_i} = 0 in a flat potential" + _BARGMANN),
+        ("hk_plus_p", "<=", 1e-8, "{H, K_i} = -P_i, relative to max(|P_i|, 1)" + _BARGMANN),
+        ("pk_plus_m", "<=", 1e-10, "{P_i, K_j} = -m delta_ij int rho, relative to max(m, 1)" + _BARGMANN),
     ],
     "complexifier": [
         ("argmin_polar_cell", "==", True,
@@ -232,11 +242,13 @@ CHECKS: dict[str, list[tuple[str, str, object, str]]] = {
         ("minimum_cells", "==", 1, "the minimum is unique" + _MODEL_DERIVED),
         ("floor", "<=", 1e-6, "polar-map cell sits at the numerical floor" + _MODEL_DERIVED),
         ("off_cell_wall", ">", 1e-2, "non-polar amplitude exponents fail by a finite margin" + _MODEL_DERIVED),
-        ("uninformative", "==", False, "the flow moves the density, so the scan can discriminate"),
+        ("max_density_rate", ">=", 1e-14, "the flow moves the density (max |rho_t|), so the scan can discriminate"),
     ],
     "superposition": [
-        ("linear_floor", "<=", 1e-10, "linear case converges to numerical zero (base grid)"),
-        ("linear_floor_refined", "<=", 1e-10, "linear case converges to numerical zero (refined grid)"),
+        ("linear_floor", "<=", 1e-10,
+         "linear case converges to numerical zero (base grid): an identity for any linear kernel"),
+        ("linear_floor_refined", "<=", 1e-10,
+         "linear case converges to numerical zero (refined grid): an identity for any linear kernel"),
         ("beta_0.005_low", ">=", 0.08, "small-coupling residual bracket [0.08, 0.35]"),
         ("beta_0.005", "<=", 0.35, "small-coupling residual bracket [0.08, 0.35]"),
         ("beta_0.02_0.05_low", ">=", 1.2, "saturated residual bracket [1.2, 1.45], smaller of beta = 0.02, 0.05"),
@@ -604,21 +616,23 @@ def run_time_reversal(cfg: dict, outdir: str) -> tuple[dict, dict]:
 @_suite("galilei")
 def run_galilei(cfg: dict, outdir: str) -> tuple[dict, dict]:
     """Test 7: Bargmann closure {H,P}=0, {H,K}=-P, {P,K}=-m."""
+    if not _whole_steps(cfg["t"], cfg["dt"]):  # else K would be built at a time the state never reaches
+        raise ConfigError(f"galilei t {cfg['t']:g} is not a whole number of steps dt {cfg['dt']:g}")
     constants = PhysicalConstants(hbar=cfg["hbar"], m=cfg["mass"])
     grid = make_grid(1, cfg["n"], cfg["length"])
     psi = gaussian_packet(grid, grid.length / 2, cfg["sigma0"], 0.0, constants)
     psi = boost(psi, cfg["boost"], constants)
     spec = EvolutionSpec(kind="linear", dt=cfg["dt"], t_final=cfg["t"], record_stride=max(1, int(cfg["t"] / cfg["dt"])))
     V = np.zeros(grid.shape)
-    wf = evolve(psi, V, spec, constants).snapshots[-1][1]
-    hydro = polar_decompose(wf, constants=constants)
-    report = bargmann_check(hydro, V, constants.alpha_star, constants, t=cfg["t"])
+    t, wf = evolve(psi, V, spec, constants).snapshots[-1]
+    hydro = polar_decompose(wf, DEFAULT_EPS_MASK, constants)
+    report = bargmann_check(hydro, V, constants.alpha_star, constants, t=t)
 
     _write(outdir, "galilei.json", report.to_json())
-    # each entry passes iff |value - expected| <= tolerance (tolerance > 0),
-    # so this single row passes iff report.passed()
-    gap = np.max([abs(e["value"] - e["expected"]) / e["tolerance"] for e in report.entries.values()])
-    return {k: v["value"] for k, v in report.entries.items()}, {"bracket_gap_over_tolerance": float(gap)}
+    gaps: dict[str, list[float]] = {}  # closure (entry name less its axis digits) -> each entry's gap
+    for name, e in report.entries.items():
+        gaps.setdefault(name.rstrip("0123456789"), []).append(abs(e["value"] - e["expected"]) / e["scale"])
+    return {k: v["value"] for k, v in report.entries.items()}, {k: float(np.max(g)) for k, g in gaps.items()}
 
 
 @_suite("complexifier")
@@ -643,7 +657,7 @@ def run_complexifier(cfg: dict, outdir: str) -> tuple[dict, dict]:
     ip_true = int(np.argmin(np.abs(p_grid - 0.5)))
     is_true = int(np.argmin(np.abs(s_grid - 1.0 / constants.hbar)))
     wall = float(np.min(result.defect[np.abs(p_grid - 0.5) >= 0.1, :]))
-    shared = {"floor": result.floor, "off_cell_wall": wall, "uninformative": result.uninformative}
+    shared = {"floor": result.floor, "off_cell_wall": wall, "max_density_rate": result.max_density_rate}
     measured = dict(
         shared,
         argmin_p=float(p_grid[result.argmin[0]]),

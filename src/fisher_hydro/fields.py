@@ -132,26 +132,21 @@ def unwrapped_phase(psi: WaveField, hbar: float) -> np.ndarray:
     return hbar * out
 
 
-def polar_decompose(
-    psi: WaveField,
-    eps_mask: float = DEFAULT_EPS_MASK,
-    constants: PhysicalConstants | None = None,
-) -> HydroFields:
+def polar_decompose(psi: WaveField, eps_mask: float, constants: PhysicalConstants) -> HydroFields:
     """Extract (rho, j, grad S, mask) from a wavefield.
 
     j uses the spectral gradient of psi, and grad S is m j / rho, so neither
     differentiates the phase, whose branch seam and vortices would ring.
     """
-    c = constants or PhysicalConstants()
     grid = psi.grid
     rho = psi.density()
     rho_max = float(rho.max())
     mask = rho > eps_mask * rho_max
 
     grad_psi = spectral_gradient(psi.values, grid)
-    j = (c.hbar / c.m) * (np.conj(psi.values)[None] * grad_psi).imag
+    j = (constants.hbar / constants.m) * (np.conj(psi.values)[None] * grad_psi).imag
     grad_s = np.zeros_like(j)
-    np.divide(c.m * j, rho[None], out=grad_s, where=(rho > ROUNDOFF_FLOOR * rho_max)[None])
+    np.divide(constants.m * j, rho[None], out=grad_s, where=(rho > ROUNDOFF_FLOOR * rho_max)[None])
     return HydroFields(grid=grid, rho=rho, j=j, grad_s=grad_s, mask=mask)
 
 

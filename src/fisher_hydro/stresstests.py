@@ -189,7 +189,7 @@ class ComplexifierScanResult:
     floor: float
     kappa_recovered: float
     alpha_recovered: float
-    uninformative: bool = False
+    max_density_rate: float  # the largest |rho_t| the scan saw: 0 where the flow leaves rho still
 
 
 def complexifier_scan(
@@ -217,7 +217,7 @@ def complexifier_scan(
         raise ValueError("s must be positive: kappa = 1/s, and s < 0 maps to the conjugate psi*, "
                          "which linearises the time-reversed flow too")
     total = np.zeros((len(p_grid), len(s_grid)))
-    den_floor = 0.0
+    max_density_rate = 0.0
 
     for wf in snapshots:
         grid = wf.grid
@@ -229,7 +229,7 @@ def complexifier_scan(
         s_t = phase_time_derivative(wf, V, constants)
         rate_log_rho = np.zeros(grid.shape)
         np.divide(rho_t, rho, out=rate_log_rho, where=rho > ROUNDOFF_FLOOR * rho.max())
-        den_floor = max(den_floor, float(np.max(np.abs(rho_t))))
+        max_density_rate = max(max_density_rate, float(np.max(np.abs(rho_t))))
 
         for ip, p in enumerate(p_grid):
             amp = rho**p
@@ -252,7 +252,7 @@ def complexifier_scan(
         floor=float(defect[argmin]),
         kappa_recovered=float(kappa),
         alpha_recovered=float(kappa**2 / (2.0 * constants.m)),
-        uninformative=bool(den_floor < 1e-14),
+        max_density_rate=max_density_rate,
     )
 
 

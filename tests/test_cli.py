@@ -310,8 +310,13 @@ def test_run_all_summary(tmp_path):
         assert payload["pass"] == all(check["pass"] for check in checks.values())
     galilei = json.loads((tmp_path / "out" / "galilei" / "galilei.json").read_text())
     verdict = json.loads((tmp_path / "out" / "galilei" / "galilei.verdict.json").read_text())
-    assert list(verdict["thresholds"]) == ["bracket_gap_over_tolerance"]
-    assert verdict["pass"] == galilei["pass"]
+    # each galilei row measures the largest |value - expected| / scale over
+    # its closure's entries (an entry's name less its axis digits)
+    gaps = {}
+    for name, entry in galilei["entries"].items():
+        gaps.setdefault(name.rstrip("0123456789"), []).append(abs(entry["value"] - entry["expected"]) / entry["scale"])
+    assert {name: check["measured"] for name, check in verdict["thresholds"].items()} == {
+        closure: max(values) for closure, values in gaps.items()}
     # run-all leaves superposition's residuals as a run of that suite alone
     # writes them
     run_one("superposition", str(confdir / "superposition.json"), str(tmp_path / "serial"), {})
@@ -576,13 +581,15 @@ def test_time_reversal_at_zero_diffusion_is_a_config_error(tmp_path, monkeypatch
     ("superposition", {"t_final": 0.0}, "require dt > 0, t_final > 0, got dt 0.005, t_final 0"),
     ("superposition", {"t_final": 2.1025}, "t_final 2.1025 is not a whole number of base steps dt 0.005, "
                                            "so the base and refined grids would stop at different times"),
-], ids=["time-reversal-zero", "complexifier-zero", "superposition-zero", "superposition-split"])
+    ("galilei", {"t": 0.405}, "galilei t 0.405 is not a whole number of steps dt 0.01"),
+], ids=["time-reversal-zero", "complexifier-zero", "superposition-zero", "superposition-split", "galilei-split"])
 def test_horizon_the_suite_cannot_measure_is_a_config_error(tmp_path, test, user, error):
     # a horizon of zero steps evolves nothing, so a verdict would read its
     # start state, not the physics; a superposition horizon that is not a
     # whole number of base steps stops the base grid (t = 2.1 here) before
-    # the refined one (t = 2.1025).  Each exits 2 with a partial verdict that
-    # names the setting, not 1 as if falsified.
+    # the refined one (t = 2.1025); a galilei t that is not a whole number of
+    # steps would build K at a time the state never reaches.  Each exits 2
+    # with a partial verdict that names the setting, not 1 as if falsified.
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(user))
     code, verdict = run_one(test, str(p), str(tmp_path), {})
@@ -651,17 +658,20 @@ def test_zero_divisor_is_a_config_error(tmp_path, test, user):
 @pytest.mark.parametrize("test, overrides, row", [
     ("continuity", {"n": 1024}, "mean_r_cont"),
     ("circulation", {"n": 128}, "max_line_area_rel_gap"),
+    ("galilei", {}, "hk_plus_p"),
+    ("complexifier", {}, "max_density_rate"),
 ])
 def test_failed_check_is_named_on_disk(tmp_path, monkeypatch, test, overrides, row):
     # a bound moved past its measured value fails that check alone, with exit 1
-    rows = [(name, op, -1.0 if name == row else bound, source) for name, op, bound, source in CHECKS[test]]
+    past = -1.0 if dict((name, op) for name, op, _, _ in CHECKS[test])[row] == "<=" else 1e300
+    rows = [(name, op, past if name == row else bound, source) for name, op, bound, source in CHECKS[test]]
     monkeypatch.setitem(CHECKS, test, rows)
     code, verdict = run_one(test, None, str(tmp_path), overrides)
     assert code == EXIT_FALSIFIED and not verdict.passed
     payload = json.loads((tmp_path / f"{test}.verdict.json").read_text())
     assert payload["pass"] is False
     assert {name for name, check in payload["thresholds"].items() if not check["pass"]} == {row}
-    assert payload["thresholds"][row]["value"] == -1.0
+    assert payload["thresholds"][row]["value"] == past
 
 
 # Every row of the check table.  Rows marked with a criterion repeat the
@@ -687,12 +697,14 @@ EXPECTED_CHECKS = {
     ("fisher-el", "multi_mass_argmins"): ("<=", 0.01),
     ("time-reversal", "defect_d0"): ("<=", 1e-10),  # criterion 9
     ("time-reversal", "floor_ratio"): (">=", 1e3),  # criterion 9
-    ("galilei", "bracket_gap_over_tolerance"): ("<=", 1.0),  # criterion 6, per-entry tolerances
+    ("galilei", "hp"): ("<=", 1e-10),  # criterion 6
+    ("galilei", "hk_plus_p"): ("<=", 1e-8),  # criterion 6
+    ("galilei", "pk_plus_m"): ("<=", 1e-10),  # criterion 6
     ("complexifier", "argmin_polar_cell"): ("==", True),  # criterion 8
     ("complexifier", "minimum_cells"): ("==", 1),  # criterion 8
     ("complexifier", "floor"): ("<=", 1e-6),  # criterion 8
     ("complexifier", "off_cell_wall"): (">", 1e-2),  # criterion 8
-    ("complexifier", "uninformative"): ("==", False),
+    ("complexifier", "max_density_rate"): (">=", 1e-14),
     ("superposition", "linear_floor"): ("<=", 1e-10),  # criterion 4
     ("superposition", "linear_floor_refined"): ("<=", 1e-10),  # criterion 4
     ("superposition", "beta_0.005_low"): (">=", 0.08),  # criterion 4
@@ -709,6 +721,16 @@ def test_check_table_matches_acceptance_bounds():
     table = {(test, name): (op, bound) for test, rows in CHECKS.items() for name, op, bound, _ in rows}
     assert table == EXPECTED_CHECKS
     assert set(CHECKS) == set(DEFAULTS)
+    # rows that hold for any input at adequate resolution say so
+    identities = {(test, name) for test, rows in CHECKS.items() for name, _, _, source in rows
+                  if "an identity" in source}
+    assert identities == {
+        ("dg-entropy", "max_rel_rate_error"), ("dg-entropy", "zero_diffusion_rate"),
+        ("dg-entropy", "dg_identity_rel_error"), ("dg-entropy", "min_entropy_rate"),
+        ("circulation", "max_integer_gap"), ("circulation", "max_line_area_rel_gap"),
+        ("time-reversal", "defect_d0"), ("superposition", "linear_floor"), ("superposition", "linear_floor_refined"),
+        ("galilei", "hp"), ("galilei", "hk_plus_p"), ("galilei", "pk_plus_m"),
+    }
 
 
 @pytest.mark.parametrize("op, bound, inside, outside", [
