@@ -2,9 +2,10 @@
 
 Generator derivative fields are assembled from the density and the probability
 current: grad S enters only as HydroFields.grad_s, m j / rho under a deep
-density guard, which polar_decompose builds once for every generator.  Moment
-integrals use packet-centered coordinates (the standard periodic surrogate for
-decay on R^d) and refuse states whose mass reaches the coordinate branch seam.
+density guard, which polar_decompose builds once for every generator.  The
+Galilean generators share one spectral gradient of rho and one packet-centered
+frame (the standard periodic surrogate for decay on R^d), which refuses states
+whose mass reaches the coordinate branch seam.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ __all__ = [
     "FunctionalDerivs",
     "AlgebraReport",
     "poisson_bracket",
-    "generator_derivs",
-    "generator_value",
+    "hamiltonian",
+    "galilean_generators",
     "bargmann_check",
     "EdgeProximityError",
 ]
@@ -39,9 +40,11 @@ class EdgeProximityError(ValueError):
 
 @dataclass
 class FunctionalDerivs:
+    """A generator F on the state: its derivative fields dF/drho, dF/dS and its value."""
+
     d_rho: np.ndarray
     d_S: np.ndarray
-    label: str
+    value: float
 
 
 def poisson_bracket(f: FunctionalDerivs, g: FunctionalDerivs, grid: Grid) -> float:
@@ -51,90 +54,61 @@ def poisson_bracket(f: FunctionalDerivs, g: FunctionalDerivs, grid: Grid) -> flo
     return float(integrate(f.d_rho * g.d_S - f.d_S * g.d_rho, grid))
 
 
-def _centered_coords(hydro: HydroFields) -> np.ndarray:
-    """Packet-centered coordinates, shape (dim, *shape); refuses seam-touching mass."""
+def _centered_coords(hydro: HydroFields) -> tuple[np.ndarray, np.ndarray]:
+    """Packet-centered coordinates, shape (dim, *shape), and the absolute
+    coordinates of their origin, the density maximum, shape (dim,); refuses
+    seam-touching mass."""
     grid = hydro.grid
     rho = hydro.rho
-    anchor = np.unravel_index(int(np.argmax(rho)), rho.shape)
     coords = grid.coords()
+    origin = coords[(slice(None), *np.unravel_index(int(np.argmax(rho)), rho.shape))]
     out = np.empty_like(coords)
     for axis in range(grid.dim):
-        center = coords[axis][anchor]
-        out[axis] = (coords[axis] - center + 0.5 * grid.length) % grid.length - 0.5 * grid.length
+        out[axis] = (coords[axis] - origin[axis] + 0.5 * grid.length) % grid.length - 0.5 * grid.length
         seam = np.abs(np.abs(out[axis]) - 0.5 * grid.length) < _SEAM_CELLS * grid.spacing
         if float(np.sum(rho[seam]) * grid.cell_volume) > _SEAM_MASS:
             raise EdgeProximityError(
                 f"packet mass within {_SEAM_CELLS} cells of the coordinate seam; moment integrals would "
                 "be corrupted by periodic images"
             )
-    return out
+    return out, origin
 
 
-def generator_derivs(
-    name: str,
-    hydro: HydroFields,
-    V: np.ndarray,
-    alpha: float,
-    constants: PhysicalConstants,
-    t: float = 0.0,
-) -> FunctionalDerivs:
-    """Analytic functional derivatives of H, P_i or K_i on the grid.
+def hamiltonian(hydro: HydroFields, V: np.ndarray, alpha: float, constants: PhysicalConstants) -> FunctionalDerivs:
+    """H = int (m |j|^2 / 2 rho + V rho + alpha |grad rho|^2 / 4 rho): its
+    derivative fields and its energy, every quotient on the deep density."""
+    grid = hydro.grid
+    rho = hydro.rho
+    deep = rho > ROUNDOFF_FLOOR * rho.max()
+    d_rho = np.sum(hydro.grad_s**2, axis=0) / (2.0 * constants.m) + V + quantum_potential(rho, alpha, grid, deep)
+    kin = np.zeros_like(rho)
+    np.divide(constants.m * np.sum(hydro.j**2, axis=0), 2.0 * rho, out=kin, where=deep)
+    curv = np.zeros_like(rho)
+    np.divide(np.sum(spectral_gradient(rho, grid) ** 2, axis=0), 4.0 * rho, out=curv, where=deep)
+    energy = float(integrate(kin + V * rho + alpha * curv, grid))
+    return FunctionalDerivs(d_rho=d_rho, d_S=-spectral_divergence(hydro.j, grid), value=energy)
 
-    Names: "H", "P0", "P1", "K0", "K1" (axis suffix by dimension).
+
+def galilean_generators(
+    hydro: HydroFields, constants: PhysicalConstants, t: float = 0.0
+) -> dict[str, FunctionalDerivs]:
+    """P_i = m int j_i and K_i = m int rho x_i - t P_i under the keys "P0",
+    "K0", "P1", "K1" (one pair per axis).
+
+    K's derivative takes the packet-centered coordinate and its value the
+    absolute one.  Refuses seam-touching mass (EdgeProximityError).
     """
     grid = hydro.grid
-    rho = hydro.rho
-    grad_s = hydro.grad_s
-
-    if name == "H":
-        div_j = spectral_divergence(hydro.j, grid)
-        deep = rho > ROUNDOFF_FLOOR * rho.max()
-        q = quantum_potential(rho, alpha, grid, deep)
-        d_rho = np.sum(grad_s**2, axis=0) / (2.0 * constants.m) + V + q
-        return FunctionalDerivs(d_rho=d_rho, d_S=-div_j, label="H")
-
-    if name[:1] not in ("P", "K"):
-        raise ValueError(f"unknown generator {name!r}")
-    axis = int(name[1:]) if len(name) > 1 else 0
-    grad_rho = spectral_gradient(rho, grid)[axis]
-    if name[0] == "P":
-        return FunctionalDerivs(d_rho=grad_s[axis], d_S=-grad_rho, label=name)
-    x = _centered_coords(hydro)
-    return FunctionalDerivs(d_rho=-t * grad_s[axis] + constants.m * x[axis], d_S=t * grad_rho, label=name)
-
-
-def generator_value(
-    name: str,
-    hydro: HydroFields,
-    V: np.ndarray,
-    alpha: float,
-    constants: PhysicalConstants,
-    t: float = 0.0,
-) -> float:
-    """Value of the generator on the state; moments use the absolute-branch coordinate."""
-    grid = hydro.grid
-    rho = hydro.rho
-    if name == "H":
-        rho_max = rho.max()
-        safe = rho > ROUNDOFF_FLOOR * rho_max
-        j_sq = np.sum(hydro.j**2, axis=0)
-        kin = np.zeros_like(rho)
-        np.divide(constants.m * j_sq, 2.0 * rho, out=kin, where=safe)
-        grad_rho = spectral_gradient(rho, grid)
-        curv = np.zeros_like(rho)
-        np.divide(np.sum(grad_rho**2, axis=0), 4.0 * rho, out=curv, where=safe)
-        return float(integrate(kin + V * rho + alpha * curv, grid))
-    if name.startswith("P"):
-        axis = int(name[1:]) if len(name) > 1 else 0
-        return constants.m * float(integrate(hydro.j[axis], grid))
-    if name.startswith("K"):
-        axis = int(name[1:]) if len(name) > 1 else 0
-        x = _centered_coords(hydro)
-        anchor = np.unravel_index(int(np.argmax(rho)), rho.shape)
-        absolute = x[axis] + grid.coords()[axis][anchor]
-        p = constants.m * float(integrate(hydro.j[axis], grid))
-        return constants.m * float(integrate(rho * absolute, grid)) - t * p
-    raise ValueError(f"unknown generator {name!r}")
+    m = constants.m
+    grad_rho = spectral_gradient(hydro.rho, grid)
+    x, origin = _centered_coords(hydro)
+    out = {}
+    for i in range(grid.dim):
+        p = m * float(integrate(hydro.j[i], grid))
+        k = m * float(integrate(hydro.rho * (x[i] + origin[i]), grid)) - t * p
+        out[f"P{i}"] = FunctionalDerivs(d_rho=hydro.grad_s[i], d_S=-grad_rho[i], value=p)
+        out[f"K{i}"] = FunctionalDerivs(d_rho=-t * hydro.grad_s[i] + m * x[i], d_S=t * grad_rho[i], value=k)
+    return out
 
 
 @dataclass
@@ -169,24 +143,23 @@ def bargmann_check(
     """Measure {H,P_i} (or its +int rho dV value), {H,K_i} = -P_i, {P_i,K_j} = -m delta_ij int rho."""
     grid = hydro.grid
     c = constants
-    h = generator_derivs("H", hydro, V, alpha, c, t)
-    p = [generator_derivs(f"P{i}", hydro, V, alpha, c, t) for i in range(grid.dim)]
-    k = [generator_derivs(f"K{i}", hydro, V, alpha, c, t) for i in range(grid.dim)]
+    h = hamiltonian(hydro, V, alpha, c)
+    gens = galilean_generators(hydro, c, t)
     mass_integral = float(integrate(hydro.rho, grid))
     report = AlgebraReport(t=t)
 
     flat_v = bool(np.max(V) - np.min(V) < 1e-300)
     grad_v = None if flat_v else spectral_gradient(V, grid)
-    scale_h = max(abs(generator_value("H", hydro, V, alpha, c, t)), 1.0)
+    scale_h = max(abs(h.value), 1.0)
     scale_m = max(c.m, 1.0)
 
     for i in range(grid.dim):
-        p_val = generator_value(f"P{i}", hydro, V, alpha, c, t)
+        p, k = gens[f"P{i}"], gens[f"K{i}"]
         # dP/dt = {P,H} = -int rho dV (Ehrenfest), so {H,P} = +int rho dV
         expected_hp = 0.0 if flat_v else float(integrate(hydro.rho * grad_v[i], grid))
-        report.entries[f"hp{i}"] = _entry(poisson_bracket(h, p[i], grid), expected_hp, scale_h, closure=flat_v)
-        report.entries[f"hk_plus_p{i}"] = _entry(poisson_bracket(h, k[i], grid) + p_val, 0.0, max(abs(p_val), 1.0))
-        for jx in range(grid.dim):
-            central = -c.m * mass_integral if i == jx else 0.0
-            report.entries[f"pk_plus_m{i}{jx}"] = _entry(poisson_bracket(p[i], k[jx], grid) - central, 0.0, scale_m)
+        report.entries[f"hp{i}"] = _entry(poisson_bracket(h, p, grid), expected_hp, scale_h, closure=flat_v)
+        report.entries[f"hk_plus_p{i}"] = _entry(poisson_bracket(h, k, grid) + p.value, 0.0, max(abs(p.value), 1.0))
+        for j in range(grid.dim):
+            central = -c.m * mass_integral if i == j else 0.0
+            report.entries[f"pk_plus_m{i}{j}"] = _entry(poisson_bracket(p, gens[f"K{j}"], grid) - central, 0.0, scale_m)
     return report

@@ -622,7 +622,9 @@ def run_galilei(cfg: dict, outdir: str) -> tuple[dict, dict]:
     grid = make_grid(1, cfg["n"], cfg["length"])
     psi = gaussian_packet(grid, grid.length / 2, cfg["sigma0"], 0.0, constants)
     psi = boost(psi, cfg["boost"], constants)
-    spec = EvolutionSpec(kind="linear", dt=cfg["dt"], t_final=cfg["t"], record_stride=max(1, int(cfg["t"] / cfg["dt"])))
+    # one chunk of EvolutionSpec.n_steps: the free flow is one exact kinetic factor
+    stride = max(1, round(cfg["t"] / cfg["dt"]))
+    spec = EvolutionSpec(kind="linear", dt=cfg["dt"], t_final=cfg["t"], record_stride=stride)
     V = np.zeros(grid.shape)
     t, wf = evolve(psi, V, spec, constants).snapshots[-1]
     hydro = polar_decompose(wf, DEFAULT_EPS_MASK, constants)

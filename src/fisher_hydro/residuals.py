@@ -223,9 +223,11 @@ def alpha_scan(trajectory, V: np.ndarray, alpha_grid: np.ndarray, constants: Phy
                eps_mask: float = DEFAULT_EPS_MASK) -> ScanResult:
     """Time-averaged HJ residual per alpha over interior snapshots.
 
-    alpha_grid is in units of alpha/alpha_star, strictly increasing, covering
-    at least [0.5, 1.5].  r_cont is alpha-independent: the mean of
-    continuity_curve, whose centered pairs step the trajectory's own flow.
+    alpha_grid is in units of alpha/alpha_star: at least 21 strictly
+    increasing points, whatever range they span; a minimum on the grid's edge
+    is reported as the result's boundary flag.  r_cont is alpha-independent:
+    the mean of continuity_curve, whose centered pairs step the trajectory's
+    own flow.
     """
     ratios = np.asarray(alpha_grid, dtype=float)
     if len(ratios) < 21:

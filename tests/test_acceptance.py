@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fisher_hydro import EvolutionSpec, PhysicalConstants, evolve, make_grid
-from fisher_hydro.brackets import bargmann_check, generator_value
+from fisher_hydro.brackets import bargmann_check, galilean_generators
 from fisher_hydro.fields import WaveField, polar_decompose, quantum_potential
 from fisher_hydro.functionals import (
     RegulariserSpec,
@@ -253,7 +253,7 @@ def test_criterion_6_bargmann_closure():
     hydro = polar_decompose(psi, 1e-6, C)
     V = np.zeros(grid.shape)
     rep = bargmann_check(hydro, V, C.alpha_star, C)
-    p_val = generator_value("P0", hydro, V, C.alpha_star, C)
+    p_val = galilean_generators(hydro, C)["P0"].value
     hp = abs(rep.entries["hp0"]["value"])
     hk = abs(rep.entries["hk_plus_p0"]["value"])
     pk = abs(rep.entries["pk_plus_m00"]["value"])

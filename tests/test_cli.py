@@ -598,6 +598,21 @@ def test_horizon_the_suite_cannot_measure_is_a_config_error(tmp_path, test, user
     assert not (tmp_path / f"{test.replace('-', '_')}.csv").exists()
 
 
+@pytest.mark.parametrize("t, n_steps", [(0.29, 29), (0.57, 57)])
+def test_galilei_evolves_its_horizon_in_one_chunk(tmp_path, monkeypatch, t, n_steps):
+    # t / dt falls just under a whole number here (0.29 / 0.01 is
+    # 28.999999999999996): the free flow still runs as one chunk, one exact
+    # kinetic factor, not as 28 + 1 steps
+    specs = []
+    evolve = cli.evolve
+    monkeypatch.setattr(cli, "evolve", lambda psi, V, spec, c: specs.append(spec) or evolve(psi, V, spec, c))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"t": t}))
+    code, _ = run_one("galilei", str(p), str(tmp_path), {})
+    assert code == EXIT_PASS
+    assert [(spec.record_stride, spec.n_steps) for spec in specs] == [(n_steps, n_steps)]
+
+
 @pytest.mark.parametrize("radius, side", [(10.0, 256), (12.0, 308)])
 def test_circulation_loop_wider_than_box_is_a_config_error(tmp_path, radius, side):
     # a loop of 2 r_cells >= n cells a side wraps the periodic box: the run

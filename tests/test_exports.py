@@ -1,7 +1,10 @@
-"""Every name a module exports exists, so ``from fisher_hydro.<module> import *`` works, and the
-entry points that perfbench calls keep the parameters it binds."""
+"""Every name a module exports exists, so ``from fisher_hydro.<module> import *`` works, the
+entry points that perfbench calls keep the parameters it binds, and the functions it times by
+name exist."""
 import importlib
+import importlib.util
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +37,28 @@ def test_benchmarked_signatures(module, name, parameters):
     signature = inspect.signature(getattr(importlib.import_module(module), name))
     assert list(signature.parameters) == parameters
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in signature.parameters.values())
+
+
+# perfbench/metrics.py rows that time a function the package no longer has:
+# benchmark debt that a change to the benchmark removes, and until then their
+# rows read 0
+UNTRACEABLE = {"grid.fd_gradient4", "grid.fd_laplacian4", "residuals.momentum_balance_residual"}
+
+
+def _traced(span):
+    """Whether perfbench's tracer wraps the span "module.function": a public
+    function defined in that package module."""
+    module_name, _, function = span.rpartition(".")
+    module = importlib.import_module(f"fisher_hydro.{module_name}")
+    obj = getattr(module, function, None)
+    return inspect.isfunction(obj) and obj.__module__ == module.__name__ and not function.startswith("_")
+
+
+def test_per_layer_spans_name_package_functions():
+    # a renamed or deleted function would zero its per-layer rows without notice
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "metrics.py"
+    spec = importlib.util.spec_from_file_location("perfbench_metrics", path)
+    metrics = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(metrics)
+    spans = {span for span, _ in metrics.SPAN_STATS.values()}
+    assert {span for span in spans if not _traced(span)} == UNTRACEABLE

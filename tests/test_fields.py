@@ -15,7 +15,7 @@ from fisher_hydro.fields import (
     root_laplacian_quotient,
     unwrapped_phase,
 )
-from fisher_hydro.functionals import fisher_laplacian_quotient
+from fisher_hydro.functionals import RegulariserSpec, el_derivative, el_residual
 from fisher_hydro.grid import integrate, spectral_laplacian
 from fisher_hydro.propagate import step_linear
 from fisher_hydro.residuals import alpha_scan, continuity_curve, default_alpha_grid, eigen_coefficient_curve
@@ -242,9 +242,9 @@ def _fisher_el_states(constants):
 
 
 def test_laplacian_quotients_keep_the_bits_of_the_inline_formulas(constants):
-    # quantum_potential, fisher_laplacian_quotient and eigen_coefficient_curve
-    # share root_laplacian_quotient; each equals, bit for bit, the formula it
-    # once computed inline
+    # quantum_potential, el_residual and eigen_coefficient_curve share
+    # root_laplacian_quotient; each equals, bit for bit, the formula it once
+    # computed inline
     c_grid = np.linspace(0.5, 1.5, 41)
     for rho, root, mask, grid in _fisher_el_states(constants):
         lap = spectral_laplacian(root, grid)
@@ -253,10 +253,16 @@ def test_laplacian_quotients_keep_the_bits_of_the_inline_formulas(constants):
         np.divide(lap, root, out=quot, where=where)
         assert np.array_equal(root_laplacian_quotient(root, grid, where), quot)
 
+        # el_residual scales the quotient by -4C directly; its residual keeps
+        # the bits of the quotient scaled in place and zeroed off the mask
         old_fisher = quot.copy()
         old_fisher *= -4.0 * 0.25
         old_fisher[~mask] = 0.0
-        assert np.array_equal(fisher_laplacian_quotient(root, 0.25, grid, mask), old_fisher)
+        for spec in (RegulariserSpec("fisher", 0.25), RegulariserSpec("constant", 0.25)):
+            diff = el_derivative(spec, rho, grid, mask) - old_fisher
+            num = math.sqrt(max(float(np.sum(np.where(mask, diff**2, 0.0))), 0.0))
+            den = math.sqrt(max(float(np.sum(np.where(mask, old_fisher**2, 0.0))), 1e-300))
+            assert el_residual(spec, rho, root, grid, mask) == num / den
 
         V = harmonic_potential(grid, 1.0, constants)
         old_curve = np.empty(len(c_grid))

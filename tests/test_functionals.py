@@ -3,15 +3,14 @@ import numpy as np
 import pytest
 
 from fisher_hydro import EvolutionSpec, PhysicalConstants, evolve, make_grid
-from fisher_hydro.brackets import generator_value
-from fisher_hydro.fields import polar_decompose
+from fisher_hydro.brackets import hamiltonian
+from fisher_hydro.fields import polar_decompose, root_laplacian_quotient
 from fisher_hydro.functionals import (
     RegulariserSpec,
     el_derivative,
     el_residual,
     entropy_production_identity,
     fisher_information,
-    fisher_laplacian_quotient,
     regulariser_value,
     shannon_entropy,
     shannon_entropy_rate,
@@ -40,14 +39,14 @@ def test_energy_uniform_is_zero(grid1d):
     rho = np.full(grid1d.shape, 1.0 / grid1d.length)
     wf = polar_compose(rho, np.zeros(grid1d.shape), C.hbar, grid1d)
     hydro = polar_decompose(wf, 1e-6, C)
-    assert abs(generator_value("H", hydro, np.zeros(grid1d.shape), C.alpha_star, C)) <= 1e-12
+    assert abs(hamiltonian(hydro, np.zeros(grid1d.shape), C.alpha_star, C).value) <= 1e-12
 
 
 def test_energy_ground_state(grid1d_fine):
     psi = oscillator_state(grid1d_fine, 0, 1.0, C)
     hydro = polar_decompose(psi, 1e-6, C)
     V = harmonic_potential(grid1d_fine, 1.0, C)
-    total = generator_value("H", hydro, V, C.alpha_star, C)
+    total = hamiltonian(hydro, V, C.alpha_star, C).value
     assert abs(total - oscillator_energy(0, 1.0, C)) <= 1e-8
     assert fisher_information(hydro.rho, grid1d_fine) >= 0
 
@@ -58,7 +57,7 @@ def test_energy_conserved_on_linear_trajectory():
     spec = EvolutionSpec(kind="linear", dt=0.02, t_final=3.0, record_stride=30)
     V = np.zeros(grid.shape)
     traj = evolve(psi, V, spec, C)
-    totals = [generator_value("H", polar_decompose(w, 1e-6, C), V, C.alpha_star, C) for _, w in traj.snapshots]
+    totals = [hamiltonian(polar_decompose(w, 1e-6, C), V, C.alpha_star, C).value for _, w in traj.snapshots]
     drift = (max(totals) - min(totals)) / abs(totals[0])
     assert drift <= 1e-9
 
@@ -118,7 +117,7 @@ def test_el_fisher_matches_laplacian_quotient(grid1d):
     mask = rho > 1e-4 * rho.max()
     spec = RegulariserSpec("fisher", 0.7)
     lhs = el_derivative(spec, rho, grid1d, mask)
-    rhs = fisher_laplacian_quotient(np.sqrt(rho), 0.7, grid1d, mask)
+    rhs = -4.0 * 0.7 * root_laplacian_quotient(np.sqrt(rho), grid1d, mask)
     num = np.sqrt(np.sum((lhs - rhs)[mask] ** 2))
     den = np.sqrt(np.sum(rhs[mask] ** 2))
     assert num / den <= 1e-10
