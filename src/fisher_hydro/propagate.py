@@ -57,7 +57,8 @@ class EvolutionSpec:
 
     D is read by dg_diffusion and density_diffusion only, beta by
     beta_nonlinear only; a nonzero coupling that the kind never reads is
-    refused rather than dropped."""
+    refused rather than dropped.  t_final is a whole number of steps dt, to
+    1e-9 relative, so the last state sits at the horizon the spec states."""
 
     kind: str = "linear"
     dt: float = 0.01
@@ -74,6 +75,8 @@ class EvolutionSpec:
             raise ValueError("dt must be positive")
         if self.t_final < 0:
             raise ValueError("t_final must be non-negative")
+        if abs(round(self.t_final / self.dt) * self.dt - self.t_final) > 1e-9 * max(self.t_final, 1.0):
+            raise ValueError(f"horizon {self.t_final:g} is not a whole number of steps dt {self.dt:g}")
         if self.D < 0 or self.beta < 0 or self.eps_reg <= 0:
             raise ValueError("require D >= 0, beta >= 0, eps_reg > 0")
         if self.D and self.kind not in ("dg_diffusion", "density_diffusion"):
@@ -334,8 +337,11 @@ def evolve_density_diffusion(rho0: np.ndarray, spec: EvolutionSpec, grid: Grid) 
     F^-1[expm1(-D k^2 t) F rho0], finite and of rho0's mass for any
     dt * D / h^2, and rho0 bit for bit at D = 0, since expm1(0) = 0.
     Snapshots sit every record_stride steps of spec.dt and at the last step,
-    stamped step * dt.
+    stamped step * dt.  spec's kind is density_diffusion: the DG flow also
+    moves its density by the current, which rho alone does not give.
     """
+    if spec.kind != "density_diffusion":
+        raise ValueError(f"kind {spec.kind!r} is not a density evolution")
     rho0 = np.array(rho0, dtype=float)
     rho_hat = _half_spectrum(rho0, grid)
     snapshots = []

@@ -275,28 +275,24 @@ def multi_mass_scan(
     hbar: float,
     omega: float,
     grid: Grid,
-    alpha_base: dict[float, float] | None = None,
     eps_mask: float = DEFAULT_EPS_MASK,
 ) -> dict[float, ScanResult]:
     """Componentwise coefficient scan R_i(c) with alpha_i = c * hbar^2/(2 m_i).
 
     Each mass gets an independent harmonic ground state; a common minimum at
     c = 1 witnesses a single action scale across components.  boundary flags
-    a minimum on the scan edge, where the argmin is that edge.  alpha_base can
-    override the per-mass reference coefficient (a deliberately mis-calibrated
-    base shifts that component's argmin to the reciprocal factor).
+    a minimum on the scan edge, where the argmin is that edge.
     """
     c_grid = np.asarray(c_grid, dtype=float)
     results: dict[float, ScanResult] = {}
     for m_i in masses:
         consts = PhysicalConstants(hbar=hbar, m=m_i)
-        base = consts.alpha_star if alpha_base is None else alpha_base.get(m_i, consts.alpha_star)
         psi = oscillator_state(grid, 0, omega, consts)
         rho = psi.density()
         mask = rho > eps_mask * rho.max()
         V = harmonic_potential(grid, omega, consts)
         curve = eigen_coefficient_curve(
-            rho, psi.values.real, V, oscillator_energy(0, omega, consts), c_grid, base, grid, mask
+            rho, psi.values.real, V, oscillator_energy(0, omega, consts), c_grid, consts.alpha_star, grid, mask
         )
         results[m_i] = ScanResult.from_curve(c_grid, curve)
     return results

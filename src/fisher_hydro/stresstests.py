@@ -42,20 +42,17 @@ class LoopThroughNodeError(ValueError):
     pass
 
 
-def _whole_steps(t_final: float, dt: float) -> bool:
-    """Whether t_final is a whole number of steps of dt, to 1e-9 relative."""
-    return abs(round(t_final / dt) * dt - t_final) <= 1e-9 * max(t_final, 1.0)
-
-
 @dataclass(frozen=True)
 class SuperpositionConfig:
     """The superposition suite's config: two coherent packets of width
     sigma = sqrt(hbar/(m omega)) in a harmonic trap, separation_sigmas >= 6
     sigma apart about the box center, on a base grid and the refined (2n, dt/2).
     Each packet's density at the periodic seam x = +-L/2 must stay below
-    ROUNDOFF_FLOOR times its peak, so the box cuts off no packet.  Every beta
-    is >= 0 and eps_reg > 0, as EvolutionSpec requires of its beta kick.
-    t_final > 0 is a whole number of base steps dt, so both grids stop at it.
+    ROUNDOFF_FLOOR times its peak, so the box cuts off no packet, and
+    t_final > 0.  The rules on couplings and time steps are EvolutionSpec's:
+    the config builds each coupling's base-grid spec, which refuses a beta < 0,
+    an eps_reg <= 0, a dt <= 0 and a t_final that is not a whole number of
+    steps dt, so the base grid and the refined one, at dt/2, both stop at it.
     """
 
     n: int = 4096
@@ -72,14 +69,10 @@ class SuperpositionConfig:
     def __post_init__(self) -> None:
         if self.separation_sigmas < 6.0:
             raise ValueError("packets must start disjoint: separation_sigmas >= 6")
-        if any(b < 0 for b in self.beta_list) or self.eps_reg <= 0:
-            raise ValueError(f"require beta >= 0, eps_reg > 0, got beta_list {list(self.beta_list)}, "
-                             f"eps_reg {self.eps_reg:g}")
-        if not (self.dt > 0 and self.t_final > 0):
-            raise ValueError(f"require dt > 0, t_final > 0, got dt {self.dt:g}, t_final {self.t_final:g}")
-        if not _whole_steps(self.t_final, self.dt):
-            raise ValueError(f"t_final {self.t_final:g} is not a whole number of base steps dt {self.dt:g}, "
-                             "so the base and refined grids would stop at different times")
+        if self.t_final <= 0:  # at t = 0 every residual is 0
+            raise ValueError(f"superposition needs t_final > 0, got {self.t_final:g}")
+        for beta in self.beta_list:
+            self.spec(beta)
         c = PhysicalConstants(self.hbar, self.mass)  # refuses hbar or mass <= 0 before they divide
         sigma = math.sqrt(c.hbar / (c.m * self.omega))
         seam = 0.5 * self.length / sigma - 0.5 * self.separation_sigmas  # from a centre to x = +-L/2
@@ -93,6 +86,10 @@ class SuperpositionConfig:
 
     def timestep(self, refined: bool = False) -> float:
         return self.dt / 2 if refined else self.dt
+
+    def spec(self, beta: float, refined: bool = False) -> EvolutionSpec:
+        """The beta flow at coupling beta on the base or refined time grid."""
+        return EvolutionSpec("beta_nonlinear", self.timestep(refined), self.t_final, beta=beta, eps_reg=self.eps_reg)
 
 
 def _packet(grid: Grid, center: float, sigma: float) -> np.ndarray:
@@ -133,7 +130,7 @@ def superposition_residual(config: SuperpositionConfig, beta: float, refined: bo
     p2 = _packet(grid, half_sep, sigma)
     batch = np.stack([p1, p2, (p1 + p2) / np.sqrt(2.0)])
     batch /= np.sqrt(np.sum(np.abs(batch) ** 2, axis=-1, keepdims=True) * grid.cell_volume)
-    spec = EvolutionSpec("beta_nonlinear", config.timestep(refined), config.t_final, beta=beta, eps_reg=config.eps_reg)
+    spec = config.spec(beta, refined)
     out = _strang(V, grid, spec.dt, c, spec)(batch, spec.n_steps)
     residual, _ = projective_residual(out[2], out[0] + out[1], grid)
     return residual
@@ -275,8 +272,6 @@ def time_reversal_defect(
 
     def run(diffusion: float) -> float:
         spec = EvolutionSpec("linear" if diffusion == 0.0 else "dg_diffusion", dt, T, D=diffusion)
-        if not _whole_steps(T, dt):
-            raise ValueError("T must be a multiple of dt")
         advance = _strang(V, psi0.grid, dt, constants, spec)
         values = psi0.values
         for _ in range(2):

@@ -578,24 +578,47 @@ def test_time_reversal_at_zero_diffusion_is_a_config_error(tmp_path, monkeypatch
     ("time-reversal", {"t_final": 0.0}, "time-reversal needs t_final > 0, got 0"),
     ("complexifier", {"t_final": 0.0},
      "complexifier_scan needs a snapshot, got none: an evolution to t_final = 0 records none"),
-    ("superposition", {"t_final": 0.0}, "require dt > 0, t_final > 0, got dt 0.005, t_final 0"),
-    ("superposition", {"t_final": 2.1025}, "t_final 2.1025 is not a whole number of base steps dt 0.005, "
-                                           "so the base and refined grids would stop at different times"),
-    ("galilei", {"t": 0.405}, "galilei t 0.405 is not a whole number of steps dt 0.01"),
-], ids=["time-reversal-zero", "complexifier-zero", "superposition-zero", "superposition-split", "galilei-split"])
+    ("superposition", {"t_final": 0.0}, "superposition needs t_final > 0, got 0"),
+    ("superposition", {"t_final": 2.1025}, "horizon 2.1025 is not a whole number of steps dt 0.005"),
+    ("galilei", {"t": 0.405}, "horizon 0.405 is not a whole number of steps dt 0.01"),
+    ("scan-alpha", {"t_final": 3.63}, "horizon 3.63 is not a whole number of steps dt 0.02"),
+    ("continuity", {"t_final": 3.63}, "horizon 3.63 is not a whole number of steps dt 0.02"),
+    ("dg-entropy", {"t_final": 2.005}, "horizon 2.005 is not a whole number of steps dt 0.01"),
+    ("time-reversal", {"t_final": 2.005}, "horizon 2.005 is not a whole number of steps dt 0.01"),
+    ("complexifier", {"t_final": 0.7025}, "horizon 0.7025 is not a whole number of steps dt 0.005"),
+], ids=["time-reversal-zero", "complexifier-zero", "superposition-zero", "superposition-split", "galilei-split",
+        "scan-alpha-split", "continuity-split", "dg-entropy-split", "time-reversal-split", "complexifier-split"])
 def test_horizon_the_suite_cannot_measure_is_a_config_error(tmp_path, test, user, error):
     # a horizon of zero steps evolves nothing, so a verdict would read its
-    # start state, not the physics; a superposition horizon that is not a
-    # whole number of base steps stops the base grid (t = 2.1 here) before
-    # the refined one (t = 2.1025); a galilei t that is not a whole number of
-    # steps would build K at a time the state never reaches.  Each exits 2
-    # with a partial verdict that names the setting, not 1 as if falsified.
+    # start state, not the physics.  A horizon that is not a whole number of
+    # steps would be rounded to one the verdict's config does not state (3.64
+    # for 3.63 at dt 0.02), or stop superposition's base grid (t = 2.1 here)
+    # before its refined one (t = 2.1025), or build galilei's K at a time the
+    # state never reaches; EvolutionSpec refuses it in every time-stepping
+    # suite.  Each exits 2 with a partial verdict that names the setting, not
+    # 1 as if falsified.
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(user))
     code, verdict = run_one(test, str(p), str(tmp_path), {})
     assert (code, verdict) == (EXIT_CONFIG, None)
     assert _partial_verdict(tmp_path, test)["error"] == error
     assert not (tmp_path / f"{test.replace('-', '_')}.csv").exists()
+
+
+def test_every_default_horizon_is_whole_steps():
+    # each time-stepping suite's default horizons, on each time grid it runs
+    # (scan-alpha's refined dt/4, superposition's dt/2; dg-entropy's DG
+    # wavefunction run stops at 1.0), are ones EvolutionSpec accepts: an edit
+    # to a default cannot make a suite refuse its own defaults
+    grids = {"scan-alpha": (1, 4), "superposition": (1, 2)}
+    horizons = {test: [cfg.get("t_final", cfg.get("t"))] for test, cfg in DEFAULTS.items() if "dt" in cfg}
+    horizons["dg-entropy"].append(1.0)
+    assert set(horizons) == {"scan-alpha", "continuity", "dg-entropy", "time-reversal", "galilei",
+                             "complexifier", "superposition"}
+    for test, times in horizons.items():
+        for factor in grids.get(test, (1,)):
+            for t_final in times:
+                EvolutionSpec(dt=DEFAULTS[test]["dt"] / factor, t_final=t_final)
 
 
 @pytest.mark.parametrize("t, n_steps", [(0.29, 29), (0.57, 57)])

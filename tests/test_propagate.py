@@ -46,7 +46,8 @@ def test_ground_state_one_period_fidelity(grid1d, constants):
     omega = 1.0
     psi0 = oscillator_state(grid1d, 0, omega, constants)
     V = harmonic_potential(grid1d, omega, constants)
-    spec = EvolutionSpec(kind="linear", dt=0.01, t_final=2 * np.pi / omega, record_stride=1000)
+    period = 2 * np.pi / omega
+    spec = EvolutionSpec(kind="linear", dt=period / 628, t_final=period, record_stride=1000)
     traj = evolve(psi0, V, spec, constants)
     final = traj.snapshots[-1][1]
     fidelity = abs(np.sum(np.conj(psi0.values) * final.values) * grid1d.cell_volume)
@@ -367,6 +368,25 @@ def test_spec_refuses_a_coupling_its_kind_never_reads(kind, coupling):
     with pytest.raises(ValueError, match="never reads"):
         EvolutionSpec(kind=kind, **coupling)
     EvolutionSpec(kind=kind, **{name: 0.0 for name in coupling})
+
+
+@pytest.mark.parametrize("dt, t_final", [(0.01, 0.405), (0.02, 3.63), (0.01, 2 * np.pi), (0.01, 0.005)])
+def test_spec_refuses_a_horizon_that_is_not_whole_steps(dt, t_final):
+    # n_steps would round it, so the last state would sit at a time the spec
+    # does not state (0.005 at dt 0.01 would evolve nothing)
+    with pytest.raises(ValueError, match=f"horizon {t_final:g} is not a whole number of steps dt {dt:g}"):
+        EvolutionSpec(dt=dt, t_final=t_final)
+
+
+@pytest.mark.parametrize("kind", ["linear", "dg_diffusion", "beta_nonlinear"])
+def test_density_diffusion_refuses_a_wavefunction_kind(grid1d, kind):
+    # the DG flow also moves its density by the current: a dg_diffusion spec
+    # must not run the heat flow under its name; _strang refuses the other way
+    spec = EvolutionSpec(kind=kind, dt=0.01, t_final=0.1, **own_coupling(kind))
+    with pytest.raises(ValueError, match=f"kind {kind!r} is not a density evolution"):
+        evolve_density_diffusion(np.ones(grid1d.shape), spec, grid1d)
+    with pytest.raises(ValueError, match="'density_diffusion' is not a wavefunction evolution"):
+        _strang(np.zeros(grid1d.shape), grid1d, 0.01, PhysicalConstants(), EvolutionSpec("density_diffusion", D=0.05))
 
 
 @pytest.mark.parametrize("time", [0.0, 0.25])

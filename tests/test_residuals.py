@@ -15,12 +15,14 @@ from fisher_hydro.fields import (
 from fisher_hydro.grid import integrate
 from fisher_hydro.propagate import step_linear, symmetric_pair
 from fisher_hydro.residuals import (
+    ScanResult,
     _hj_from_parts,
     _hj_parts,
     alpha_scan,
     continuity_curve,
     continuity_residual,
     default_alpha_grid,
+    eigen_coefficient_curve,
     hj_residual,
     multi_mass_scan,
     subtract_masked_mean,
@@ -29,6 +31,7 @@ from fisher_hydro.states import (
     boost,
     gaussian_packet,
     harmonic_potential,
+    oscillator_energy,
     oscillator_state,
 )
 
@@ -221,11 +224,15 @@ def test_multi_mass_common_minimum(grid1d_fine):
         assert not res.boundary
 
 
-def test_multi_mass_miscalibrated_base(grid1d_fine):
+def test_eigen_coefficient_curve_miscalibrated_base(grid1d_fine):
+    # a base coefficient 1.2 alpha* shifts the argmin to the reciprocal factor
     c_grid = np.linspace(0.5, 1.5, 101)
-    base = {1.0: 1.2 * C.alpha_star}
-    results = multi_mass_scan(c_grid, [1.0], 1.0, 1.0, grid1d_fine, alpha_base=base)
-    assert abs(results[1.0].argmin - 1.0 / 1.2) <= 0.01
+    psi = oscillator_state(grid1d_fine, 0, 1.0, C)
+    rho = psi.density()
+    curve = eigen_coefficient_curve(rho, psi.values.real, harmonic_potential(grid1d_fine, 1.0, C),
+                                    oscillator_energy(0, 1.0, C), c_grid, 1.2 * C.alpha_star, grid1d_fine,
+                                    rho > 1e-6 * rho.max())
+    assert abs(ScanResult.from_curve(c_grid, curve).argmin - 1.0 / 1.2) <= 0.01
 
 
 def test_alpha_scan_boundary_flagged():

@@ -156,6 +156,35 @@ def test_superposition_disjointness_enforced():
     SuperpositionConfig()  # 12.2 sigma from the seam
 
 
+@pytest.mark.parametrize("kw, error", [
+    ({"t_final": 0.0}, "superposition needs t_final > 0, got 0"),
+    ({"t_final": 0.505}, "horizon 0.505 is not a whole number of steps dt 0.01"),
+    ({"dt": 0.0}, "dt must be positive"),
+    ({"beta_list": (0.0, -0.01)}, "require D >= 0, beta >= 0, eps_reg > 0"),
+    ({"eps_reg": 0.0}, "require D >= 0, beta >= 0, eps_reg > 0"),
+])
+def test_superposition_config_refuses_what_its_specs_refuse(kw, error):
+    # the config states t_final > 0 itself; the rest is EvolutionSpec's, read
+    # from the base-grid spec of each coupling
+    with pytest.raises(ValueError) as raised:
+        small_config(**kw)
+    assert str(raised.value) == error
+
+
+def test_superposition_residual_evolves_the_config_spec(monkeypatch):
+    # both grids stop at t_final: 10 base steps of dt, 20 refined ones of dt/2
+    from fisher_hydro import stresstests
+
+    cfg = small_config(t_final=0.1)
+    seen = []
+    monkeypatch.setattr(stresstests, "_strang", lambda V, grid, dt, c, spec:
+                        seen.append((dt, spec)) or (lambda values, n_steps: values))
+    for refined in (False, True):
+        superposition_residual(cfg, 0.02, refined)
+    assert seen == [(cfg.timestep(refined), cfg.spec(0.02, refined)) for refined in (False, True)]
+    assert [spec.n_steps for _, spec in seen] == [10, 20]
+
+
 def _old_superposition_residual(config, beta, refined):
     """superposition_residual as it was when the suite's CLI translated its
     config into packet centres x1, x2 and width sigma, and each packet's
@@ -267,7 +296,7 @@ def test_time_reversal_requires_commensurate_horizon(grid1d):
     # T = 0.005 rounds to zero steps: it is refused, not read as a zero horizon
     psi = gaussian_packet(grid1d, 20.0, 1.0, 0.0, C)
     for T in (0.105, 0.005):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"horizon {T:g} is not a whole number of steps dt 0.01"):
             time_reversal_defect(psi, np.zeros(grid1d.shape), T, 0.0, C, dt=0.01)
 
 
