@@ -410,9 +410,8 @@ def _table1_trajectory(cfg: dict, constants: PhysicalConstants, refined: bool = 
     psi = gaussian_packet(grid, grid.length / 2, cfg["sigma0"], 0.0, constants)
     if cfg.get("boost", 0.0):
         psi = boost(psi, cfg["boost"], constants)
-    stride = max(1, int(round(cfg["snapshot_interval"] / dt)))
     kind = "linear" if D == 0.0 else "dg_diffusion"
-    spec = EvolutionSpec(kind=kind, dt=dt, t_final=cfg["t_final"], record_stride=stride, D=D)
+    spec = EvolutionSpec.sampled(kind, dt, cfg["t_final"], cfg["snapshot_interval"], D=D)
     V = np.zeros(grid.shape)
     return evolve(psi, V, spec, constants), V, grid
 
@@ -480,9 +479,8 @@ def run_dg_entropy(cfg: dict, outdir: str) -> tuple[dict, dict]:
     D = cfg["diffusion"]
     if D <= 0.0:  # the rate errors are relative to D I_F; the D = 0 run is built below
         raise ConfigError(f"dg-entropy needs diffusion > 0, got {D:g}")
-    stride = max(1, int(round(cfg["snapshot_interval"] / cfg["dt"])))
-    spec = EvolutionSpec(kind="density_diffusion", dt=cfg["dt"], t_final=cfg["t_final"],
-                         record_stride=stride, D=D)
+    spec = EvolutionSpec.sampled("density_diffusion", cfg["dt"], cfg["t_final"], cfg["snapshot_interval"], D=D)
+    wf_spec = EvolutionSpec.sampled("dg_diffusion", cfg["dt"], 1.0, 0.25, D=D)
 
     traj = evolve_density_diffusion(rho0, spec, grid)
     times, measured_rate, predicted_rate = shannon_entropy_rate(traj)
@@ -495,8 +493,6 @@ def run_dg_entropy(cfg: dict, outdir: str) -> tuple[dict, dict]:
 
     # entropy-production identity along a DG wavefunction trajectory
     psi = gaussian_packet(grid, grid.length / 2, cfg["sigma0"], 0.0, constants)
-    wf_spec = EvolutionSpec(kind="dg_diffusion", dt=cfg["dt"], t_final=1.0,
-                            record_stride=max(1, int(round(0.25 / cfg["dt"]))), D=D)
     wtraj = evolve(psi, np.zeros(grid.shape), wf_spec, constants)
     identity_rel = 0.0
     for _, wf in wtraj.snapshots[1:]:
@@ -644,8 +640,7 @@ def run_complexifier(cfg: dict, outdir: str) -> tuple[dict, dict]:
         grid, grid.length / 2 + cfg["x0_offset"],
         np.sqrt(constants.hbar / (constants.m * cfg["omega"])), 0.0, constants,
     )
-    stride = max(1, int(round(cfg["snapshot_interval"] / cfg["dt"])))
-    spec = EvolutionSpec(kind="linear", dt=cfg["dt"], t_final=cfg["t_final"], record_stride=stride)
+    spec = EvolutionSpec.sampled("linear", cfg["dt"], cfg["t_final"], cfg["snapshot_interval"])
     traj = evolve(psi, V, spec, constants)
     snapshots = [wf for _, wf in traj.snapshots[1:]]
 

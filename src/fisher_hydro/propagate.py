@@ -20,7 +20,7 @@ its half spectrum, where density-level diffusion is solved exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,6 +47,14 @@ _KINDS = _WAVE_KINDS + ("density_diffusion",)
 _DG_EPS_MASK = 1e-8
 
 
+def _whole_steps(span: float, dt: float, name: str) -> int:
+    """span as a whole number of steps dt, to 1e-9 relative, else a ValueError naming span."""
+    steps = round(span / dt)
+    if abs(steps * dt - span) > 1e-9 * max(span, 1.0):
+        raise ValueError(f"{name} {span:g} is not a whole number of steps dt {dt:g}")
+    return steps
+
+
 class NumericalAbort(RuntimeError):
     """Raised when an evolution produces non-finite values (unstable parameters)."""
 
@@ -58,7 +66,9 @@ class EvolutionSpec:
     D is read by dg_diffusion and density_diffusion only, beta by
     beta_nonlinear only; a nonzero coupling that the kind never reads is
     refused rather than dropped.  t_final is a whole number of steps dt, to
-    1e-9 relative, so the last state sits at the horizon the spec states."""
+    1e-9 relative, so the last state sits at the horizon the spec states;
+    record_stride s divides n_steps, so snapshots sit at steps 0, s, ...,
+    n_steps, one interval s * dt apart, which sampled turns into s."""
 
     kind: str = "linear"
     dt: float = 0.01
@@ -75,8 +85,7 @@ class EvolutionSpec:
             raise ValueError("dt must be positive")
         if self.t_final < 0:
             raise ValueError("t_final must be non-negative")
-        if abs(round(self.t_final / self.dt) * self.dt - self.t_final) > 1e-9 * max(self.t_final, 1.0):
-            raise ValueError(f"horizon {self.t_final:g} is not a whole number of steps dt {self.dt:g}")
+        _whole_steps(self.t_final, self.dt, "horizon")
         if self.D < 0 or self.beta < 0 or self.eps_reg <= 0:
             raise ValueError("require D >= 0, beta >= 0, eps_reg > 0")
         if self.D and self.kind not in ("dg_diffusion", "density_diffusion"):
@@ -85,6 +94,18 @@ class EvolutionSpec:
             raise ValueError(f"kind {self.kind!r} never reads beta, got beta={self.beta:g}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
+        if self.n_steps % self.record_stride:
+            raise ValueError(f"horizon {self.t_final:g} is not a whole number of snapshot intervals "
+                             f"{self.record_stride * self.dt:g}")
+
+    @classmethod
+    def sampled(cls, kind: str, dt: float, t_final: float, interval: float, **couplings) -> EvolutionSpec:
+        """The spec of kind that records a snapshot every interval, which must
+        be a whole number of steps dt that divides the horizon t_final."""
+        if not interval > 0:
+            raise ValueError(f"snapshot interval must be positive, got {interval:g}")
+        spec = cls(kind, dt, t_final, **couplings)
+        return replace(spec, record_stride=_whole_steps(interval, dt, "snapshot interval"))
 
     @property
     def n_steps(self) -> int:
@@ -294,7 +315,8 @@ def step_beta(
 
 
 def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: PhysicalConstants) -> Trajectory:
-    """Repeated stepping with snapshot recording every record_stride steps.
+    """Repeated stepping with a snapshot at steps 0, s, 2s, ..., n_steps,
+    s = record_stride, which divides n_steps.
 
     Every kind runs the Strang kernel of step_linear, step_dg and step_beta,
     with its factors built once, one record_stride chunk at a time; a
@@ -309,11 +331,8 @@ def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: Physi
     advance = _strang(V, grid, spec.dt, constants, spec)
     values = psi0.values.copy()
     snapshots: list[tuple[float, WaveField]] = [(0.0, WaveField(grid, values, 0.0))]
-    step = 0
-    while step < spec.n_steps:
-        chunk = min(spec.record_stride, spec.n_steps - step)
-        values = advance(values, chunk, step * spec.dt)
-        step += chunk
+    for step in range(spec.record_stride, spec.n_steps + 1, spec.record_stride):
+        values = advance(values, spec.record_stride, (step - spec.record_stride) * spec.dt)
         t = step * spec.dt
         snapshots.append((t, WaveField(grid, values, t)))
     return Trajectory(snapshots, spec)
@@ -336,16 +355,17 @@ def evolve_density_diffusion(rho0: np.ndarray, spec: EvolutionSpec, grid: Grid) 
     The flow is diagonal on the half spectrum: rho(t) = rho0 +
     F^-1[expm1(-D k^2 t) F rho0], finite and of rho0's mass for any
     dt * D / h^2, and rho0 bit for bit at D = 0, since expm1(0) = 0.
-    Snapshots sit every record_stride steps of spec.dt and at the last step,
-    stamped step * dt.  spec's kind is density_diffusion: the DG flow also
-    moves its density by the current, which rho alone does not give.
+    Snapshots sit at steps 0, s, 2s, ..., n_steps of spec.dt, s =
+    record_stride, stamped step * dt.  spec's kind is density_diffusion: the
+    DG flow also moves its density by the current, which rho alone does not
+    give.
     """
     if spec.kind != "density_diffusion":
         raise ValueError(f"kind {spec.kind!r} is not a density evolution")
     rho0 = np.array(rho0, dtype=float)
     rho_hat = _half_spectrum(rho0, grid)
     snapshots = []
-    for step in sorted({*range(0, spec.n_steps, spec.record_stride), spec.n_steps}):
+    for step in range(0, spec.n_steps + 1, spec.record_stride):
         t = step * spec.dt
         change = np.multiply(np.expm1(np.multiply(spec.D * t, grid._neg_k2_half)), rho_hat)
         snapshots.append((t, rho0 + _real_inverse(change, grid, np.empty_like(rho0))))

@@ -148,16 +148,16 @@ def continuity_curve(trajectory, V: np.ndarray, constants: PhysicalConstants,
                      eps_mask: float = DEFAULT_EPS_MASK) -> list[float]:
     """continuity_residual at each interior snapshot, its centered pair one
     step back and forward of the trajectory's own flow (symmetric_pair)."""
-    return [_continuity(hydro, *symmetric_pair(wf, V, trajectory.spec, constants))
-            for wf, hydro in _interior(trajectory, constants, eps_mask)]
+    pairs = ((wf, *symmetric_pair(wf, V, trajectory.spec, constants)) for wf in _interior(trajectory))
+    return [continuity_residual((minus, wf, plus), constants, eps_mask) for wf, minus, plus in pairs]
 
 
-def _interior(trajectory, constants: PhysicalConstants, eps_mask: float):
-    """Each interior snapshot of trajectory with its decomposition, in turn."""
-    interior = trajectory.snapshots[1:-1]
+def _interior(trajectory) -> list[WaveField]:
+    """The interior snapshots of trajectory, of which there must be one."""
+    interior = [wf for _, wf in trajectory.snapshots[1:-1]]
     if not interior:
         raise ValueError("trajectory has no interior snapshots")
-    return ((wf, polar_decompose(wf, eps_mask, constants)) for _, wf in interior)
+    return interior
 
 
 def _hj_parts(wavefield: WaveField, V: np.ndarray, constants: PhysicalConstants, eps_mask: float,
@@ -237,7 +237,8 @@ def alpha_scan(trajectory, V: np.ndarray, alpha_grid: np.ndarray, constants: Phy
 
     r_conts, curves = [], []
     alpha_star = constants.alpha_star
-    for wf, hydro in _interior(trajectory, constants, eps_mask):
+    for wf in _interior(trajectory):
+        hydro = polar_decompose(wf, eps_mask, constants)
         r_conts.append(_continuity(hydro, *symmetric_pair(wf, V, trajectory.spec, constants)))
         parts = _hj_parts(wf, V, constants, eps_mask, hydro)
         curves.append([_hj_from_parts(parts, r * alpha_star) for r in ratios])

@@ -36,7 +36,8 @@ def gaussian_packet(
 ) -> WaveField:
     """1D packet (pi sigma0^2)^(-1/4) exp[-(x-x0)^2/(2 sigma0^2) + i k0 (x-x0)].
 
-    Renormalised on the grid so the discrete norm is exactly one.
+    Renormalised on the grid so the discrete norm is exactly one.  constants
+    is never read: it is kept for the callers that pass it positionally.
     """
     if grid.dim != 1:
         raise ValueError("gaussian_packet is 1D")

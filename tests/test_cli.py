@@ -586,8 +586,17 @@ def test_time_reversal_at_zero_diffusion_is_a_config_error(tmp_path, monkeypatch
     ("dg-entropy", {"t_final": 2.005}, "horizon 2.005 is not a whole number of steps dt 0.01"),
     ("time-reversal", {"t_final": 2.005}, "horizon 2.005 is not a whole number of steps dt 0.01"),
     ("complexifier", {"t_final": 0.7025}, "horizon 0.7025 is not a whole number of steps dt 0.005"),
+    ("scan-alpha", {"snapshot_interval": 0.25}, "snapshot interval 0.25 is not a whole number of steps dt 0.02"),
+    ("continuity", {"snapshot_interval": 0.25}, "snapshot interval 0.25 is not a whole number of steps dt 0.02"),
+    ("continuity", {"snapshot_interval": 0}, "snapshot interval must be positive, got 0"),
+    ("dg-entropy", {"snapshot_interval": 0.3}, "horizon 2 is not a whole number of snapshot intervals 0.3"),
+    ("complexifier", {"snapshot_interval": 0.3}, "horizon 0.7 is not a whole number of snapshot intervals 0.3"),
+    # dg-entropy's DG wavefunction run samples every 0.25
+    ("dg-entropy", {"dt": 0.02}, "snapshot interval 0.25 is not a whole number of steps dt 0.02"),
 ], ids=["time-reversal-zero", "complexifier-zero", "superposition-zero", "superposition-split", "galilei-split",
-        "scan-alpha-split", "continuity-split", "dg-entropy-split", "time-reversal-split", "complexifier-split"])
+        "scan-alpha-split", "continuity-split", "dg-entropy-split", "time-reversal-split", "complexifier-split",
+        "scan-alpha-interval-split", "continuity-interval-split", "continuity-interval-zero",
+        "dg-entropy-interval-ragged", "complexifier-interval-ragged", "dg-entropy-dt"])
 def test_horizon_the_suite_cannot_measure_is_a_config_error(tmp_path, test, user, error):
     # a horizon of zero steps evolves nothing, so a verdict would read its
     # start state, not the physics.  A horizon that is not a whole number of
@@ -595,8 +604,12 @@ def test_horizon_the_suite_cannot_measure_is_a_config_error(tmp_path, test, user
     # for 3.63 at dt 0.02), or stop superposition's base grid (t = 2.1 here)
     # before its refined one (t = 2.1025), or build galilei's K at a time the
     # state never reaches; EvolutionSpec refuses it in every time-stepping
-    # suite.  Each exits 2 with a partial verdict that names the setting, not
-    # 1 as if falsified.
+    # suite.  So it refuses a snapshot interval that is not a whole number of
+    # steps (0.25 at dt 0.02 once recorded every 0.24), one of zero (once
+    # every step) and one that does not divide the horizon, whose shorter last
+    # interval dg-entropy's centred rate misread (4.4e-3 against <= 1e-4 at
+    # 0.3).  Each exits 2 with a partial verdict that names the setting, not 0
+    # or 1, and writes no CSV.
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(user))
     code, verdict = run_one(test, str(p), str(tmp_path), {})
@@ -607,18 +620,27 @@ def test_horizon_the_suite_cannot_measure_is_a_config_error(tmp_path, test, user
 
 def test_every_default_horizon_is_whole_steps():
     # each time-stepping suite's default horizons, on each time grid it runs
-    # (scan-alpha's refined dt/4, superposition's dt/2; dg-entropy's DG
-    # wavefunction run stops at 1.0), are ones EvolutionSpec accepts: an edit
-    # to a default cannot make a suite refuse its own defaults
+    # (scan-alpha's refined dt/4, superposition's dt/2), are ones
+    # EvolutionSpec accepts, and each default snapshot interval is a whole
+    # number of steps that divides its horizon (dg-entropy's DG wavefunction
+    # run samples every 0.25 to 1.0): an edit to a default cannot make a
+    # suite refuse its own defaults
     grids = {"scan-alpha": (1, 4), "superposition": (1, 2)}
-    horizons = {test: [cfg.get("t_final", cfg.get("t"))] for test, cfg in DEFAULTS.items() if "dt" in cfg}
-    horizons["dg-entropy"].append(1.0)
-    assert set(horizons) == {"scan-alpha", "continuity", "dg-entropy", "time-reversal", "galilei",
-                             "complexifier", "superposition"}
-    for test, times in horizons.items():
+    runs = {test: [(cfg.get("t_final", cfg.get("t")), cfg.get("snapshot_interval"))]
+            for test, cfg in DEFAULTS.items() if "dt" in cfg}
+    runs["dg-entropy"].append((1.0, 0.25))
+    assert set(runs) == {"scan-alpha", "continuity", "dg-entropy", "time-reversal", "galilei",
+                         "complexifier", "superposition"}
+    assert {test for test, horizons in runs.items() if horizons[0][1] is not None} == {
+        "scan-alpha", "continuity", "dg-entropy", "complexifier"}
+    for test, horizons in runs.items():
         for factor in grids.get(test, (1,)):
-            for t_final in times:
-                EvolutionSpec(dt=DEFAULTS[test]["dt"] / factor, t_final=t_final)
+            dt = DEFAULTS[test]["dt"] / factor
+            for t_final, interval in horizons:
+                if interval is None:
+                    EvolutionSpec(dt=dt, t_final=t_final)
+                else:
+                    EvolutionSpec.sampled("linear", dt, t_final, interval)
 
 
 @pytest.mark.parametrize("t, n_steps", [(0.29, 29), (0.57, 57)])

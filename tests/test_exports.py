@@ -20,8 +20,9 @@ def test_every_exported_name_exists(name):
 
 
 # perfbench's tracer binds run_one, superposition_residual and evolve by
-# parameter name, and its workloads call run_one, evolve and the step_*
-# functions positionally: each keeps these parameters, in this order.
+# parameter name, and its workloads call run_one, evolve, the step_*
+# functions and the states they evolve positionally, and EvolutionSpec by
+# keyword: each keeps these parameters, in this order.
 BENCHMARKED = [
     ("fisher_hydro.cli", "run_one", ["test", "config_path", "outdir", "overrides"]),
     ("fisher_hydro.stresstests", "superposition_residual", ["config", "beta", "refined"]),
@@ -29,6 +30,10 @@ BENCHMARKED = [
     ("fisher_hydro.propagate", "step_linear", ["psi", "V", "dt", "constants"]),
     ("fisher_hydro.propagate", "step_dg", ["psi", "V", "dt", "D", "constants"]),
     ("fisher_hydro.propagate", "step_beta", ["psi", "V", "dt", "beta", "eps_reg", "constants"]),
+    ("fisher_hydro.propagate", "EvolutionSpec", ["kind", "dt", "t_final", "record_stride", "D", "beta", "eps_reg"]),
+    ("fisher_hydro.states", "gaussian_packet", ["grid", "x0", "sigma0", "k0", "constants"]),
+    ("fisher_hydro.states", "harmonic_potential", ["grid", "omega", "constants"]),
+    ("fisher_hydro.states", "vortex_state", ["grid", "winding", "sigma", "center"]),
 ]
 
 

@@ -1,6 +1,7 @@
 """Split-step propagators: unitarity, accuracy order, reversibility, DG and
 beta variants, and the density-level diffusion solver."""
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -47,7 +48,7 @@ def test_ground_state_one_period_fidelity(grid1d, constants):
     psi0 = oscillator_state(grid1d, 0, omega, constants)
     V = harmonic_potential(grid1d, omega, constants)
     period = 2 * np.pi / omega
-    spec = EvolutionSpec(kind="linear", dt=period / 628, t_final=period, record_stride=1000)
+    spec = EvolutionSpec(kind="linear", dt=period / 628, t_final=period, record_stride=628)
     traj = evolve(psi0, V, spec, constants)
     final = traj.snapshots[-1][1]
     fidelity = abs(np.sum(np.conj(psi0.values) * final.values) * grid1d.cell_volume)
@@ -159,7 +160,7 @@ def test_dg_matches_pde_under_refinement(constants):
     wf = evolve(psi, V, spec, constants).snapshots[-1][1]
 
     def pde_residual(dt_diag):
-        minus, plus = symmetric_pair(wf, V, replace(spec, dt=dt_diag), constants)
+        minus, plus = symmetric_pair(wf, V, replace(spec, dt=dt_diag, record_stride=1), constants)
         rho_t = (plus.density() - minus.density()) / (2 * dt_diag)
         hydro = polar_decompose(wf, 1e-6, constants)
         div_j = spectral_divergence(hydro.j, grid)
@@ -209,7 +210,7 @@ def test_free_snapshot_matches_fresh_evolve(dim, constants):
     grid = _free_grid(dim)
     psi0 = moving_packet(grid, constants)
     V = np.zeros(grid.shape)
-    spec = EvolutionSpec(dt=0.01, t_final=0.3, record_stride=7)
+    spec = EvolutionSpec(dt=0.01, t_final=0.3, record_stride=6)
     for t, wf in evolve(psi0, V, spec, constants).snapshots[1:]:
         fresh = replace(spec, t_final=t, record_stride=int(round(t / spec.dt)))
         assert norm_l2(evolve(psi0, V, fresh, constants).snapshots[-1][1].values - wf.values, grid) <= 1e-13
@@ -313,8 +314,12 @@ def test_evolve_nan_aborts(grid1d, constants):
         evolve(psi, bad_v, spec, constants)
 
 
-@pytest.mark.parametrize("record_stride", [1, 5, 10])
-def test_dg_abort_states_diffusion_number(constants, record_stride):
+# ids name the stride, and the horizon where it is not 0.1
+@pytest.mark.parametrize("t_final, record_stride", [
+    pytest.param(0.1, 1, id="1"), pytest.param(0.1, 5, id="5"), pytest.param(0.1, 10, id="10"),
+    pytest.param(0.03, 1, id="0.03-1"), pytest.param(0.03, 3, id="0.03-3"),
+])
+def test_dg_abort_states_diffusion_number(constants, t_final, record_stride):
     # a DG run far past the explicit kick's limit aborts at its first step
     # whose |psi|^2 overflows, whatever the stride: at t = 0.03 every entry is
     # still finite (max|psi| = 2.6e227), so an entry scan would wait for
@@ -323,11 +328,10 @@ def test_dg_abort_states_diffusion_number(constants, record_stride):
     grid = make_grid(1, 16384, 40.0)
     psi = gaussian_packet(grid, 20.0, 1.0, 0.3, constants)
     # A run that ends at t = 0.03 must abort too, not return that state.
-    for t_final in (0.1, 0.03):
-        spec = EvolutionSpec(kind="dg_diffusion", dt=0.01, t_final=t_final, record_stride=record_stride, D=0.05)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericalAbort, match=r"^non-finite state at t=0\.03$"):
-            evolve(psi, harmonic_potential(grid, 1.0, constants), spec, constants)
+    spec = EvolutionSpec(kind="dg_diffusion", dt=0.01, t_final=t_final, record_stride=record_stride, D=0.05)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalAbort, match=r"^non-finite state at t=0\.03$"):
+        evolve(psi, harmonic_potential(grid, 1.0, constants), spec, constants)
 
 
 def test_non_finite_abort_survives_pickling(constants):
@@ -376,6 +380,29 @@ def test_spec_refuses_a_horizon_that_is_not_whole_steps(dt, t_final):
     # does not state (0.005 at dt 0.01 would evolve nothing)
     with pytest.raises(ValueError, match=f"horizon {t_final:g} is not a whole number of steps dt {dt:g}"):
         EvolutionSpec(dt=dt, t_final=t_final)
+
+
+def test_sampled_records_every_whole_interval():
+    # the interval is rounded to the stride of the horizon's own test, 1e-9
+    # relative: 0.35 / 0.005 is 69.99999999999999
+    spec = EvolutionSpec.sampled("dg_diffusion", 0.005, 0.7, 0.35, D=0.05)
+    assert spec == EvolutionSpec("dg_diffusion", 0.005, 0.7, record_stride=70, D=0.05)
+    assert EvolutionSpec.sampled("linear", 0.01, 0.0, 0.3).record_stride == 30
+
+
+@pytest.mark.parametrize("dt, t_final, interval, error", [
+    (0.02, 3.6, 0.25, "snapshot interval 0.25 is not a whole number of steps dt 0.02"),
+    (0.02, 3.6, 0.0, "snapshot interval must be positive, got 0"),
+    (0.02, 3.6, -0.2, "snapshot interval must be positive, got -0.2"),
+    (0.01, 2.0, 0.3, "horizon 2 is not a whole number of snapshot intervals 0.3"),
+    (0.02, 3.63, 0.2, "horizon 3.63 is not a whole number of steps dt 0.02"),
+], ids=["split", "zero", "negative", "ragged", "horizon-split"])
+def test_sampled_refuses_an_interval_it_cannot_record(dt, t_final, interval, error):
+    # a rounded interval would record at times the config does not state (0.24
+    # for 0.25 at dt 0.02), and one that does not divide the horizon would
+    # leave a shorter last interval, which a centred difference misreads
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        EvolutionSpec.sampled("linear", dt, t_final, interval)
 
 
 @pytest.mark.parametrize("kind", ["linear", "dg_diffusion", "beta_nonlinear"])
@@ -509,7 +536,7 @@ def test_symmetric_pair_steps_the_beta_flow(grid1d, constants):
 
 def test_trajectory_times_strictly_increasing(grid1d, constants):
     psi = gaussian_packet(grid1d, 20.0, 1.0, 0.0, constants)
-    spec = EvolutionSpec(kind="linear", dt=0.01, t_final=0.3, record_stride=7)
+    spec = EvolutionSpec(kind="linear", dt=0.01, t_final=0.3, record_stride=6)
     traj = evolve(psi, np.zeros(grid1d.shape), spec, constants)
     times = [t for t, _ in traj.snapshots]
     assert times[0] == 0.0
@@ -521,11 +548,14 @@ def test_trajectory_times_strictly_increasing(grid1d, constants):
 def test_trajectory_times_are_step_multiples(grid1d, constants, kind):
     psi = gaussian_packet(grid1d, 20.0, 1.0, 0.3, constants)
     V = harmonic_potential(grid1d, 1.0, constants)
-    spec = EvolutionSpec(kind=kind, dt=0.01, t_final=0.4, record_stride=7, **own_coupling(kind, beta=0.01))
+    spec = EvolutionSpec(kind=kind, dt=0.01, t_final=0.4, record_stride=8, **own_coupling(kind, beta=0.01))
     traj = evolve(psi, V, spec, constants)
-    expected = [k * spec.dt for k in (0, 7, 14, 21, 28, 35, 40)]
+    expected = [k * spec.dt for k in (0, 8, 16, 24, 32, 40)]
     assert [t for t, _ in traj.snapshots] == expected
     assert [wf.time for _, wf in traj.snapshots] == expected
+    # a stride that does not divide the horizon would leave a ragged last chunk
+    with pytest.raises(ValueError, match=r"^horizon 0\.4 is not a whole number of snapshot intervals 0\.07$"):
+        replace(spec, record_stride=7)
 
 
 @pytest.mark.parametrize("kind,dim,n", [
@@ -572,7 +602,7 @@ def test_in_place_kernel_never_aliases(kind, grid_name, stride, request, constan
         psi0 = WaveField(grid, vortex_state(grid, 0, 1.5, (9.0, 10.5)).values * np.exp(0.3j * grid.coords()[0]))
     kept = psi0.values.copy()
     V = harmonic_potential(grid, 1.0, constants)
-    spec = EvolutionSpec(kind=kind, dt=0.01, t_final=0.1, record_stride=stride, **own_coupling(kind))
+    spec = EvolutionSpec(kind=kind, dt=0.01, t_final=0.14, record_stride=stride, **own_coupling(kind))
     snapshots = evolve(psi0, V, spec, constants).snapshots
     assert np.array_equal(psi0.values, kept)
     arrays = [psi0.values] + [wf.values for _, wf in snapshots]
