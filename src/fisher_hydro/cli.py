@@ -18,7 +18,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -291,36 +291,26 @@ def _environment() -> dict:
             "cpus": _usable_cpus()}
 
 
-def _verdict_json(payload: dict) -> str:
-    payload = dict(payload, version=__version__, timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"),
-                   environment=_environment())
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _fingerprint(cfg: dict) -> dict:
-    return {"n": cfg["n"], "dt": cfg.get("dt", 0.0), "length": cfg["length"]}
-
-
 @dataclass
 class Verdict:
+    """The one record of every run: what it measured against its CHECKS rows,
+    or, for a run that raised, nothing measured and its message in error."""
+
     test: str
     measured: dict
     thresholds: dict
     passed: bool
     runtime_s: float
-    fingerprint: dict
-    config: dict = field(default_factory=dict)
+    config: dict
+    exit_code: int
+    error: str | None = None
 
     def to_json(self) -> str:
-        return _verdict_json({
-            "test": self.test,
-            "measured": self.measured,
-            "thresholds": self.thresholds,
-            "pass": self.passed,
-            "runtime_s": self.runtime_s,
-            "grid": self.fingerprint,
-            "config": self.config,
-        })
+        return json.dumps({"test": self.test, "pass": self.passed, "exit_code": self.exit_code, "error": self.error,
+                           "measured": self.measured, "thresholds": self.thresholds, "runtime_s": self.runtime_s,
+                           "config": self.config, "version": __version__,
+                           "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "environment": _environment()},
+                          indent=2, sort_keys=True)
 
 
 # suite name -> runner(cfg, outdir) -> Verdict, filled by @_suite
@@ -329,16 +319,24 @@ RUNNERS: dict = {}
 
 def _suite(test: str):
     """Register body(cfg, outdir) -> (measured, check values) as the suite's
-    runner(cfg, outdir) -> Verdict, timed, with pass read from CHECKS."""
+    runner(cfg, outdir) -> Verdict, timed, with pass read from CHECKS.  A body's
+    ValueError (a ConfigError too) or ArithmeticError is a config it cannot
+    measure (exit 2: no interior snapshot, a zero divisor), a NumericalAbort exit 3."""
 
     def wrap(body):
         @functools.wraps(body)
         def runner(cfg: dict, outdir: str) -> Verdict:
             t0 = time.perf_counter()
-            measured, values = body(cfg, outdir)
+            try:
+                measured, values = body(cfg, outdir)
+            except (ValueError, ArithmeticError, NumericalAbort) as exc:
+                code = EXIT_NUMERICAL if isinstance(exc, NumericalAbort) else EXIT_CONFIG
+                print(f"{'numerical abort' if code == EXIT_NUMERICAL else 'config error'}: {exc}", file=sys.stderr)
+                return Verdict(test, {}, {}, False, time.perf_counter() - t0, cfg, code, str(exc))
             thresholds = evaluate_checks(test, values)
             passed = all(check["pass"] for check in thresholds.values())
-            return Verdict(test, measured, thresholds, passed, time.perf_counter() - t0, _fingerprint(cfg), cfg)
+            return Verdict(test, measured, thresholds, passed, time.perf_counter() - t0, cfg,
+                           EXIT_PASS if passed else EXIT_FALSIFIED)
 
         RUNNERS[test] = runner
         return runner
@@ -633,6 +631,16 @@ def run_galilei(cfg: dict, outdir: str) -> tuple[dict, dict]:
 @_suite("complexifier")
 def run_complexifier(cfg: dict, outdir: str) -> tuple[dict, dict]:
     """Test 8: only the polar map (p, s) = (1/2, 1/hbar) linearises the flow."""
+    # the polar cell must be on the grid, not judged by its nearest cell, and the
+    # wall needs a cell off it
+    p_grid = np.array(cfg["p_grid"], dtype=float)
+    off_cell = np.abs(p_grid - 0.5) >= 0.1
+    if 0.5 not in cfg["p_grid"]:
+        raise ConfigError("complexifier p_grid must hold the polar cell p = 0.5")
+    if 1.0 not in cfg["s_grid"]:
+        raise ConfigError("complexifier s_grid must hold the polar cell s hbar = 1")
+    if not off_cell.any():
+        raise ConfigError("complexifier p_grid must hold a cell at least 0.1 from p = 0.5 for off_cell_wall")
     constants = PhysicalConstants(hbar=cfg["hbar"], m=cfg["mass"])
     grid = make_grid(1, cfg["n"], cfg["length"])
     V = harmonic_potential(grid, cfg["omega"], constants)
@@ -644,13 +652,10 @@ def run_complexifier(cfg: dict, outdir: str) -> tuple[dict, dict]:
     traj = evolve(psi, V, spec, constants)
     snapshots = [wf for _, wf in traj.snapshots[1:]]
 
-    p_grid = np.array(cfg["p_grid"], dtype=float)
     s_grid = np.array(cfg["s_grid"], dtype=float) / constants.hbar
     result = complexifier_scan(p_grid, s_grid, snapshots, V, constants, cfg["mask_eps"])
 
-    ip_true = int(np.argmin(np.abs(p_grid - 0.5)))
-    is_true = int(np.argmin(np.abs(s_grid - 1.0 / constants.hbar)))
-    wall = float(np.min(result.defect[np.abs(p_grid - 0.5) >= 0.1, :]))
+    wall = float(np.min(result.defect[off_cell, :]))
     shared = {"floor": result.floor, "off_cell_wall": wall, "max_density_rate": result.max_density_rate}
     measured = dict(
         shared,
@@ -666,7 +671,7 @@ def run_complexifier(cfg: dict, outdir: str) -> tuple[dict, dict]:
     _write(outdir, "complexifier.csv", _csv_body(["p", "s_hbar", "defect"], rows))
     return measured, dict(
         shared,
-        argmin_polar_cell=result.argmin == (ip_true, is_true),
+        argmin_polar_cell=result.argmin == (cfg["p_grid"].index(0.5), cfg["s_grid"].index(1.0)),
         minimum_cells=int(np.sum(result.defect <= result.floor * (1 + 1e-12))),
     )
 
@@ -704,38 +709,24 @@ def run_superposition(cfg: dict, outdir: str) -> tuple[dict, dict]:
 
 
 def run_one(test: str, config_path: str | None, outdir: str, overrides: dict) -> tuple[int, Verdict | None]:
-    code, verdict, _ = _run(test, config_path, outdir, overrides)
-    return code, verdict
+    """(exit code, verdict) of one suite; the verdict is None on exits 2 and 3."""
+    verdict = _run(test, config_path, outdir, overrides)
+    if verdict is None:
+        return EXIT_CONFIG, None
+    return verdict.exit_code, verdict if verdict.error is None else None
 
 
-def _run(test: str, config_path: str | None, outdir: str,
-         overrides: dict) -> tuple[int, Verdict | None, float | None]:
-    """run_one, plus the runtime that its verdict, full or partial, records
-    (None on a config error, which writes no verdict)."""
-    t0 = time.perf_counter()
+def _run(test: str, config_path: str | None, outdir: str, overrides: dict) -> Verdict | None:
+    """The suite's verdict, written to outdir; None on a config error found
+    before the suite runs, which writes no verdict."""
     try:
         cfg = load_config(test, config_path, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG, None, None
-    try:
-        verdict = RUNNERS[test](cfg, outdir)
-    except (ValueError, ArithmeticError, NumericalAbort) as exc:
-        # A ValueError (a ConfigError too) or ArithmeticError from a runner is a config
-        # it cannot measure: a t_final that leaves no interior snapshot, a zero divisor.
-        if isinstance(exc, NumericalAbort):
-            code, label = EXIT_NUMERICAL, "numerical abort"
-        else:
-            code, label = EXIT_CONFIG, "config error"
-        print(f"{label}: {exc}", file=sys.stderr)
-        runtime_s = time.perf_counter() - t0
-        _write(outdir, f"{test}.verdict.json", _verdict_json({
-            "test": test, "pass": False, "exit_code": code, "error": str(exc),
-            "runtime_s": runtime_s, "grid": _fingerprint(cfg), "config": cfg,
-        }))
-        return code, None, runtime_s
+        return None
+    verdict = RUNNERS[test](cfg, outdir)
     _write(outdir, f"{test}.verdict.json", verdict.to_json())
-    return (EXIT_PASS if verdict.passed else EXIT_FALSIFIED), verdict, verdict.runtime_s
+    return verdict
 
 
 def run_all(config_dir: str, outdir: str) -> int:
@@ -747,8 +738,9 @@ def run_all(config_dir: str, outdir: str) -> int:
     print(f"{'test':<14} {'status':<8} runtime")
     for test in sorted(RUNNERS):
         path = os.path.join(config_dir, f"{test}.json")
-        code, _, runtime_s = _run(test, path if os.path.exists(path) else None,
-                                  os.path.join(outdir, test.replace("-", "_")), {})
+        verdict = _run(test, path if os.path.exists(path) else None,
+                       os.path.join(outdir, test.replace("-", "_")), {})
+        code, runtime_s = (EXIT_CONFIG, None) if verdict is None else (verdict.exit_code, verdict.runtime_s)
         status = {EXIT_PASS: "pass", EXIT_FALSIFIED: "FAIL", EXIT_CONFIG: "config", EXIT_NUMERICAL: "abort"}[code]
         runtime = "-" if runtime_s is None else f"{runtime_s:.1f}s"
         print(f"{test:<14} {status:<8} {runtime}")

@@ -15,6 +15,7 @@ from .grid import Grid, spectral_gradient, spectral_laplacian
 
 __all__ = [
     "PhysicalConstants",
+    "EmptyMaskError",
     "WaveField",
     "HydroFields",
     "polar_compose",
@@ -38,6 +39,11 @@ ROUNDOFF_FLOOR = 1e-13
 # Absolute division guard, not relative to max(rho): it keeps Delta sqrt(rho)/sqrt(rho)
 # and H psi/psi finite (0 where rho <= 1e-300); the node mask makes the physical cut.
 _RHO_GUARD = 1e-300
+
+
+class EmptyMaskError(ValueError):
+    """A quotient averaged over a node mask that holds no site, which would
+    read 0 whatever the field: a mask_eps or node cut the run cannot measure."""
 
 
 @dataclass(frozen=True)

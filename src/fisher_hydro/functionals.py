@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ROUNDOFF_FLOOR, root_laplacian_quotient
+from .fields import ROUNDOFF_FLOOR, EmptyMaskError, root_laplacian_quotient
 from .grid import Grid, integrate, spectral_gradient, spectral_laplacian
 from .propagate import DensityTrajectory
 
@@ -154,6 +154,8 @@ def el_residual(spec: RegulariserSpec, rho: np.ndarray, root: np.ndarray, grid: 
     At floor only for f = C/rho: any other family leaves a |grad rho|^2
     remainder that no coefficient can cancel.
     """
+    if not mask.any():
+        raise EmptyMaskError("el residual: empty mask")
     lhs = el_derivative(spec, rho, grid, mask)
     rhs = -4.0 * spec.coefficient * root_laplacian_quotient(root, grid, mask & (np.abs(root) > 0))
     num = math.sqrt(max(float(np.sum(np.where(mask, (lhs - rhs) ** 2, 0.0))), 0.0))

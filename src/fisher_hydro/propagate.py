@@ -101,11 +101,15 @@ class EvolutionSpec:
     @classmethod
     def sampled(cls, kind: str, dt: float, t_final: float, interval: float, **couplings) -> EvolutionSpec:
         """The spec of kind that records a snapshot every interval, which must
-        be a whole number of steps dt that divides the horizon t_final."""
+        be a whole number, one or more, of steps dt that divides the horizon
+        t_final."""
         if not interval > 0:
             raise ValueError(f"snapshot interval must be positive, got {interval:g}")
         spec = cls(kind, dt, t_final, **couplings)
-        return replace(spec, record_stride=_whole_steps(interval, dt, "snapshot interval"))
+        stride = _whole_steps(interval, dt, "snapshot interval")
+        if stride == 0:  # within 1e-9 of 0 steps
+            raise ValueError(f"snapshot interval {interval:g} is shorter than one step dt {dt:g}")
+        return replace(spec, record_stride=stride)
 
     @property
     def n_steps(self) -> int:

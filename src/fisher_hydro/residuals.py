@@ -21,6 +21,7 @@ import numpy as np
 
 from .fields import (
     DEFAULT_EPS_MASK,
+    EmptyMaskError,
     HydroFields,
     PhysicalConstants,
     WaveField,
@@ -42,10 +43,6 @@ __all__ = [
     "alpha_scan",
     "multi_mass_scan",
 ]
-
-
-class EmptyMaskError(ValueError):
-    pass
 
 
 @dataclass
@@ -262,6 +259,8 @@ def eigen_coefficient_curve(
     quotient Delta sqrt(rho)/sqrt(rho) equals Delta u / u off nodes, which
     avoids the kink in sqrt(rho) at sign changes.
     """
+    if not mask.any():
+        raise EmptyMaskError("eigen coefficient curve: empty mask")
     quot = root_laplacian_quotient(signed_root, grid, mask & (np.abs(signed_root) > 0))
     out = np.empty(len(c_grid))
     for idx, cc in enumerate(c_grid):

@@ -14,6 +14,7 @@ import numpy as np
 from .fields import (
     DEFAULT_EPS_MASK,
     ROUNDOFF_FLOOR,
+    EmptyMaskError,
     PhysicalConstants,
     WaveField,
     phase_time_derivative,
@@ -204,7 +205,7 @@ def complexifier_scan(
     and S_t = -Re(H psi/psi); the defect is the masked, normalised residual of
     i kappa d_t phi - (-(kappa^2/2m) Lap + V) phi.  Only the polar cell
     (p, s) = (1/2, 1/hbar) linearises the flow among s > 0; every s must be
-    positive, and there must be a snapshot to scan.
+    positive, and there must be a snapshot to scan, whose mask holds a site.
     """
     if not snapshots:
         raise ValueError("complexifier_scan needs a snapshot, got none: an evolution to t_final = 0 records none")
@@ -220,6 +221,8 @@ def complexifier_scan(
         grid = wf.grid
         hydro = polar_decompose(wf, eps_mask, constants)
         mask = hydro.mask
+        if not mask.any():
+            raise EmptyMaskError("complexifier scan: empty mask")
         rho = hydro.rho
         s_field = unwrapped_phase(wf, constants.hbar)
         rho_t = -spectral_divergence(hydro.j, grid)

@@ -185,14 +185,20 @@ def test_circulation_runner_passes(tmp_path):
     assert (tmp_path / "out" / "circulation.verdict.json").exists()
 
 
+# the keys of every verdict, whether its run passed, failed a check row or raised
+VERDICT_KEYS = {"test", "pass", "exit_code", "error", "measured", "thresholds", "runtime_s", "config",
+                "version", "timestamp", "environment"}
+
+
 def test_verdict_json_schema(tmp_path):
     _, verdict = run_one("circulation", None, str(tmp_path / "out"), {})
     payload = json.loads((tmp_path / "out" / "circulation.verdict.json").read_text())
     assert payload["test"] == "circulation"
-    assert set(payload) >= {"measured", "thresholds", "pass", "runtime_s", "grid", "config"}
+    assert set(payload) == VERDICT_KEYS
     for entry in payload["thresholds"].values():
         assert set(entry) == {"value", "source", "op", "measured", "pass"}
-    assert payload["grid"]["n"] == DEFAULTS["circulation"]["n"]
+    assert (payload["exit_code"], payload["error"]) == (EXIT_PASS, None)
+    assert payload["config"] == DEFAULTS["circulation"]
     _assert_environment(payload)
 
 
@@ -365,9 +371,9 @@ def test_beta_flag_appends_to_config_beta_list(tmp_path, monkeypatch):
 
 def _partial_verdict(outdir, test):
     payload = json.loads((outdir / f"{test}.verdict.json").read_text())
-    assert set(payload) == {"test", "pass", "exit_code", "error", "runtime_s", "grid", "config",
-                            "version", "timestamp", "environment"}
+    assert set(payload) == VERDICT_KEYS
     assert payload["pass"] is False
+    assert payload["measured"] == payload["thresholds"] == {}
     _assert_environment(payload)
     return payload
 
@@ -469,7 +475,7 @@ def test_numerical_abort_writes_partial_verdict(tmp_path, monkeypatch, capsys):
     payload = _partial_verdict(tmp_path, "continuity")
     assert payload["exit_code"] == EXIT_NUMERICAL
     assert payload["error"] == "non-finite state at t=0.1"
-    assert payload["grid"] == {"n": 1024, "dt": 0.02, "length": 122.88}
+    assert payload["config"] == dict(DEFAULTS["continuity"], n=1024)
     # run-all's summary and table carry the runtime that the partial verdict records
     monkeypatch.setattr(cli, "RUNNERS", {"continuity": cli.RUNNERS["continuity"]})
     capsys.readouterr()
@@ -589,6 +595,7 @@ def test_time_reversal_at_zero_diffusion_is_a_config_error(tmp_path, monkeypatch
     ("scan-alpha", {"snapshot_interval": 0.25}, "snapshot interval 0.25 is not a whole number of steps dt 0.02"),
     ("continuity", {"snapshot_interval": 0.25}, "snapshot interval 0.25 is not a whole number of steps dt 0.02"),
     ("continuity", {"snapshot_interval": 0}, "snapshot interval must be positive, got 0"),
+    ("continuity", {"snapshot_interval": 1e-12}, "snapshot interval 1e-12 is shorter than one step dt 0.02"),
     ("dg-entropy", {"snapshot_interval": 0.3}, "horizon 2 is not a whole number of snapshot intervals 0.3"),
     ("complexifier", {"snapshot_interval": 0.3}, "horizon 0.7 is not a whole number of snapshot intervals 0.3"),
     # dg-entropy's DG wavefunction run samples every 0.25
@@ -596,6 +603,7 @@ def test_time_reversal_at_zero_diffusion_is_a_config_error(tmp_path, monkeypatch
 ], ids=["time-reversal-zero", "complexifier-zero", "superposition-zero", "superposition-split", "galilei-split",
         "scan-alpha-split", "continuity-split", "dg-entropy-split", "time-reversal-split", "complexifier-split",
         "scan-alpha-interval-split", "continuity-interval-split", "continuity-interval-zero",
+        "continuity-interval-below-a-step",
         "dg-entropy-interval-ragged", "complexifier-interval-ragged", "dg-entropy-dt"])
 def test_horizon_the_suite_cannot_measure_is_a_config_error(tmp_path, test, user, error):
     # a horizon of zero steps evolves nothing, so a verdict would read its
@@ -606,7 +614,8 @@ def test_horizon_the_suite_cannot_measure_is_a_config_error(tmp_path, test, user
     # state never reaches; EvolutionSpec refuses it in every time-stepping
     # suite.  So it refuses a snapshot interval that is not a whole number of
     # steps (0.25 at dt 0.02 once recorded every 0.24), one of zero (once
-    # every step) and one that does not divide the horizon, whose shorter last
+    # every step) or of less than a step (1e-12, once refused only as a
+    # stride below 1), and one that does not divide the horizon, whose shorter last
     # interval dg-entropy's centred rate misread (4.4e-3 against <= 1e-4 at
     # 0.3).  Each exits 2 with a partial verdict that names the setting, not 0
     # or 1, and writes no CSV.
@@ -656,6 +665,69 @@ def test_galilei_evolves_its_horizon_in_one_chunk(tmp_path, monkeypatch, t, n_st
     code, _ = run_one("galilei", str(p), str(tmp_path), {})
     assert code == EXIT_PASS
     assert [(spec.record_stride, spec.n_steps) for spec in specs] == [(n_steps, n_steps)]
+
+
+@pytest.mark.parametrize("user, error", [
+    ({"p_grid": [0.3, 0.4, 0.45, 0.55, 0.6, 0.7]}, "complexifier p_grid must hold the polar cell p = 0.5"),
+    ({"s_grid": [0.8, 0.9, 1.1, 1.25]}, "complexifier s_grid must hold the polar cell s hbar = 1"),
+    ({"p_grid": [0.45, 0.5, 0.55]},
+     "complexifier p_grid must hold a cell at least 0.1 from p = 0.5 for off_cell_wall"),
+], ids=["no-polar-p", "no-polar-s", "no-wall-cell"])
+def test_complexifier_grid_without_its_cells_is_a_config_error(tmp_path, user, error):
+    # without the polar cell argmin_polar_cell was judged against the nearest
+    # cell (exit 1, floor 1.7e-2 with no s hbar = 1), and without a cell 0.1
+    # from p = 1/2 off_cell_wall took the minimum of no cell: each exits 2
+    # with a partial verdict that names the missing cell, and writes no CSV
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(user))
+    assert run_one("complexifier", str(p), str(tmp_path), {}) == (EXIT_CONFIG, None)
+    assert _partial_verdict(tmp_path, "complexifier")["error"] == error
+    assert not (tmp_path / "complexifier.csv").exists()
+
+
+@pytest.mark.parametrize("test, user, error", [
+    ("scan-alpha", {"n": 1024, "mask_eps": 2.0}, "continuity residual: empty mask"),
+    ("continuity", {"n": 1024, "mask_eps": 2.0}, "continuity residual: empty mask"),
+    ("fisher-el", {"mask_eps": 2.0}, "el residual: empty mask"),
+    ("fisher-el", {"node_mask_halfwidth": 100.0}, "el residual: empty mask"),
+    ("complexifier", {"mask_eps": 2.0}, "complexifier scan: empty mask"),
+], ids=["scan-alpha", "continuity", "fisher-el", "fisher-el-node-cut", "complexifier"])
+def test_empty_mask_is_a_config_error(tmp_path, test, user, error):
+    # no site has rho > 2 max(rho), and no site of a box of half-width 20 lies
+    # 100 from its centre: a quotient over an empty mask reads 0 whatever the
+    # field (fisher-el's Fisher rows and complexifier's floor once passed so).
+    # Each exits 2 with a partial verdict that names the empty mask.
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(user))
+    assert run_one(test, str(p), str(tmp_path), {}) == (EXIT_CONFIG, None)
+    assert _partial_verdict(tmp_path, test)["error"] == error
+    assert not [f for f in os.listdir(tmp_path) if f.endswith(".csv")]
+
+
+def test_every_outcome_writes_one_key_set(tmp_path, monkeypatch):
+    # a pass, a failed check row, a config the runner refuses and a numerical
+    # abort each write the same keys, the exit code that run_one returns, and
+    # an error exactly when the run measured nothing
+    def abort(*args, **kwargs):
+        raise NumericalAbort("non-finite state at t=0.1")
+
+    runs = {"pass": run_one("circulation", None, str(tmp_path / "pass"), {"n": 128}),
+            "config": run_one("dg-entropy", None, str(tmp_path / "config"), {"diffusion": 0.0})}
+    monkeypatch.setattr(cli, "evolve", abort)
+    runs["abort"] = run_one("continuity", None, str(tmp_path / "abort"), {"n": 1024})
+    monkeypatch.setitem(CHECKS, "circulation", [(name, op, -1.0 if name == "max_integer_gap" else bound, source)
+                                                for name, op, bound, source in CHECKS["circulation"]])
+    runs["falsified"] = run_one("circulation", None, str(tmp_path / "falsified"), {"n": 128})
+    assert {name: code for name, (code, _) in runs.items()} == {
+        "pass": EXIT_PASS, "config": EXIT_CONFIG, "abort": EXIT_NUMERICAL, "falsified": EXIT_FALSIFIED}
+    for name, (code, verdict) in runs.items():
+        [path] = (tmp_path / name).glob("*.verdict.json")
+        payload = json.loads(path.read_text())
+        assert set(payload) == VERDICT_KEYS
+        assert payload["exit_code"] == code and payload["pass"] == (code == EXIT_PASS)
+        measured = code in (EXIT_PASS, EXIT_FALSIFIED)
+        assert (payload["error"] is None) == (verdict is not None) == measured
+        assert bool(payload["thresholds"]) == measured
 
 
 @pytest.mark.parametrize("radius, side", [(10.0, 256), (12.0, 308)])

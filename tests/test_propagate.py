@@ -394,13 +394,15 @@ def test_sampled_records_every_whole_interval():
     (0.02, 3.6, 0.25, "snapshot interval 0.25 is not a whole number of steps dt 0.02"),
     (0.02, 3.6, 0.0, "snapshot interval must be positive, got 0"),
     (0.02, 3.6, -0.2, "snapshot interval must be positive, got -0.2"),
+    (0.02, 3.6, 1e-12, "snapshot interval 1e-12 is shorter than one step dt 0.02"),
     (0.01, 2.0, 0.3, "horizon 2 is not a whole number of snapshot intervals 0.3"),
     (0.02, 3.63, 0.2, "horizon 3.63 is not a whole number of steps dt 0.02"),
-], ids=["split", "zero", "negative", "ragged", "horizon-split"])
+], ids=["split", "zero", "negative", "below-a-step", "ragged", "horizon-split"])
 def test_sampled_refuses_an_interval_it_cannot_record(dt, t_final, interval, error):
     # a rounded interval would record at times the config does not state (0.24
-    # for 0.25 at dt 0.02), and one that does not divide the horizon would
-    # leave a shorter last interval, which a centred difference misreads
+    # for 0.25 at dt 0.02), one below a step is no stride at all, and one that
+    # does not divide the horizon would leave a shorter last interval, which a
+    # centred difference misreads
     with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         EvolutionSpec.sampled("linear", dt, t_final, interval)
 
