@@ -632,9 +632,10 @@ def run_galilei(cfg: dict, outdir: str) -> tuple[dict, dict]:
 def run_complexifier(cfg: dict, outdir: str) -> tuple[dict, dict]:
     """Test 8: only the polar map (p, s) = (1/2, 1/hbar) linearises the flow."""
     # the polar cell must be on the grid, not judged by its nearest cell, and the
-    # wall needs a cell off it
+    # wall needs a cell off it: at least 0.1 from 1/2 to 1e-12, since in floating
+    # point |0.4 - 0.5| and |0.6 - 0.5| fall just short of 0.1
     p_grid = np.array(cfg["p_grid"], dtype=float)
-    off_cell = np.abs(p_grid - 0.5) >= 0.1
+    off_cell = np.abs(p_grid - 0.5) >= 0.1 - 1e-12
     if 0.5 not in cfg["p_grid"]:
         raise ConfigError("complexifier p_grid must hold the polar cell p = 0.5")
     if 1.0 not in cfg["s_grid"]:

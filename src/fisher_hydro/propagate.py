@@ -165,7 +165,8 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
     beta, returned in a work array.  The linear kind, D = 0 and beta = 0
     have no kick, so they are the linear step bit for bit.  With no kick and
     V = 0 every factor is diagonal in k, and advance takes n steps as one,
-    F^-1 exp(-i h k^2 n dt/2m) F from kin's own kinetic(t), and builds no step factor.
+    F^-1 exp(-i h k^2 n dt/2m) F from kin's own kinetic(t), and builds no step factor;
+    it keeps each chunk factor it builds, so evolve's equal chunks share one.
 
     advance copies values once and then steps the copy in place, with the
     kicks in work arrays built once per call: it never writes into its
@@ -190,11 +191,14 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
         return np.exp(-1j * constants.hbar * grid._k2 * t / (2.0 * constants.m))
     half_v = None if free else np.exp(-1j * V * dt / (2.0 * constants.hbar))
     kin = None if free else kinetic(dt)
+    chunk_factors: dict[int, np.ndarray] = {}  # a free flow's kinetic(n_steps * dt) by n_steps
 
     def advance(values: np.ndarray, n_steps: int, t0: float = 0.0) -> np.ndarray:
         values = np.array(values, dtype=complex)
         if free and n_steps > 0:
-            np.multiply(kinetic(n_steps * dt), _over_grid(np.fft.fft, values, grid), out=values)
+            if n_steps not in chunk_factors:
+                chunk_factors[n_steps] = kinetic(n_steps * dt)
+            np.multiply(chunk_factors[n_steps], _over_grid(np.fft.fft, values, grid), out=values)
             _over_grid(np.fft.ifft, values, grid)
         work = None if kick is None else _Work(values.shape, grid, beta=spec.kind == "beta_nonlinear")
         # Every product is np.multiply with a fixed operand order: numpy may

@@ -160,7 +160,12 @@ def _interior(trajectory) -> list[WaveField]:
 def _hj_parts(wavefield: WaveField, V: np.ndarray, constants: PhysicalConstants, eps_mask: float,
               hydro: HydroFields | None = None):
     """alpha-independent pieces of the HJ residual for one snapshot, whose
-    decomposition hydro is taken here unless given."""
+    decomposition hydro is taken here unless given: its fields and mask cut
+    to the mask's extent along the leading grid axis, and the mask's count.
+
+    The cut is a contiguous view that starts at the first masked-in site, so
+    a where=mask sum meets the same runs of sites as on the full grid, with
+    its bits; a box around the mask in 2D would split those runs."""
     grid = wavefield.grid
     hydro = polar_decompose(wavefield, eps_mask, constants) if hydro is None else hydro
     if not hydro.mask.any():
@@ -179,14 +184,21 @@ def _hj_parts(wavefield: WaveField, V: np.ndarray, constants: PhysicalConstants,
     # the alpha-independent sum that opens every denominator, added in the
     # order of s_t_com^2 + (kin_com + V)^2 + (alpha qtilde)^2
     com_sq = s_t_com**2 + (kin_com + V) ** 2
-    return invariant_sum, com_sq, qtilde, hydro.mask
+    lead = np.flatnonzero(hydro.mask.reshape(grid.n, -1).any(axis=1))
+    cut = slice(lead[0], lead[-1] + 1)
+    return invariant_sum[cut], com_sq[cut], qtilde[cut], hydro.mask[cut], int(np.count_nonzero(hydro.mask))
 
 
 def _hj_from_parts(parts, alpha: float) -> float:
-    invariant_sum, com_sq, qtilde, mask = parts
-    num_field = subtract_masked_mean(invariant_sum - alpha * qtilde, mask)
-    num = masked_mean(num_field**2, mask)
-    den = masked_mean(com_sq + (alpha * qtilde) ** 2, mask)
+    """The HJ residual at alpha from _hj_parts: the masked means of
+    subtract_masked_mean and masked_mean, with their bits (np.add.reduce is
+    np.sum without its argument handling), alpha qtilde formed once."""
+    invariant_sum, com_sq, qtilde, mask, count = parts
+    q_alpha = alpha * qtilde
+    num_field = invariant_sum - q_alpha
+    num_field -= np.add.reduce(num_field, axis=None, where=mask) / count
+    num = np.add.reduce(np.square(num_field, out=num_field), axis=None, where=mask) / count
+    den = np.add.reduce(np.add(com_sq, np.square(q_alpha, out=q_alpha), out=q_alpha), axis=None, where=mask) / count
     if den < 1e-280:
         return 0.0
     return float(math.sqrt(num / den))

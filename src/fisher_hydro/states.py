@@ -53,13 +53,14 @@ def boost(psi: WaveField, v0: float, constants: PhysicalConstants) -> WaveField:
 
 
 def harmonic_potential(grid: Grid, omega: float, constants: PhysicalConstants) -> np.ndarray:
-    """V = (1/2) m omega^2 |x - c|^2 about the box center c, with periodic re-centering."""
+    """V = (1/2) m omega^2 |x - c|^2 about the box center c, with periodic
+    re-centering, from each axis's coordinate in 2D (as vortex_state)."""
     c = 0.5 * grid.length
     if grid.dim == 1:
         r2 = _centered(grid.axes[0], c, grid.length) ** 2
     else:
-        xc = _centered(grid.coords()[0], c, grid.length)
-        yc = _centered(grid.coords()[1], c, grid.length)
+        xc = _centered(grid.axes[0], c, grid.length)[:, None]
+        yc = _centered(grid.axes[1], c, grid.length)[None, :]
         r2 = xc**2 + yc**2
     return 0.5 * constants.m * omega**2 * r2
 
@@ -100,13 +101,15 @@ def bump_density(grid: Grid, center: float, width: float) -> np.ndarray:
 
 
 def vortex_state(grid: Grid, winding: int, sigma: float, center: tuple[float, float] | None = None) -> WaveField:
-    """2D vortex psi ~ (x + i y)^n exp(-r^2 / (2 sigma^2)) with integer winding n."""
+    """2D vortex psi ~ (x + i y)^n exp(-r^2 / (2 sigma^2)) with integer winding n.
+
+    x and y are each axis's coordinate, broadcast, so no n^2 coordinate mesh
+    is built; the values have the bits of the formula on grid.coords()."""
     if grid.dim != 2:
         raise ValueError("vortex_state is 2D")
     c = (0.5 * grid.length, 0.5 * grid.length) if center is None else center
-    xy = grid.coords()
-    x = _centered(xy[0], c[0], grid.length)
-    y = _centered(xy[1], c[1], grid.length)
+    x = _centered(grid.axes[0], c[0], grid.length)[:, None]
+    y = _centered(grid.axes[1], c[1], grid.length)[None, :]
     r2 = x**2 + y**2
     zpow = (x + 1j * y) ** abs(winding) if winding != 0 else np.ones(grid.shape, dtype=complex)
     if winding < 0:

@@ -231,11 +231,12 @@ def complexifier_scan(
         np.divide(rho_t, rho, out=rate_log_rho, where=rho > ROUNDOFF_FLOOR * rho.max())
         max_density_rate = max(max_density_rate, float(np.max(np.abs(rho_t))))
 
+        phases = [np.exp(1j * s * s_field) for s in s_grid]
         for ip, p in enumerate(p_grid):
             amp = rho**p
             for i_s, s in enumerate(s_grid):
                 kappa = 1.0 / s
-                phi = amp * np.exp(1j * s * s_field)
+                phi = amp * phases[i_s]
                 phi_t = phi * (p * rate_log_rho + 1j * s * s_t)
                 h_phi = -(kappa**2 / (2.0 * constants.m)) * spectral_laplacian(phi, grid) + V * phi
                 res = 1j * kappa * phi_t - h_phi

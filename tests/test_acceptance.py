@@ -289,7 +289,7 @@ def test_criterion_8_complexifier_rigidity():
     p_grid = np.array([0.3, 0.4, 0.45, 0.5, 0.55, 0.6, 0.7])
     s_grid = np.array([0.8, 0.9, 1.0, 1.1, 1.25]) / C.hbar
     res = complexifier_scan(p_grid, s_grid, snaps, V, C)
-    wall_cells = res.defect[np.abs(p_grid - 0.5) >= 0.1, :]
+    wall_cells = res.defect[np.abs(p_grid - 0.5) >= 0.1 - 1e-12, :]  # p = 0.4 and 0.6 included
     unique = np.sum(res.defect <= res.floor * (1 + 1e-12)) == 1
     ok = (
         res.argmin == (3, 2)

@@ -685,6 +685,17 @@ def test_complexifier_grid_without_its_cells_is_a_config_error(tmp_path, user, e
     assert not (tmp_path / "complexifier.csv").exists()
 
 
+def test_complexifier_wall_holds_the_cells_a_tenth_from_the_polar_cell(tmp_path):
+    # |0.4 - 0.5| and |0.6 - 0.5| are 0.09999999999999998 in floating point:
+    # both are wall cells, at least 0.1 from p = 1/2 as the rule reads
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"p_grid": [0.4, 0.5, 0.6]}))
+    code, verdict = run_one("complexifier", str(p), str(tmp_path), {})
+    assert code == EXIT_PASS
+    rows = np.loadtxt(tmp_path / "complexifier.csv", delimiter=",", skiprows=1)
+    assert verdict.measured["off_cell_wall"] == rows[rows[:, 0] != 0.5, 2].min()
+
+
 @pytest.mark.parametrize("test, user, error", [
     ("scan-alpha", {"n": 1024, "mask_eps": 2.0}, "continuity residual: empty mask"),
     ("continuity", {"n": 1024, "mask_eps": 2.0}, "continuity residual: empty mask"),

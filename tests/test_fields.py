@@ -280,3 +280,29 @@ def test_laplacian_quotients_keep_the_bits_of_the_inline_formulas(constants):
         old_q *= -0.5
         old_q[~mask] = 0.0
         assert np.array_equal(quantum_potential(rho, 0.5, grid, mask), old_q)
+
+
+def _mesh_centered(grid, center):
+    """The signed periodic distances from center on the grid.coords() meshes."""
+    xy = grid.coords()
+    return [(xy[a] - center[a] + 0.5 * grid.length) % grid.length - 0.5 * grid.length for a in range(2)]
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_2d_states_from_per_axis_coordinates_keep_the_mesh_bits(n, constants):
+    # vortex_state and harmonic_potential broadcast each axis's coordinate;
+    # their bytes are those of the formulas on the grid.coords() meshes
+    grid = make_grid(2, n, 20.0)
+    for winding in range(-2, 4):
+        for center in (None, (7.3, 12.9), (0.4, 19.7)):
+            x, y = _mesh_centered(grid, (10.0, 10.0) if center is None else center)
+            zpow = (x + 1j * y) ** abs(winding) if winding != 0 else np.ones(grid.shape, dtype=complex)
+            if winding < 0:
+                zpow = np.conj(zpow)
+            values = zpow * np.exp(-(x**2 + y**2) / (2.0 * 1.5**2))
+            values = values / np.sqrt(np.sum(np.abs(values) ** 2).real * grid.cell_volume)
+            assert vortex_state(grid, winding, 1.5, center).values.tobytes() == values.tobytes()
+    for hbar, m, omega in ((1.0, 1.0, 1.0), (0.7, 2.0, 0.3)):
+        x, y = _mesh_centered(grid, (10.0, 10.0))
+        V = 0.5 * m * omega**2 * (x**2 + y**2)
+        assert harmonic_potential(grid, omega, PhysicalConstants(hbar, m)).tobytes() == V.tobytes()

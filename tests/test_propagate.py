@@ -216,6 +216,26 @@ def test_free_snapshot_matches_fresh_evolve(dim, constants):
         assert norm_l2(evolve(psi0, V, fresh, constants).snapshots[-1][1].values - wf.values, grid) <= 1e-13
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_free_evolve_builds_one_chunk_factor_with_the_bits_of_each(dim, constants, monkeypatch):
+    """A free evolve of 18 equal chunks builds its kinetic factor once, and
+    each snapshot is F^-1 exp(-i h k^2 s dt/2m) F of the last, bit for bit."""
+    grid = _free_grid(dim)
+    psi = moving_packet(grid, constants)
+    spec = EvolutionSpec(dt=0.01, t_final=0.36, record_stride=2)
+    calls = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda *a, **k: calls.append(1) or exp(*a, **k))
+    snapshots = evolve(psi, np.zeros(grid.shape), spec, constants).snapshots
+    monkeypatch.undo()
+    assert len(snapshots) == 19 and len(calls) == 1
+    factor = np.exp(-1j * constants.hbar * grid._k2 * (spec.record_stride * spec.dt) / (2.0 * constants.m))
+    values = psi.values
+    for _, wf in snapshots[1:]:
+        values = np.fft.ifftn(np.multiply(factor, np.fft.fftn(values)))
+        assert np.array_equal(wf.values, values)
+
+
 def test_one_nonzero_potential_cell_keeps_the_step_loop(grid1d, constants, monkeypatch):
     """A V that is zero but for one cell is not free: advance takes one
     transform pair per step, with the bits of single steps."""

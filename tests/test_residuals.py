@@ -33,6 +33,7 @@ from fisher_hydro.states import (
     harmonic_potential,
     oscillator_energy,
     oscillator_state,
+    vortex_state,
 )
 
 C = PhysicalConstants()
@@ -282,3 +283,55 @@ def test_hj_parts_keep_the_bits_of_the_per_alpha_sum(boost_v):
     hoisted = [_hj_from_parts(parts, r * C.alpha_star) for r in ratios]
     assert len(ratios) == 40
     assert [x.hex() for x in hoisted] == [x.hex() for x in _hj_curve_per_alpha(wf, V, ratios)]
+
+
+def _mask_runs(mask):
+    """The number of runs of masked-in sites along the flattened mask."""
+    flat = mask.ravel().astype(np.int8)
+    return int(np.count_nonzero(np.diff(flat) == 1) + flat[0])
+
+
+def _nodal_trajectory(n):
+    """A boosted third oscillator level in its trap, two steps on a box whose
+    node mask (four runs, off both ends of the grid) spans more sites than
+    numpy's 8192-element buffer at n = 16384."""
+    grid = make_grid(1, n, 12.0)
+    V = harmonic_potential(grid, 1.0, C)
+    psi = boost(oscillator_state(grid, 3, 1.0, C), 0.3, C)
+    return evolve(psi, V, EvolutionSpec(dt=0.01, t_final=0.02), C), V
+
+
+def _vortex_trajectory():
+    """An off-centre winding-one vortex on 64^2, whose mask is a disc with a
+    hole at the node, two free steps."""
+    grid = make_grid(2, 64, 20.0)
+    psi = vortex_state(grid, 1, 2.0, (9.3, 11.1))
+    return evolve(psi, np.zeros(grid.shape), EvolutionSpec(dt=0.01, t_final=0.02), C), np.zeros(grid.shape)
+
+
+@pytest.mark.parametrize("case, eps_mask", [("single-run", 1e-6), ("nodal-4096", 1e-3), ("nodal-16384", 1e-3),
+                                            ("vortex-2d", 1e-2)])
+def test_alpha_cells_on_the_mask_extent_keep_the_full_grid_bits(case, eps_mask):
+    # each alpha cell sums over the mask's leading-axis extent; hj_residual
+    # and the alpha_scan curve keep the bits of the full-grid sums.  The
+    # nodal cases' mask_eps cuts the grid sites beside each node.
+    if case == "single-run":
+        traj, V, _ = table1_trajectory(n=4096, t_final=0.6)
+    elif case == "vortex-2d":
+        traj, V = _vortex_trajectory()
+    else:
+        traj, V = _nodal_trajectory(int(case.split("-")[1]))
+    interior = [wf for _, wf in traj.snapshots[1:-1]]
+    mask = polar_decompose(interior[0], eps_mask, C).mask
+    assert not mask.flat[0] and not mask.flat[-1]
+    assert (_mask_runs(mask) == 1) == (case == "single-run")
+    if case == "nodal-16384":
+        assert np.count_nonzero(mask) > 8192
+
+    ratios = default_alpha_grid()
+    reference = [_hj_curve_per_alpha(wf, V, ratios, eps_mask) for wf in interior]
+    for wf, curve in zip(interior, reference):
+        assert [hj_residual(wf, V, r * C.alpha_star, C, eps_mask).hex() for r in ratios] == [x.hex() for x in curve]
+    mean_curve = [math.fsum(col) / len(reference) for col in zip(*reference)]
+    scanned = alpha_scan(traj, V, ratios, C, eps_mask).residuals
+    assert [float(x).hex() for x in scanned] == [x.hex() for x in mean_curve]
