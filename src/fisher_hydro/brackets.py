@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ROUNDOFF_FLOOR, HydroFields, PhysicalConstants, quantum_potential
+from .fields import ROUNDOFF_FLOOR, HydroFields, PhysicalConstants, node_mask, quantum_potential
 from .grid import Grid, integrate, spectral_divergence, spectral_gradient
 
 __all__ = [
@@ -79,7 +79,7 @@ def hamiltonian(hydro: HydroFields, V: np.ndarray, alpha: float, constants: Phys
     derivative fields and its energy, every quotient on the deep density."""
     grid = hydro.grid
     rho = hydro.rho
-    deep = rho > ROUNDOFF_FLOOR * rho.max()
+    deep = node_mask(rho, ROUNDOFF_FLOOR)
     d_rho = np.sum(hydro.grad_s**2, axis=0) / (2.0 * constants.m) + V + quantum_potential(rho, alpha, grid, deep)
     kin = np.zeros_like(rho)
     np.divide(constants.m * np.sum(hydro.j**2, axis=0), 2.0 * rho, out=kin, where=deep)

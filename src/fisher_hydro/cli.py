@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .brackets import bargmann_check
-from .fields import DEFAULT_EPS_MASK, PhysicalConstants, polar_decompose
+from .fields import DEFAULT_EPS_MASK, PhysicalConstants, node_mask, polar_decompose
 from .functionals import (
     RegulariserSpec,
     entropy_production_identity,
@@ -538,18 +538,18 @@ def run_fisher_el(cfg: dict, outdir: str) -> tuple[dict, dict]:
     rho_g = np.exp(-(x**2) / sigma**2)
     rho_g /= float(np.sum(rho_g) * grid.cell_volume)
     root_g = np.sqrt(rho_g)
-    mask_g = rho_g > eps * rho_g.max()
+    mask_g = node_mask(rho_g, eps)
 
     # the compact bump needs spectral headroom its own grid provides
     grid_b = make_grid(1, cfg["n_bump"], cfg["length"])
     rho_b = bump_density(grid_b, cfg["length"] / 2, cfg["bump_width"])
     root_b = np.sqrt(rho_b)
-    mask_b = rho_b > eps * rho_b.max()
+    mask_b = node_mask(rho_b, eps)
 
     psi1 = oscillator_state(grid, 1, cfg["omega"], constants)
     rho_e = psi1.density()
     root_e = psi1.values.real
-    mask_e = (rho_e > eps * rho_e.max()) & (np.abs(x) >= cfg["node_mask_halfwidth"])
+    mask_e = node_mask(rho_e, eps) & (np.abs(x) >= cfg["node_mask_halfwidth"])
 
     library = {"gaussian": (rho_g, root_g, mask_g, grid), "bump": (rho_b, root_b, mask_b, grid_b),
                "excited_masked": (rho_e, root_e, mask_e, grid)}

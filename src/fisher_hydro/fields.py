@@ -1,8 +1,8 @@
 """Wavefunction storage, Madelung polar decomposition, and derived hydrodynamic fields.
 
 polar_decompose gives rho, j and grad S = m j / rho; unwrapped_phase gives S.
-All hydrodynamic quotients are evaluated on a node mask {rho > eps * max(rho)};
-off-mask entries are zeroed and excluded from every norm downstream.
+All hydrodynamic quotients are evaluated on a node mask {rho > eps * max(rho)}
+(node_mask); off-mask entries are zeroed and excluded from every norm downstream.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from .grid import Grid, spectral_gradient, spectral_laplacian
 
 __all__ = [
     "PhysicalConstants",
-    "EmptyMaskError",
     "WaveField",
     "HydroFields",
     "polar_compose",
@@ -26,24 +25,20 @@ __all__ = [
     "root_laplacian_quotient",
     "phase_time_derivative",
     "masked_mean",
+    "node_mask",
     "DEFAULT_EPS_MASK",
     "ROUNDOFF_FLOOR",
 ]
 
 DEFAULT_EPS_MASK = 1e-6
 
-# rho below this fraction of max(rho) is round-off for a propagated field: psi's tail
-# noise ~1e-16 makes a quotient by rho (j/rho, |grad rho|^2/rho) order-one garbage.
+# rho below this fraction of max(rho) is round-off for a propagated field: psi's tail noise
+# ~1e-16 makes a quotient by rho (j/rho, |grad rho|^2/rho) order-one garbage; node_mask's least eps.
 ROUNDOFF_FLOOR = 1e-13
 
 # Absolute division guard, not relative to max(rho): it keeps Delta sqrt(rho)/sqrt(rho)
 # and H psi/psi finite (0 where rho <= 1e-300); the node mask makes the physical cut.
 _RHO_GUARD = 1e-300
-
-
-class EmptyMaskError(ValueError):
-    """A quotient averaged over a node mask that holds no site, which would
-    read 0 whatever the field: a mask_eps or node cut the run cannot measure."""
 
 
 @dataclass(frozen=True)
@@ -103,6 +98,16 @@ class HydroFields:
     mask: np.ndarray
 
 
+def node_mask(rho: np.ndarray, eps: float) -> np.ndarray:
+    """The sites rho > eps * max(rho) a quotient by rho may read; ValueError for eps outside [ROUNDOFF_FLOOR, 1)."""
+    if not ROUNDOFF_FLOOR <= eps < 1.0:
+        raise ValueError(f"mask_eps must satisfy {ROUNDOFF_FLOOR:g} <= mask_eps < 1, got {eps:g}")
+    mask = rho > eps * rho.max()
+    if not mask.any():
+        raise ValueError(f"node mask holds no site: max(rho) is {rho.max():g}")
+    return mask
+
+
 def masked_mean(f: np.ndarray, mask: np.ndarray) -> float:
     """Plain (unweighted) mean over masked-in sites; 0 for an empty mask."""
     count = int(np.count_nonzero(mask))
@@ -146,13 +151,12 @@ def polar_decompose(psi: WaveField, eps_mask: float, constants: PhysicalConstant
     """
     grid = psi.grid
     rho = psi.density()
-    rho_max = float(rho.max())
-    mask = rho > eps_mask * rho_max
+    mask = node_mask(rho, eps_mask)
 
     grad_psi = spectral_gradient(psi.values, grid)
     j = (constants.hbar / constants.m) * (np.conj(psi.values)[None] * grad_psi).imag
     grad_s = np.zeros_like(j)
-    np.divide(constants.m * j, rho[None], out=grad_s, where=(rho > ROUNDOFF_FLOOR * rho_max)[None])
+    np.divide(constants.m * j, rho[None], out=grad_s, where=node_mask(rho, ROUNDOFF_FLOOR)[None])
     return HydroFields(grid=grid, rho=rho, j=j, grad_s=grad_s, mask=mask)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ROUNDOFF_FLOOR, EmptyMaskError, root_laplacian_quotient
+from .fields import ROUNDOFF_FLOOR, node_mask, root_laplacian_quotient
 from .grid import Grid, integrate, spectral_gradient, spectral_laplacian
 from .propagate import DensityTrajectory
 
@@ -75,7 +75,7 @@ def fisher_information(rho: np.ndarray, grid: Grid) -> float:
     grad = spectral_gradient(rho, grid)
     grad_sq = np.sum(grad**2, axis=0)
     out = np.zeros_like(rho)
-    np.divide(grad_sq, rho, out=out, where=rho > ROUNDOFF_FLOOR * rho.max())
+    np.divide(grad_sq, rho, out=out, where=node_mask(rho, ROUNDOFF_FLOOR))
     return float(integrate(out, grid))
 
 
@@ -116,7 +116,7 @@ def entropy_production_identity(rho: np.ndarray, D: float, grid: Grid) -> tuple[
     which equals D * I_F up to quadrature; the pair is the discrete form of the
     entropy identity checked along dg trajectories.
     """
-    positive = rho > ROUNDOFF_FLOOR * rho.max()
+    positive = node_mask(rho, ROUNDOFF_FLOOR)
     log_term = np.zeros_like(rho)
     log_term[positive] = 1.0 + np.log(rho[positive])
     production = -D * float(integrate(log_term * spectral_laplacian(rho, grid), grid))
@@ -155,7 +155,7 @@ def el_residual(spec: RegulariserSpec, rho: np.ndarray, root: np.ndarray, grid: 
     remainder that no coefficient can cancel.
     """
     if not mask.any():
-        raise EmptyMaskError("el residual: empty mask")
+        raise ValueError("el residual: empty mask")
     lhs = el_derivative(spec, rho, grid, mask)
     rhs = -4.0 * spec.coefficient * root_laplacian_quotient(root, grid, mask & (np.abs(root) > 0))
     num = math.sqrt(max(float(np.sum(np.where(mask, (lhs - rhs) ** 2, 0.0))), 0.0))

@@ -21,12 +21,12 @@ import numpy as np
 
 from .fields import (
     DEFAULT_EPS_MASK,
-    EmptyMaskError,
     HydroFields,
     PhysicalConstants,
     WaveField,
     laplacian_quotient,
     masked_mean,
+    node_mask,
     phase_time_derivative,
     polar_decompose,
     root_laplacian_quotient,
@@ -118,8 +118,6 @@ def _continuity(hydro: HydroFields, wf_minus: WaveField, wf_plus: WaveField) -> 
     """continuity_residual of the centre's decomposition hydro and its pair."""
     grid = hydro.grid
     dt = 0.5 * (wf_plus.time - wf_minus.time)
-    if not hydro.mask.any():
-        raise EmptyMaskError("continuity residual: empty mask")
 
     vbar = _mean_velocity(hydro)
     rho_plus = wf_plus.density()
@@ -160,33 +158,31 @@ def _interior(trajectory) -> list[WaveField]:
 def _hj_parts(wavefield: WaveField, V: np.ndarray, constants: PhysicalConstants, eps_mask: float,
               hydro: HydroFields | None = None):
     """alpha-independent pieces of the HJ residual for one snapshot, whose
-    decomposition hydro is taken here unless given: its fields and mask cut
-    to the mask's extent along the leading grid axis, and the mask's count.
+    decomposition hydro is taken here unless given: its fields and mask on
+    the mask's extent along the leading grid axis, and the mask's count.
 
     The cut is a contiguous view that starts at the first masked-in site, so
     a where=mask sum meets the same runs of sites as on the full grid, with
     its bits; a box around the mask in 2D would split those runs."""
     grid = wavefield.grid
     hydro = polar_decompose(wavefield, eps_mask, constants) if hydro is None else hydro
-    if not hydro.mask.any():
-        raise EmptyMaskError("hj residual: empty mask")
-    s_t = phase_time_derivative(wavefield, V, constants)
-    grad_s = hydro.grad_s
+    lead = np.flatnonzero(hydro.mask.reshape(grid.n, -1).any(axis=1))
+    cut = slice(lead[0], lead[-1] + 1)
+    s_t = phase_time_derivative(wavefield, V, constants)[cut]
+    grad_s = hydro.grad_s[:, cut]
     kin = np.sum(grad_s**2, axis=0) / (2.0 * constants.m)
-    qtilde = laplacian_quotient(hydro.rho, grid, hydro.mask)
+    qtilde = laplacian_quotient(hydro.rho, grid, hydro.mask)[cut]
 
     vbar = _mean_velocity(hydro)
     vb = vbar.reshape((-1,) + (1,) * grid.dim)
     s_t_com = s_t + np.sum(vb * grad_s, axis=0) - 0.5 * constants.m * float(np.sum(vbar**2))
     kin_com = np.sum((grad_s - constants.m * vb) ** 2, axis=0) / (2.0 * constants.m)
 
-    invariant_sum = s_t + kin + V
+    invariant_sum = s_t + kin + V[cut]
     # the alpha-independent sum that opens every denominator, added in the
     # order of s_t_com^2 + (kin_com + V)^2 + (alpha qtilde)^2
-    com_sq = s_t_com**2 + (kin_com + V) ** 2
-    lead = np.flatnonzero(hydro.mask.reshape(grid.n, -1).any(axis=1))
-    cut = slice(lead[0], lead[-1] + 1)
-    return invariant_sum[cut], com_sq[cut], qtilde[cut], hydro.mask[cut], int(np.count_nonzero(hydro.mask))
+    com_sq = s_t_com**2 + (kin_com + V[cut]) ** 2
+    return invariant_sum, com_sq, qtilde, hydro.mask[cut], int(np.count_nonzero(hydro.mask))
 
 
 def _hj_from_parts(parts, alpha: float) -> float:
@@ -272,7 +268,7 @@ def eigen_coefficient_curve(
     avoids the kink in sqrt(rho) at sign changes.
     """
     if not mask.any():
-        raise EmptyMaskError("eigen coefficient curve: empty mask")
+        raise ValueError("eigen coefficient curve: empty mask")
     quot = root_laplacian_quotient(signed_root, grid, mask & (np.abs(signed_root) > 0))
     out = np.empty(len(c_grid))
     for idx, cc in enumerate(c_grid):
@@ -301,7 +297,7 @@ def multi_mass_scan(
         consts = PhysicalConstants(hbar=hbar, m=m_i)
         psi = oscillator_state(grid, 0, omega, consts)
         rho = psi.density()
-        mask = rho > eps_mask * rho.max()
+        mask = node_mask(rho, eps_mask)
         V = harmonic_potential(grid, omega, consts)
         curve = eigen_coefficient_curve(
             rho, psi.values.real, V, oscillator_energy(0, omega, consts), c_grid, consts.alpha_star, grid, mask

@@ -11,18 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import propagate
 from .fields import (
     DEFAULT_EPS_MASK,
     ROUNDOFF_FLOOR,
-    EmptyMaskError,
     PhysicalConstants,
     WaveField,
+    node_mask,
     phase_time_derivative,
     polar_decompose,
     unwrapped_phase,
 )
 from .grid import Grid, make_grid, norm_l2, spectral_divergence, spectral_laplacian
-from .propagate import EvolutionSpec, _strang
+from .propagate import EvolutionSpec
 from .states import harmonic_potential
 
 __all__ = [
@@ -132,7 +133,7 @@ def superposition_residual(config: SuperpositionConfig, beta: float, refined: bo
     batch = np.stack([p1, p2, (p1 + p2) / np.sqrt(2.0)])
     batch /= np.sqrt(np.sum(np.abs(batch) ** 2, axis=-1, keepdims=True) * grid.cell_volume)
     spec = config.spec(beta, refined)
-    out = _strang(V, grid, spec.dt, c, spec)(batch, spec.n_steps)
+    out = propagate._strang(V, grid, spec.dt, c, spec)(batch, spec.n_steps)
     residual, _ = projective_residual(out[2], out[0] + out[1], grid)
     return residual
 
@@ -205,7 +206,7 @@ def complexifier_scan(
     and S_t = -Re(H psi/psi); the defect is the masked, normalised residual of
     i kappa d_t phi - (-(kappa^2/2m) Lap + V) phi.  Only the polar cell
     (p, s) = (1/2, 1/hbar) linearises the flow among s > 0; every s must be
-    positive, and there must be a snapshot to scan, whose mask holds a site.
+    positive, and there must be a snapshot to scan.
     """
     if not snapshots:
         raise ValueError("complexifier_scan needs a snapshot, got none: an evolution to t_final = 0 records none")
@@ -221,14 +222,12 @@ def complexifier_scan(
         grid = wf.grid
         hydro = polar_decompose(wf, eps_mask, constants)
         mask = hydro.mask
-        if not mask.any():
-            raise EmptyMaskError("complexifier scan: empty mask")
         rho = hydro.rho
         s_field = unwrapped_phase(wf, constants.hbar)
         rho_t = -spectral_divergence(hydro.j, grid)
         s_t = phase_time_derivative(wf, V, constants)
         rate_log_rho = np.zeros(grid.shape)
-        np.divide(rho_t, rho, out=rate_log_rho, where=rho > ROUNDOFF_FLOOR * rho.max())
+        np.divide(rho_t, rho, out=rate_log_rho, where=node_mask(rho, ROUNDOFF_FLOOR))
         max_density_rate = max(max_density_rate, float(np.max(np.abs(rho_t))))
 
         phases = [np.exp(1j * s * s_field) for s in s_grid]
@@ -276,7 +275,7 @@ def time_reversal_defect(
 
     def run(diffusion: float) -> float:
         spec = EvolutionSpec("linear" if diffusion == 0.0 else "dg_diffusion", dt, T, D=diffusion)
-        advance = _strang(V, psi0.grid, dt, constants, spec)
+        advance = propagate._strang(V, psi0.grid, dt, constants, spec)
         values = psi0.values
         for _ in range(2):
             values = np.conj(advance(values, spec.n_steps))
@@ -299,9 +298,10 @@ def circulation(
     the loop (no global unwrap, so multivalued phase is handled exactly);
     area_value accumulates plaquette windings over the enclosed region; both
     equal 2 pi n hbar for an isolated enclosed vortex of winding n.  The
-    loop, 2 round(loop_radius / spacing) cells a side, must be shorter than
-    the periodic box: a longer one wraps onto itself.
+    field must be finite, and the loop, 2 round(loop_radius / spacing) cells
+    a side, shorter than the periodic box: a longer one wraps onto itself.
     """
+    psi2d.check_finite()
     grid = psi2d.grid
     if grid.dim != 2:
         raise ValueError("circulation requires a 2D field")

@@ -8,7 +8,7 @@ import platform
 import numpy as np
 import pytest
 
-from fisher_hydro import cli, stresstests
+from fisher_hydro import cli, propagate, stresstests
 from fisher_hydro.cli import (
     CHECKS,
     EXIT_CONFIG,
@@ -26,7 +26,7 @@ from fisher_hydro.cli import (
     run_all,
     run_one,
 )
-from fisher_hydro.fields import WaveField
+from fisher_hydro.fields import WaveField, node_mask
 from fisher_hydro.functionals import shannon_entropy_rate
 from fisher_hydro.grid import make_grid
 from fisher_hydro.propagate import (
@@ -492,7 +492,7 @@ def test_time_reversal_verdict_makes_four_evolutions(tmp_path, monkeypatch):
     # two at D, two at D = 0: the D = 0 involution is run once and is both
     # defect_d0 and the floor of floor_ratio
     diffusions = []
-    strang = stresstests._strang
+    strang = propagate._strang
 
     def counted(V, grid, dt, constants, spec):
         advance = strang(V, grid, dt, constants, spec)
@@ -502,7 +502,7 @@ def test_time_reversal_verdict_makes_four_evolutions(tmp_path, monkeypatch):
             return advance(values, n_steps, t0)
         return counted_advance
 
-    monkeypatch.setattr(stresstests, "_strang", counted)
+    monkeypatch.setattr(propagate, "_strang", counted)
     code, verdict = run_one("time-reversal", None, str(tmp_path), {})
     assert code == EXIT_PASS and sorted(diffusions) == [0.0, 0.0, 0.05, 0.05]
     assert verdict.measured["floor_ratio"] == verdict.measured["defect_diffusive"] / verdict.measured["defect_d0"]
@@ -571,7 +571,7 @@ def test_time_reversal_at_zero_diffusion_is_a_config_error(tmp_path, monkeypatch
     # involution at D = 0: the run exits 2 before any evolution, with a partial
     # verdict that names the setting, not 1 as if falsified
     diffusions = []
-    monkeypatch.setattr(stresstests, "_strang", lambda V, grid, dt, constants, spec:
+    monkeypatch.setattr(propagate, "_strang", lambda V, grid, dt, constants, spec:
                         lambda values, n_steps, t0=0.0: diffusions.append(spec.D))
     code, verdict = run_one("time-reversal", None, str(tmp_path), {"diffusion": 0.0})
     assert (code, verdict) == (EXIT_CONFIG, None)
@@ -697,22 +697,45 @@ def test_complexifier_wall_holds_the_cells_a_tenth_from_the_polar_cell(tmp_path)
 
 
 @pytest.mark.parametrize("test, user, error", [
-    ("scan-alpha", {"n": 1024, "mask_eps": 2.0}, "continuity residual: empty mask"),
-    ("continuity", {"n": 1024, "mask_eps": 2.0}, "continuity residual: empty mask"),
-    ("fisher-el", {"mask_eps": 2.0}, "el residual: empty mask"),
+    ("scan-alpha", {"n": 1024, "mask_eps": 2.0}, "mask_eps must satisfy 1e-13 <= mask_eps < 1, got 2"),
+    ("continuity", {"n": 1024, "mask_eps": 2.0}, "mask_eps must satisfy 1e-13 <= mask_eps < 1, got 2"),
+    ("fisher-el", {"mask_eps": 2.0}, "mask_eps must satisfy 1e-13 <= mask_eps < 1, got 2"),
     ("fisher-el", {"node_mask_halfwidth": 100.0}, "el residual: empty mask"),
-    ("complexifier", {"mask_eps": 2.0}, "complexifier scan: empty mask"),
+    ("complexifier", {"mask_eps": 2.0}, "mask_eps must satisfy 1e-13 <= mask_eps < 1, got 2"),
 ], ids=["scan-alpha", "continuity", "fisher-el", "fisher-el-node-cut", "complexifier"])
 def test_empty_mask_is_a_config_error(tmp_path, test, user, error):
     # no site has rho > 2 max(rho), and no site of a box of half-width 20 lies
     # 100 from its centre: a quotient over an empty mask reads 0 whatever the
     # field (fisher-el's Fisher rows and complexifier's floor once passed so).
-    # Each exits 2 with a partial verdict that names the empty mask.
+    # Each exits 2 with a partial verdict that names mask_eps, which
+    # fields.node_mask refuses at 1 or above, or the empty node cut.
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(user))
     assert run_one(test, str(p), str(tmp_path), {}) == (EXIT_CONFIG, None)
     assert _partial_verdict(tmp_path, test)["error"] == error
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".csv")]
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, 1e-20])
+@pytest.mark.parametrize("test", ["scan-alpha", "continuity", "complexifier", "fisher-el"])
+def test_mask_eps_below_the_roundoff_floor_is_a_config_error(tmp_path, test, eps):
+    # below ROUNDOFF_FLOOR the mask takes in psi's round-off tails, where a
+    # quotient by rho is order-one garbage: at mask_eps 0 scan-alpha's argmin
+    # sat on the scan edge and fisher-el's Fisher residual read inf (exit 1),
+    # and continuity and complexifier passed on them (exit 0).  Each exits 2
+    # with a partial verdict that names mask_eps, and writes no CSV.
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"mask_eps": eps}))
+    assert run_one(test, str(p), str(tmp_path), {}) == (EXIT_CONFIG, None)
+    assert _partial_verdict(tmp_path, test)["error"] == f"mask_eps must satisfy 1e-13 <= mask_eps < 1, got {eps:g}"
+    assert not [f for f in os.listdir(tmp_path) if f.endswith(".csv")]
+
+
+def test_every_mask_eps_default_lies_inside_the_node_mask_rule():
+    defaults = {test: cfg["mask_eps"] for test, cfg in DEFAULTS.items() if "mask_eps" in cfg}
+    assert sorted(defaults) == ["circulation", "complexifier", "continuity", "fisher-el", "scan-alpha"]
+    for eps in defaults.values():
+        assert node_mask(np.ones(4), eps).all()
 
 
 def test_every_outcome_writes_one_key_set(tmp_path, monkeypatch):
@@ -785,6 +808,9 @@ def test_physics_failing_input_fails_its_row(tmp_path, test, user, failed, measu
     ("superposition", {"beta_list": [-0.01, 0.0, 0.005, 0.01, 0.02, 0.05]}),
     ("complexifier", {"s_grid": [0.0, 0.8, 0.9, 1.0, 1.1, 1.25]}),
     ("complexifier", {"s_grid": [-1.0, 0.8, 0.9, 1.0, 1.1, 1.25]}),
+    # a vortex of width 0 is 0 / 0 after normalisation, numpy warning on the way
+    pytest.param("circulation", {"sigma0": 0.0}, marks=pytest.mark.filterwarnings(
+        "ignore:divide by zero encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")),
 ])
 def test_zero_divisor_is_a_config_error(tmp_path, test, user):
     # a config whose zero a runner divides by cannot be measured: exit 2 with
@@ -796,6 +822,8 @@ def test_zero_divisor_is_a_config_error(tmp_path, test, user):
     payload = _partial_verdict(tmp_path, test)
     assert payload["exit_code"] == EXIT_CONFIG
     assert payload["config"] == dict(DEFAULTS[test], **user)
+    if test == "circulation":  # refused by circulation itself, not by a NaN reaching round()
+        assert payload["error"] == "wavefield contains non-finite values"
 
 
 @pytest.mark.parametrize("test, overrides, row", [

@@ -10,6 +10,7 @@ from fisher_hydro.fields import (
     ROUNDOFF_FLOOR,
     laplacian_quotient,
     masked_mean,
+    node_mask,
     phase_time_derivative,
     quantum_potential,
     root_laplacian_quotient,
@@ -221,6 +222,24 @@ def test_phase_rate_matches_time_stencil(grid1d_fine, constants):
 
 def test_masked_mean_empty_mask():
     assert masked_mean(np.ones(8), np.zeros(8, dtype=bool)) == 0.0
+
+
+def test_node_mask_is_the_inline_cut(grid1d_fine, constants):
+    rho = oscillator_state(grid1d_fine, 1, 1.0, constants).density()
+    for eps in (ROUNDOFF_FLOOR, 1e-6, 1e-5, 0.5, 0.999):
+        assert np.array_equal(node_mask(rho, eps), rho > eps * rho.max())
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, 1e-20, 1.0, 2.0])
+def test_node_mask_refuses_eps_outside_its_range(eps):
+    # below ROUNDOFF_FLOOR a quotient by rho reads round-off; at 1 or above no site is kept
+    with pytest.raises(ValueError, match=f"^mask_eps must satisfy 1e-13 <= mask_eps < 1, got {eps:g}$"):
+        node_mask(np.ones(8), eps)
+
+
+def test_node_mask_refuses_a_density_zero_everywhere():
+    with pytest.raises(ValueError, match="^node mask holds no site: max\\(rho\\) is 0$"):
+        node_mask(np.zeros(8), 1e-6)
 
 
 def _fisher_el_states(constants):

@@ -1,9 +1,9 @@
 """Kernel mutants: each breaks the Strang kernel on purpose, and the check rows
 that notice are pinned, so a gate that stops catching its mutant fails here.
 
-A mutant replaces propagate._strang and the name that stresstests binds, so
-every evolution runs it, symmetric_pair's centred steps included.  The six
-suites that evolve cheaply run at their defaults through run_one.
+A mutant replaces propagate._strang, so every evolution runs it,
+symmetric_pair's centred steps included.  The six suites that evolve cheaply
+run at their defaults through run_one.
 
 Two mutants escape all six suites, and so are no cases here:
 - the potential factor at 1.01 V: time-reversal's K U K U = I holds for any
@@ -17,7 +17,7 @@ Two mutants escape all six suites, and so are no cases here:
 import numpy as np
 import pytest
 
-from fisher_hydro import PhysicalConstants, propagate, stresstests
+from fisher_hydro import PhysicalConstants, propagate
 from fisher_hydro.cli import EXIT_FALSIFIED, EXIT_PASS, run_one
 
 REAL = propagate._strang
@@ -52,7 +52,6 @@ def lie_linear(V, grid, dt, constants, spec):
 ], ids=["unpatched", "kinetic-1.01m", "lie-linear"])
 def test_kernel_mutant_fails_exactly_its_rows(tmp_path, monkeypatch, mutant, failed):
     monkeypatch.setattr(propagate, "_strang", mutant)
-    monkeypatch.setattr(stresstests, "_strang", mutant)
     seen = set()
     for test in CHEAP:
         code, verdict = run_one(test, None, str(tmp_path / test), {})

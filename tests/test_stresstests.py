@@ -65,9 +65,9 @@ def test_superposition_curve_independent_of_cpu_count(monkeypatch):
     # superposition_residual calls bit for bit.
     import concurrent.futures
 
-    from fisher_hydro import stresstests
+    from fisher_hydro import propagate
 
-    strang = stresstests._strang
+    strang = propagate._strang
     advances, pools = [], []
 
     def spy(*args, **kwargs):
@@ -83,7 +83,7 @@ def test_superposition_curve_independent_of_cpu_count(monkeypatch):
             pools.append((max_workers, mp_context.get_start_method()))
             super().__init__(max_workers, mp_context)
 
-    monkeypatch.setattr(stresstests, "_strang", spy)
+    monkeypatch.setattr(propagate, "_strang", spy)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
     cfg = small_config(n=512, t_final=0.2, beta_list=(0.02, 0.0))
     expected = [(beta, superposition_residual(cfg, beta).hex(), superposition_residual(cfg, beta, refined=True).hex())
@@ -173,11 +173,11 @@ def test_superposition_config_refuses_what_its_specs_refuse(kw, error):
 
 def test_superposition_residual_evolves_the_config_spec(monkeypatch):
     # both grids stop at t_final: 10 base steps of dt, 20 refined ones of dt/2
-    from fisher_hydro import stresstests
+    from fisher_hydro import propagate
 
     cfg = small_config(t_final=0.1)
     seen = []
-    monkeypatch.setattr(stresstests, "_strang", lambda V, grid, dt, c, spec:
+    monkeypatch.setattr(propagate, "_strang", lambda V, grid, dt, c, spec:
                         seen.append((dt, spec)) or (lambda values, n_steps: values))
     for refined in (False, True):
         superposition_residual(cfg, 0.02, refined)
@@ -189,7 +189,7 @@ def _old_superposition_residual(config, beta, refined):
     """superposition_residual as it was when the suite's CLI translated its
     config into packet centres x1, x2 and width sigma, and each packet's
     exponent carried a momentum term 1j * p * (x - c) / hbar with p = 0."""
-    from fisher_hydro import stresstests
+    from fisher_hydro import propagate
 
     grid, dt = config.grid(refined), config.timestep(refined)
     x = grid.axes[0] - 0.5 * grid.length
@@ -206,7 +206,7 @@ def _old_superposition_residual(config, beta, refined):
     batch = np.stack([p1, p2, (p1 + p2) / np.sqrt(2.0)])
     batch /= np.sqrt(np.sum(np.abs(batch) ** 2, axis=-1, keepdims=True) * grid.cell_volume)
     spec = EvolutionSpec("beta_nonlinear", dt, config.t_final, beta=beta, eps_reg=config.eps_reg)
-    advance = stresstests._strang(harmonic_potential(grid, config.omega, c), grid, dt, c, spec)
+    advance = propagate._strang(harmonic_potential(grid, config.omega, c), grid, dt, c, spec)
     out = advance(batch, int(round(config.t_final / dt)))
     return projective_residual(out[2], out[0] + out[1], grid)[0]
 
