@@ -42,6 +42,7 @@ from .residuals import (
     multi_mass_scan,
 )
 from .states import (
+    _positive,
     boost,
     bump_density,
     gaussian_packet,
@@ -471,6 +472,7 @@ def run_dg_entropy(cfg: dict, outdir: str) -> tuple[dict, dict]:
     """Test 3: entropy production dS/dt = D I_F, reversible corner at D = 0."""
     constants = PhysicalConstants(hbar=cfg["hbar"], m=cfg["mass"])
     grid = make_grid(1, cfg["n"], cfg["length"])
+    _positive("sigma0", cfg["sigma0"])  # the width of rho0 and of the DG packet
     x = grid.axes[0]
     rho0 = np.exp(-((x - grid.length / 2) ** 2) / (2 * cfg["sigma0"] ** 2))
     rho0 /= float(np.sum(rho0) * grid.cell_volume)
@@ -644,6 +646,7 @@ def run_complexifier(cfg: dict, outdir: str) -> tuple[dict, dict]:
         raise ConfigError("complexifier p_grid must hold a cell at least 0.1 from p = 0.5 for off_cell_wall")
     constants = PhysicalConstants(hbar=cfg["hbar"], m=cfg["mass"])
     grid = make_grid(1, cfg["n"], cfg["length"])
+    _positive("omega", cfg["omega"])  # the packet's width is sqrt(hbar / (m omega))
     V = harmonic_potential(grid, cfg["omega"], constants)
     psi = gaussian_packet(
         grid, grid.length / 2 + cfg["x0_offset"],

@@ -37,6 +37,7 @@ __all__ = [
     "step_beta",
     "evolve",
     "symmetric_pair",
+    "symmetric_pairs",
     "evolve_density_diffusion",
 ]
 
@@ -346,15 +347,27 @@ def evolve(psi0: WaveField, V: np.ndarray, spec: EvolutionSpec, constants: Physi
     return Trajectory(snapshots, spec)
 
 
+def symmetric_pairs(states: list[WaveField], V: np.ndarray, spec: EvolutionSpec,
+                    constants: PhysicalConstants) -> list[tuple[WaveField, WaveField]]:
+    """Single steps of spec's flow, its kind and couplings, back and forward
+    by spec.dt (t - dt, t + dt) from each of states, on one grid, for
+    centered time stencils.
+
+    One kernel per direction serves every state.  Each state is stepped at
+    its own time, minus then plus, so the first step that blows up aborts
+    with the message that state's own kernels would give.  Produced fresh at
+    diagnostic time rather than from stored history, so the stencil spacing
+    is independent of the snapshot stride.
+    """
+    steps = [(dt, _strang(V, states[0].grid, dt, constants, spec)) for dt in (-spec.dt, spec.dt)]
+    return [tuple(WaveField(psi.grid, advance(psi.values, 1, psi.time), psi.time + dt) for dt, advance in steps)
+            for psi in states]
+
+
 def symmetric_pair(psi: WaveField, V: np.ndarray, spec: EvolutionSpec,
                    constants: PhysicalConstants) -> tuple[WaveField, WaveField]:
-    """Single steps of spec's flow, its kind and couplings, back and forward
-    by spec.dt (t - dt, t + dt), for centered time stencils.
-
-    Produced fresh at diagnostic time rather than from stored history, so the
-    stencil spacing is independent of the snapshot stride.
-    """
-    return tuple(_step(psi, V, dt, constants, spec) for dt in (-spec.dt, spec.dt))
+    """symmetric_pairs of the one state psi."""
+    return symmetric_pairs([psi], V, spec, constants)[0]
 
 
 def evolve_density_diffusion(rho0: np.ndarray, spec: EvolutionSpec, grid: Grid) -> DensityTrajectory:

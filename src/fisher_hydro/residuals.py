@@ -32,7 +32,7 @@ from .fields import (
     root_laplacian_quotient,
 )
 from .grid import Grid, _over_grid, integrate, spectral_divergence
-from .propagate import symmetric_pair
+from .propagate import symmetric_pairs
 from .states import harmonic_potential, oscillator_energy, oscillator_state
 
 __all__ = [
@@ -77,18 +77,6 @@ class ScanResult:
                    r_cont_mean=float(r_cont_mean), boundary=boundary)
 
 
-def _spectral_shift(f: np.ndarray, grid: Grid, displacement: float, axis: int = 0) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of f at x + displacement."""
-    if displacement == 0.0:
-        return f
-    k = grid.wavenumbers
-    shape = [1] * grid.dim
-    shape[axis] = grid.n
-    phase = np.exp(1j * k * displacement).reshape(shape)
-    out = _over_grid(np.fft.ifft, phase * _over_grid(np.fft.fft, np.array(f, dtype=complex), grid), grid)
-    return out.real if not np.iscomplexobj(f) else out
-
-
 def _mean_velocity(hydro: HydroFields) -> np.ndarray:
     """Mean velocity per axis, integral of the probability current (unit mass)."""
     return np.array([integrate(hydro.j[a], hydro.grid) for a in range(hydro.grid.dim)])
@@ -120,13 +108,8 @@ def _continuity(hydro: HydroFields, wf_minus: WaveField, wf_plus: WaveField) -> 
     dt = 0.5 * (wf_plus.time - wf_minus.time)
 
     vbar = _mean_velocity(hydro)
-    rho_plus = wf_plus.density()
-    rho_minus = wf_minus.density()
-    for axis in range(grid.dim):
-        if vbar[axis] != 0.0:
-            rho_plus = _spectral_shift(rho_plus, grid, vbar[axis] * dt, axis)
-            rho_minus = _spectral_shift(rho_minus, grid, -vbar[axis] * dt, axis)
-    rho_t_conv = (rho_plus - rho_minus) / (2.0 * dt)
+    rho = _comoving_densities(wf_plus, wf_minus, vbar * dt)
+    rho_t_conv = (rho[0] - rho[1]) / (2.0 * dt)
 
     div_com = spectral_divergence(hydro.j - hydro.rho[None] * vbar.reshape((-1,) + (1,) * grid.dim), grid)
 
@@ -139,12 +122,46 @@ def _continuity(hydro: HydroFields, wf_minus: WaveField, wf_plus: WaveField) -> 
     return float(num / den)
 
 
+def _comoving_densities(wf_plus: WaveField, wf_minus: WaveField, shift: np.ndarray) -> np.ndarray:
+    """The densities of wf_plus and wf_minus stacked, each the trigonometric
+    interpolant at x + shift and x - shift, one axis at a time: one phase
+    exp(i k shift) per shifted axis, which wf_minus takes conjugated, one
+    transform of the stack each way over the grid axes, and the real part
+    kept after each axis.
+
+    The conjugate has the bits of exp(-i k shift) but at k = 0, where its
+    imaginary part is -0 and not +0.  A zero's sign changes a product or a
+    sum only where that is zero too, so wf_minus's shifted density can
+    differ from exp(-i k shift)'s only in the sign of a zero, which the
+    residual's squares do not see.
+
+    Each density gets the bits of numpy's phase * F rho on its own spectrum:
+    numpy evaluates that product in place, operands swapped, on a 1D spectrum
+    of 256 KiB or more (never on a broadcast 2D phase), and a complex product
+    is not bitwise commutative (FMA)."""
+    grid = wf_plus.grid
+    rho = np.stack([wf_plus.density(), wf_minus.density()])
+    for axis in range(grid.dim):
+        if shift[axis] == 0.0:
+            continue
+        shape = [1] * grid.dim
+        shape[axis] = grid.n
+        phase = np.exp(1j * grid.wavenumbers * shift[axis]).reshape(shape)
+        spectrum = _over_grid(np.fft.fft, np.array(rho, dtype=complex), grid)
+        swapped = grid.dim == 1 and spectrum[0].nbytes >= 256 * 1024
+        for factor, density in zip((phase, np.conj(phase)), spectrum):
+            np.multiply(*((density, factor) if swapped else (factor, density)), out=density)
+        rho = _over_grid(np.fft.ifft, spectrum, grid).real
+    return rho
+
+
 def continuity_curve(trajectory, V: np.ndarray, constants: PhysicalConstants,
                      eps_mask: float = DEFAULT_EPS_MASK) -> list[float]:
     """continuity_residual at each interior snapshot, its centered pair one
-    step back and forward of the trajectory's own flow (symmetric_pair)."""
-    pairs = ((wf, *symmetric_pair(wf, V, trajectory.spec, constants)) for wf in _interior(trajectory))
-    return [continuity_residual((minus, wf, plus), constants, eps_mask) for wf, minus, plus in pairs]
+    step back and forward of the trajectory's own flow (symmetric_pairs)."""
+    interior = _interior(trajectory)
+    pairs = symmetric_pairs(interior, V, trajectory.spec, constants)
+    return [continuity_residual((minus, wf, plus), constants, eps_mask) for wf, (minus, plus) in zip(interior, pairs)]
 
 
 def _interior(trajectory) -> list[WaveField]:
@@ -242,9 +259,10 @@ def alpha_scan(trajectory, V: np.ndarray, alpha_grid: np.ndarray, constants: Phy
 
     r_conts, curves = [], []
     alpha_star = constants.alpha_star
-    for wf in _interior(trajectory):
+    interior = _interior(trajectory)
+    for wf, pair in zip(interior, symmetric_pairs(interior, V, trajectory.spec, constants)):
         hydro = polar_decompose(wf, eps_mask, constants)
-        r_conts.append(_continuity(hydro, *symmetric_pair(wf, V, trajectory.spec, constants)))
+        r_conts.append(_continuity(hydro, *pair))
         parts = _hj_parts(wf, V, constants, eps_mask, hydro)
         curves.append([_hj_from_parts(parts, r * alpha_star) for r in ratios])
     curve = np.array([math.fsum(col) / len(curves) for col in zip(*curves)])

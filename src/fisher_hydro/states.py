@@ -27,6 +27,12 @@ def _centered(x: np.ndarray, center: float, length: float) -> np.ndarray:
     return (x - center + 0.5 * length) % length - 0.5 * length
 
 
+def _positive(name: str, value: float) -> None:
+    """Refuse a width or frequency that is not positive, with its name and value."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value:g}")
+
+
 def gaussian_packet(
     grid: Grid,
     x0: float,
@@ -41,6 +47,7 @@ def gaussian_packet(
     """
     if grid.dim != 1:
         raise ValueError("gaussian_packet is 1D")
+    _positive("sigma0", sigma0)
     x = _centered(grid.axes[0], x0, grid.length)
     psi = (np.pi * sigma0**2) ** -0.25 * np.exp(-(x**2) / (2.0 * sigma0**2) + 1j * k0 * x)
     return WaveField(grid, psi, 0.0).normalized()
@@ -70,6 +77,7 @@ def oscillator_state(grid: Grid, level: int, omega: float, constants: PhysicalCo
     normalised Hermite recurrence."""
     if grid.dim != 1:
         raise ValueError("oscillator_state is 1D")
+    _positive("omega", omega)
     xi = _centered(grid.axes[0], 0.5 * grid.length, grid.length) * np.sqrt(constants.m * omega / constants.hbar)
     h_prev = np.pi**-0.25 * np.exp(-(xi**2) / 2.0)
     if level == 0:
@@ -92,6 +100,7 @@ def bump_density(grid: Grid, center: float, width: float) -> np.ndarray:
     """Compactly supported C-infinity bump density, normalised to unit mass."""
     if grid.dim != 1:
         raise ValueError("bump_density is 1D")
+    _positive("width", width)
     u = _centered(grid.axes[0], center, grid.length) / width
     rho = np.zeros(grid.shape)
     inside = np.abs(u) < 1.0
@@ -107,6 +116,7 @@ def vortex_state(grid: Grid, winding: int, sigma: float, center: tuple[float, fl
     is built; the values have the bits of the formula on grid.coords()."""
     if grid.dim != 2:
         raise ValueError("vortex_state is 2D")
+    _positive("sigma", sigma)
     c = (0.5 * grid.length, 0.5 * grid.length) if center is None else center
     x = _centered(grid.axes[0], c[0], grid.length)[:, None]
     y = _centered(grid.axes[1], c[1], grid.length)[None, :]

@@ -24,7 +24,7 @@ from .fields import (
 )
 from .grid import Grid, make_grid, norm_l2, spectral_divergence, spectral_laplacian
 from .propagate import EvolutionSpec
-from .states import harmonic_potential
+from .states import _positive, harmonic_potential
 
 __all__ = [
     "SuperpositionConfig",
@@ -76,6 +76,7 @@ class SuperpositionConfig:
         for beta in self.beta_list:
             self.spec(beta)
         c = PhysicalConstants(self.hbar, self.mass)  # refuses hbar or mass <= 0 before they divide
+        _positive("omega", self.omega)
         sigma = math.sqrt(c.hbar / (c.m * self.omega))
         seam = 0.5 * self.length / sigma - 0.5 * self.separation_sigmas  # from a centre to x = +-L/2
         needed = math.sqrt(-math.log(ROUNDOFF_FLOOR))  # the density falls to ROUNDOFF_FLOOR of its peak

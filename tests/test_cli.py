@@ -808,9 +808,7 @@ def test_physics_failing_input_fails_its_row(tmp_path, test, user, failed, measu
     ("superposition", {"beta_list": [-0.01, 0.0, 0.005, 0.01, 0.02, 0.05]}),
     ("complexifier", {"s_grid": [0.0, 0.8, 0.9, 1.0, 1.1, 1.25]}),
     ("complexifier", {"s_grid": [-1.0, 0.8, 0.9, 1.0, 1.1, 1.25]}),
-    # a vortex of width 0 is 0 / 0 after normalisation, numpy warning on the way
-    pytest.param("circulation", {"sigma0": 0.0}, marks=pytest.mark.filterwarnings(
-        "ignore:divide by zero encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")),
+    ("circulation", {"sigma0": 0.0}),
 ])
 def test_zero_divisor_is_a_config_error(tmp_path, test, user):
     # a config whose zero a runner divides by cannot be measured: exit 2 with
@@ -822,8 +820,42 @@ def test_zero_divisor_is_a_config_error(tmp_path, test, user):
     payload = _partial_verdict(tmp_path, test)
     assert payload["exit_code"] == EXIT_CONFIG
     assert payload["config"] == dict(DEFAULTS[test], **user)
-    if test == "circulation":  # refused by circulation itself, not by a NaN reaching round()
-        assert payload["error"] == "wavefield contains non-finite values"
+    if test == "circulation":  # refused by vortex_state, before a width of 0 divides
+        assert payload["error"] == "sigma must be positive, got 0"
+
+
+@pytest.mark.parametrize("test, user, error", [
+    ("scan-alpha", {"sigma0": -1.0}, "sigma0 must be positive, got -1"),
+    ("scan-alpha", {"sigma0": 0.0}, "sigma0 must be positive, got 0"),
+    ("continuity", {"sigma0": -1.0}, "sigma0 must be positive, got -1"),
+    ("dg-entropy", {"sigma0": -1.0}, "sigma0 must be positive, got -1"),
+    ("dg-entropy", {"sigma0": 0.0}, "sigma0 must be positive, got 0"),
+    ("circulation", {"sigma0": -1.0}, "sigma must be positive, got -1"),
+    ("time-reversal", {"sigma0": -1.0}, "sigma0 must be positive, got -1"),
+    ("galilei", {"sigma0": -1.0}, "sigma0 must be positive, got -1"),
+    ("fisher-el", {"omega": -1.0}, "omega must be positive, got -1"),
+    ("fisher-el", {"bump_width": -1.0}, "width must be positive, got -1"),
+    ("complexifier", {"omega": -1.0}, "omega must be positive, got -1"),
+    ("complexifier", {"omega": 0.0}, "omega must be positive, got 0"),
+    ("superposition", {"omega": -1.0}, "omega must be positive, got -1"),
+    ("superposition", {"omega": 0.0}, "omega must be positive, got 0"),
+])
+def test_width_that_is_not_positive_is_a_config_error(tmp_path, test, user, error):
+    # a packet width, a trap frequency that sets one, or a bump width <= 0
+    # exits 2 with a message that names the parameter, not with a numpy
+    # error or a verdict on a mirrored or empty state
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(user))
+    code, verdict = run_one(test, str(p), str(tmp_path), {})
+    assert (code, verdict) == (EXIT_CONFIG, None)
+    assert _partial_verdict(tmp_path, test)["error"] == error
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0])
+def test_time_reversal_accepts_any_trap_frequency(tmp_path, omega):
+    # V = m omega^2 x^2 / 2 depends on omega^2, and omega = 0 is a free flow
+    code, verdict = run_one("time-reversal", None, str(tmp_path), {"omega": omega})
+    assert code == EXIT_PASS and verdict.passed
 
 
 @pytest.mark.parametrize("test, overrides, row", [

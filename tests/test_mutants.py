@@ -2,7 +2,7 @@
 that notice are pinned, so a gate that stops catching its mutant fails here.
 
 A mutant replaces propagate._strang, so every evolution runs it,
-symmetric_pair's centred steps included.  The six suites that evolve cheaply
+symmetric_pairs' centred steps included.  The six suites that evolve cheaply
 run at their defaults through run_one.
 
 Two mutants escape all six suites, and so are no cases here:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fisher_hydro import EvolutionSpec, PhysicalConstants, evolve, make_grid
+from fisher_hydro import EvolutionSpec, PhysicalConstants, evolve, make_grid, propagate, residuals
 from fisher_hydro.fields import (
     WaveField,
     laplacian_quotient,
@@ -12,8 +12,8 @@ from fisher_hydro.fields import (
     phase_time_derivative,
     polar_decompose,
 )
-from fisher_hydro.grid import integrate
-from fisher_hydro.propagate import step_linear, symmetric_pair
+from fisher_hydro.grid import _over_grid, integrate
+from fisher_hydro.propagate import NumericalAbort, Trajectory, step_linear, symmetric_pair
 from fisher_hydro.residuals import (
     ScanResult,
     _hj_from_parts,
@@ -335,3 +335,129 @@ def test_alpha_cells_on_the_mask_extent_keep_the_full_grid_bits(case, eps_mask):
     mean_curve = [math.fsum(col) / len(reference) for col in zip(*reference)]
     scanned = alpha_scan(traj, V, ratios, C, eps_mask).residuals
     assert [float(x).hex() for x in scanned] == [x.hex() for x in mean_curve]
+
+
+def _per_density_shift(wf_plus, wf_minus, shift):
+    """_comoving_densities one density at a time: per shifted axis, each
+    density's own phase exp(+-i k shift) and transform pair, the real part
+    kept after each axis."""
+    grid = wf_plus.grid
+    out = []
+    for wf, sign in ((wf_plus, 1.0), (wf_minus, -1.0)):
+        f = wf.density()
+        for axis in range(grid.dim):
+            displacement = sign * shift[axis]
+            if displacement == 0.0:
+                continue
+            shape = [1] * grid.dim
+            shape[axis] = grid.n
+            phase = np.exp(1j * grid.wavenumbers * displacement).reshape(shape)
+            f = _over_grid(np.fft.ifft, phase * _over_grid(np.fft.fft, np.array(f, dtype=complex), grid), grid).real
+        out.append(f)
+    return np.stack(out)
+
+
+def _fresh_pair(wf, V, spec):
+    """The -dt and +dt steps of wf, each from a kernel of its own."""
+    return tuple(propagate._step(wf, V, dt, C, spec) for dt in (-spec.dt, spec.dt))
+
+
+def _pair_case(case):
+    """(trajectory, V) of a free boosted 1D flow on 16384 sites (whose shift
+    products numpy swaps), a trapped boosted 1D flow, and a 2D field boosted
+    along both axes."""
+    if case == "free-1d":
+        grid = make_grid(1, 16384, 122.88)
+        psi, V = boost(gaussian_packet(grid, 61.44, 1.0), 0.7, C), np.zeros(grid.shape)
+        spec = EvolutionSpec.sampled("linear", 0.02, 0.8, 0.2)
+    elif case == "trapped-1d":
+        grid = make_grid(1, 1024, 40.0)
+        psi, V = boost(gaussian_packet(grid, 21.5, 1.0), 0.3, C), harmonic_potential(grid, 1.0, C)
+        spec = EvolutionSpec.sampled("linear", 0.01, 0.5, 0.1)
+    else:
+        grid = make_grid(2, 64, 20.0)
+        x, y = grid.axes[0][:, None], grid.axes[1][None, :]
+        psi = WaveField(grid, vortex_state(grid, 1, 2.0).values * np.exp(1j * (1.3 * x - 0.8 * y)), 0.0)
+        V, spec = np.zeros(grid.shape), EvolutionSpec.sampled("linear", 0.01, 0.4, 0.1)
+    return evolve(psi, V, spec, C), V
+
+
+@pytest.mark.parametrize("case", ["free-1d", "trapped-1d", "boosted-2d"])
+def test_shared_pair_kernels_and_stacked_shift_keep_the_per_snapshot_bits(case, monkeypatch):
+    # continuity_curve and alpha_scan step every interior snapshot with one
+    # kernel per direction and shift both densities of a pair in one
+    # transform: their values are those of a fresh pair per snapshot, each
+    # density shifted on its own, hex for hex
+    traj, V = _pair_case(case)
+    interior = [wf for _, wf in traj.snapshots[1:-1]]
+    vbar = residuals._mean_velocity(polar_decompose(interior[0], 1e-6, C))
+    assert np.all(vbar != 0.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(residuals, "_comoving_densities", _per_density_shift)
+        reference = [continuity_residual((minus, wf, plus), C)
+                     for wf in interior for minus, plus in [_fresh_pair(wf, V, traj.spec)]]
+    assert [x.hex() for x in continuity_curve(traj, V, C)] == [x.hex() for x in reference]
+
+    ratios = default_alpha_grid()
+    scan = alpha_scan(traj, V, ratios, C)
+    mean_curve = [math.fsum(hj_residual(wf, V, r * C.alpha_star, C) for wf in interior) / len(interior)
+                  for r in ratios]
+    assert scan.r_cont_mean.hex() == (math.fsum(reference) / len(reference)).hex()
+    assert [float(x).hex() for x in scan.residuals] == [x.hex() for x in mean_curve]
+
+
+@pytest.mark.parametrize("shift", [1e-9, -3e-4, 0.7, -5.0])
+def test_conjugate_shift_phase_is_the_backward_phase_but_a_zero_sign(shift):
+    # _comoving_densities conjugates exp(i k shift) for the backward shift:
+    # only the imaginary zero at k = 0 differs from exp(-i k shift), -0
+    # against +0, and a real density's spectrum takes both to the same bits
+    grid = make_grid(1, 4096, 122.88)
+    k = grid.wavenumbers
+    conjugate, backward = np.conj(np.exp(1j * k * shift)), np.exp(1j * k * -shift)
+    assert np.flatnonzero(conjugate.view(np.uint64) != backward.view(np.uint64)).tolist() == [1]
+    assert (math.copysign(1.0, conjugate[0].imag), math.copysign(1.0, backward[0].imag)) == (-1.0, 1.0)
+    spectrum = np.fft.fft(np.array(gaussian_packet(grid, 61.44, 1.0).density(), dtype=complex))
+    for product in (np.multiply, lambda phase, f: np.multiply(f, phase)):
+        assert np.array_equal(product(conjugate, spectrum).view(np.uint64), product(backward, spectrum).view(np.uint64))
+
+
+def test_diagnostics_build_one_kernel_per_direction(monkeypatch):
+    # two kernels per continuity_curve or alpha_scan call, whatever the
+    # number of interior snapshots
+    traj, V, _ = table1_trajectory(n=1024, t_final=1.0)
+    assert len(traj.snapshots) - 2 == 4
+    builds = []
+    strang = propagate._strang
+
+    def spy(V, grid, dt, constants, spec):
+        builds.append(dt)
+        return strang(V, grid, dt, constants, spec)
+
+    monkeypatch.setattr(propagate, "_strang", spy)
+    continuity_curve(traj, V, C)
+    assert builds == [-traj.spec.dt, traj.spec.dt]
+    builds.clear()
+    alpha_scan(traj, V, default_alpha_grid(), C)
+    assert builds == [-traj.spec.dt, traj.spec.dt]
+
+
+def test_pair_that_blows_up_aborts_as_its_own_kernels_would():
+    # at D = 40 a sigma = 1 packet's +dt step overflows |psi|^2 while a
+    # sigma = 2 packet's pair stays finite: the shared kernels meet the
+    # snapshots in order, minus then plus, and abort with the message of
+    # that snapshot's own kernels
+    grid = make_grid(1, 512, 40.0)
+    wide, narrow = gaussian_packet(grid, 20.0, 2.0), gaussian_packet(grid, 20.0, 1.0)
+    snapshots = [(t, WaveField(grid, psi.values, t)) for t, psi in
+                 [(0.0, wide), (0.1, wide), (0.2, narrow), (0.3, narrow), (0.4, wide)]]
+    traj = Trajectory(snapshots, EvolutionSpec("dg_diffusion", dt=0.01, t_final=0.4, record_stride=10, D=40.0))
+    V = np.zeros(grid.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _fresh_pair(snapshots[1][1], V, traj.spec)
+        with pytest.raises(NumericalAbort) as own:
+            _fresh_pair(snapshots[2][1], V, traj.spec)
+        assert str(own.value) == "non-finite state at t=0.21"
+        for diagnostic in (lambda: continuity_curve(traj, V, C),
+                           lambda: alpha_scan(traj, V, default_alpha_grid(), C)):
+            with pytest.raises(NumericalAbort, match=rf"^{own.value}$"):
+                diagnostic()
