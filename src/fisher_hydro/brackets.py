@@ -10,8 +10,7 @@ whose mass reaches the coordinate branch seam.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,22 +19,16 @@ from .grid import Grid, integrate, spectral_divergence, spectral_gradient
 
 __all__ = [
     "FunctionalDerivs",
-    "AlgebraReport",
     "poisson_bracket",
     "hamiltonian",
     "galilean_generators",
     "bargmann_check",
-    "EdgeProximityError",
 ]
 
 # _centered_coords refuses a state with more than _SEAM_MASS of its mass
 # within _SEAM_CELLS cells of the coordinate branch seam
 _SEAM_CELLS = 5
 _SEAM_MASS = 1e-9
-
-
-class EdgeProximityError(ValueError):
-    """Packet mass too close to the coordinate branch seam for moment integrals."""
 
 
 @dataclass
@@ -67,7 +60,7 @@ def _centered_coords(hydro: HydroFields) -> tuple[np.ndarray, np.ndarray]:
         out[axis] = (coords[axis] - origin[axis] + 0.5 * grid.length) % grid.length - 0.5 * grid.length
         seam = np.abs(np.abs(out[axis]) - 0.5 * grid.length) < _SEAM_CELLS * grid.spacing
         if float(np.sum(rho[seam]) * grid.cell_volume) > _SEAM_MASS:
-            raise EdgeProximityError(
+            raise ValueError(
                 f"packet mass within {_SEAM_CELLS} cells of the coordinate seam; moment integrals would "
                 "be corrupted by periodic images"
             )
@@ -96,7 +89,7 @@ def galilean_generators(
     "K0", "P1", "K1" (one pair per axis).
 
     K's derivative takes the packet-centered coordinate and its value the
-    absolute one.  Refuses seam-touching mass (EdgeProximityError).
+    absolute one.  Refuses seam-touching mass (ValueError).
     """
     grid = hydro.grid
     m = constants.m
@@ -111,23 +104,6 @@ def galilean_generators(
     return out
 
 
-@dataclass
-class AlgebraReport:
-    """Bargmann closure entries, each measured against its scale; the bounds
-    are the caller's (cli.CHECKS for the galilei suite).
-
-    hp is {H, P_i}; for a non-flat potential its expected value +int rho dV
-    is reported alongside, with closure false (expected non-closure rather
-    than failure).
-    """
-
-    entries: dict = field(default_factory=dict)
-    t: float = 0.0
-
-    def to_json(self) -> str:
-        return json.dumps({"t": self.t, "entries": self.entries}, indent=2, sort_keys=True)
-
-
 def _entry(value: float, expected: float, scale: float, closure: bool = True) -> dict:
     """One galilei.json entry; its gap is |value - expected| / scale."""
     return {"value": value, "expected": expected, "scale": scale, "closure": closure}
@@ -139,14 +115,17 @@ def bargmann_check(
     alpha: float,
     constants: PhysicalConstants,
     t: float = 0.0,
-) -> AlgebraReport:
-    """Measure {H,P_i} (or its +int rho dV value), {H,K_i} = -P_i, {P_i,K_j} = -m delta_ij int rho."""
+) -> dict[str, dict]:
+    """The Bargmann closure entries by name, each measured against its scale for
+    the caller's bounds (cli.CHECKS): {H,P_i} as hp<i>, in a non-flat potential
+    with its expected +int rho dV and closure false; {H,K_i} = -P_i as
+    hk_plus_p<i>; {P_i,K_j} = -m delta_ij int rho as pk_plus_m<ij>."""
     grid = hydro.grid
     c = constants
     h = hamiltonian(hydro, V, alpha, c)
     gens = galilean_generators(hydro, c, t)
     mass_integral = float(integrate(hydro.rho, grid))
-    report = AlgebraReport(t=t)
+    entries = {}
 
     flat_v = bool(np.max(V) - np.min(V) < 1e-300)
     grad_v = None if flat_v else spectral_gradient(V, grid)
@@ -157,9 +136,9 @@ def bargmann_check(
         p, k = gens[f"P{i}"], gens[f"K{i}"]
         # dP/dt = {P,H} = -int rho dV (Ehrenfest), so {H,P} = +int rho dV
         expected_hp = 0.0 if flat_v else float(integrate(hydro.rho * grad_v[i], grid))
-        report.entries[f"hp{i}"] = _entry(poisson_bracket(h, p, grid), expected_hp, scale_h, closure=flat_v)
-        report.entries[f"hk_plus_p{i}"] = _entry(poisson_bracket(h, k, grid) + p.value, 0.0, max(abs(p.value), 1.0))
+        entries[f"hp{i}"] = _entry(poisson_bracket(h, p, grid), expected_hp, scale_h, closure=flat_v)
+        entries[f"hk_plus_p{i}"] = _entry(poisson_bracket(h, k, grid) + p.value, 0.0, max(abs(p.value), 1.0))
         for j in range(grid.dim):
             central = -c.m * mass_integral if i == j else 0.0
-            report.entries[f"pk_plus_m{i}{j}"] = _entry(poisson_bracket(p, gens[f"K{j}"], grid) - central, 0.0, scale_m)
-    return report
+            entries[f"pk_plus_m{i}{j}"] = _entry(poisson_bracket(p, gens[f"K{j}"], grid) - central, 0.0, scale_m)
+    return entries

@@ -300,11 +300,14 @@ class Verdict:
     test: str
     measured: dict
     thresholds: dict
-    passed: bool
     runtime_s: float
     config: dict
     exit_code: int
     error: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.exit_code == EXIT_PASS
 
     def to_json(self) -> str:
         return json.dumps({"test": self.test, "pass": self.passed, "exit_code": self.exit_code, "error": self.error,
@@ -333,11 +336,10 @@ def _suite(test: str):
             except (ValueError, ArithmeticError, NumericalAbort) as exc:
                 code = EXIT_NUMERICAL if isinstance(exc, NumericalAbort) else EXIT_CONFIG
                 print(f"{'numerical abort' if code == EXIT_NUMERICAL else 'config error'}: {exc}", file=sys.stderr)
-                return Verdict(test, {}, {}, False, time.perf_counter() - t0, cfg, code, str(exc))
+                return Verdict(test, {}, {}, time.perf_counter() - t0, cfg, code, str(exc))
             thresholds = evaluate_checks(test, values)
-            passed = all(check["pass"] for check in thresholds.values())
-            return Verdict(test, measured, thresholds, passed, time.perf_counter() - t0, cfg,
-                           EXIT_PASS if passed else EXIT_FALSIFIED)
+            code = EXIT_PASS if all(check["pass"] for check in thresholds.values()) else EXIT_FALSIFIED
+            return Verdict(test, measured, thresholds, time.perf_counter() - t0, cfg, code)
 
         RUNNERS[test] = runner
         return runner
@@ -621,13 +623,13 @@ def run_galilei(cfg: dict, outdir: str) -> tuple[dict, dict]:
     V = np.zeros(grid.shape)
     t, wf = evolve(psi, V, spec, constants).snapshots[-1]
     hydro = polar_decompose(wf, DEFAULT_EPS_MASK, constants)
-    report = bargmann_check(hydro, V, constants.alpha_star, constants, t=t)
+    entries = bargmann_check(hydro, V, constants.alpha_star, constants, t=t)
 
-    _write(outdir, "galilei.json", report.to_json())
+    _write(outdir, "galilei.json", json.dumps({"t": t, "entries": entries}, indent=2, sort_keys=True))
     gaps: dict[str, list[float]] = {}  # closure (entry name less its axis digits) -> each entry's gap
-    for name, e in report.entries.items():
+    for name, e in entries.items():
         gaps.setdefault(name.rstrip("0123456789"), []).append(abs(e["value"] - e["expected"]) / e["scale"])
-    return {k: v["value"] for k, v in report.entries.items()}, {k: float(np.max(g)) for k, g in gaps.items()}
+    return {k: v["value"] for k, v in entries.items()}, {k: float(np.max(g)) for k, g in gaps.items()}
 
 
 @_suite("complexifier")
@@ -657,26 +659,26 @@ def run_complexifier(cfg: dict, outdir: str) -> tuple[dict, dict]:
     snapshots = [wf for _, wf in traj.snapshots[1:]]
 
     s_grid = np.array(cfg["s_grid"], dtype=float) / constants.hbar
-    result = complexifier_scan(p_grid, s_grid, snapshots, V, constants, cfg["mask_eps"])
+    defect, max_density_rate = complexifier_scan(p_grid, s_grid, snapshots, V, constants, cfg["mask_eps"])
 
-    wall = float(np.min(result.defect[off_cell, :]))
-    shared = {"floor": result.floor, "off_cell_wall": wall, "max_density_rate": result.max_density_rate}
+    cell = np.unravel_index(int(np.argmin(defect)), defect.shape)  # (p index, s index) of the minimum
+    floor = float(defect[cell])
+    kappa = 1.0 / s_grid[cell[1]]
+    wall = float(np.min(defect[off_cell, :]))
+    shared = {"floor": floor, "off_cell_wall": wall, "max_density_rate": max_density_rate}
     measured = dict(
         shared,
-        argmin_p=float(p_grid[result.argmin[0]]),
-        argmin_s_hbar=float(s_grid[result.argmin[1]] * constants.hbar),
-        kappa_recovered=result.kappa_recovered,
-        alpha_recovered=result.alpha_recovered,
+        argmin_p=float(p_grid[cell[0]]),
+        argmin_s_hbar=float(s_grid[cell[1]] * constants.hbar),
+        kappa_recovered=float(kappa),
+        alpha_recovered=float(kappa**2 / (2.0 * constants.m)),
     )
-    rows = []
-    for ip, p in enumerate(p_grid):
-        for i_s, s in enumerate(s_grid):
-            rows.append([float(p), float(s * constants.hbar), float(result.defect[ip, i_s])])
+    rows = [[float(p), float(s * constants.hbar), float(d)] for p, row in zip(p_grid, defect) for s, d in zip(s_grid, row)]
     _write(outdir, "complexifier.csv", _csv_body(["p", "s_hbar", "defect"], rows))
     return measured, dict(
         shared,
-        argmin_polar_cell=result.argmin == (cfg["p_grid"].index(0.5), cfg["s_grid"].index(1.0)),
-        minimum_cells=int(np.sum(result.defect <= result.floor * (1 + 1e-12))),
+        argmin_polar_cell=cell == (cfg["p_grid"].index(0.5), cfg["s_grid"].index(1.0)),
+        minimum_cells=int(np.sum(defect <= floor * (1 + 1e-12))),
     )
 
 

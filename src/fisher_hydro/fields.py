@@ -36,10 +36,6 @@ DEFAULT_EPS_MASK = 1e-6
 # ~1e-16 makes a quotient by rho (j/rho, |grad rho|^2/rho) order-one garbage; node_mask's least eps.
 ROUNDOFF_FLOOR = 1e-13
 
-# Absolute division guard, not relative to max(rho): it keeps Delta sqrt(rho)/sqrt(rho)
-# and H psi/psi finite (0 where rho <= 1e-300); the node mask makes the physical cut.
-_RHO_GUARD = 1e-300
-
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -166,10 +162,7 @@ def quantum_potential(rho: np.ndarray, coeff: float, grid: Grid, mask: np.ndarra
     Differentiates sqrt(rho) spectrally (half the dynamic range of rho, so
     round-off at the mask edge stays small); it assumes a node-free density.
     """
-    out = laplacian_quotient(rho, grid, mask)
-    out *= -coeff
-    out[~mask] = 0.0
-    return out
+    return -coeff * laplacian_quotient(rho, grid, mask)
 
 
 def root_laplacian_quotient(root: np.ndarray, grid: Grid, where: np.ndarray) -> np.ndarray:
@@ -182,20 +175,21 @@ def root_laplacian_quotient(root: np.ndarray, grid: Grid, where: np.ndarray) -> 
 
 
 def laplacian_quotient(rho: np.ndarray, grid: Grid, mask: np.ndarray) -> np.ndarray:
-    """Spectral Delta sqrt(rho)/sqrt(rho) on the mask, 0 elsewhere."""
+    """Spectral Delta sqrt(rho)/sqrt(rho) on the mask above ROUNDOFF_FLOOR * max(rho), 0 elsewhere."""
     rho = np.asarray(rho, dtype=float)
-    return root_laplacian_quotient(np.sqrt(np.clip(rho, 0.0, None)), grid, mask & (rho > _RHO_GUARD))
+    return root_laplacian_quotient(np.sqrt(np.clip(rho, 0.0, None)), grid, mask & node_mask(rho, ROUNDOFF_FLOOR))
 
 
 def phase_time_derivative(psi: WaveField, V: np.ndarray, constants: PhysicalConstants) -> np.ndarray:
     """S_t = -Re(H psi / psi) with the spectral Schrodinger operator.
 
-    Returned on the full grid; only masked sites are meaningful.  The sign
-    convention makes a stationary state of energy E report S_t = -E.
+    Returned on the full grid, 0 where rho <= ROUNDOFF_FLOOR * max(rho); only
+    masked sites are meaningful.  The sign convention makes a stationary
+    state of energy E report S_t = -E.
     """
     grid = psi.grid
     hpsi = -(constants.hbar**2 / (2.0 * constants.m)) * spectral_laplacian(psi.values, grid) + V * psi.values
     rho = psi.density()
     out = np.zeros(grid.shape)
-    np.divide(-(hpsi * np.conj(psi.values)).real, rho, out=out, where=rho > _RHO_GUARD)
+    np.divide(-(hpsi * np.conj(psi.values)).real, rho, out=out, where=node_mask(rho, ROUNDOFF_FLOOR))
     return out

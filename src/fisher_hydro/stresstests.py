@@ -32,16 +32,10 @@ __all__ = [
     "superposition_curve",
     "projective_residual",
     "complexifier_scan",
-    "ComplexifierScanResult",
     "time_reversal_defect",
     "circulation",
     "beta_drops",
-    "LoopThroughNodeError",
 ]
-
-
-class LoopThroughNodeError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -182,16 +176,6 @@ def beta_drops(rows: list[dict]) -> tuple[float | None, float | None]:
     return tuple(float(np.max(d)) if d else None for d in (monotone, plateau))
 
 
-@dataclass
-class ComplexifierScanResult:
-    defect: np.ndarray
-    argmin: tuple[int, int]
-    floor: float
-    kappa_recovered: float
-    alpha_recovered: float
-    max_density_rate: float  # the largest |rho_t| the scan saw: 0 where the flow leaves rho still
-
-
 def complexifier_scan(
     p_grid: np.ndarray,
     s_grid: np.ndarray,
@@ -199,9 +183,10 @@ def complexifier_scan(
     V: np.ndarray,
     constants: PhysicalConstants,
     eps_mask: float = DEFAULT_EPS_MASK,
-) -> ComplexifierScanResult:
-    """Defect of the candidate complexifier phi = rho^p e^{i s S} against a linear
-    Schrodinger step with kappa = 1/s.
+) -> tuple[np.ndarray, float]:
+    """(defect, max_density_rate): the defect of each candidate complexifier
+    phi = rho^p e^{i s S} against a linear Schrodinger step with kappa = 1/s,
+    shape (len(p_grid), len(s_grid)), and the largest |rho_t| the scan saw.
 
     The true hydrodynamic flow supplies the instantaneous rates rho_t = -div j
     and S_t = -Re(H psi/psi); the defect is the masked, normalised residual of
@@ -244,17 +229,7 @@ def complexifier_scan(
                 den = float(np.sum((np.abs(kappa * phi_t[mask]) ** 2 + np.abs(h_phi[mask]) ** 2)))
                 total[ip, i_s] += math.sqrt(num / den) if den > 1e-280 else 0.0
 
-    defect = total / len(snapshots)
-    argmin = np.unravel_index(int(np.argmin(defect)), defect.shape)
-    kappa = 1.0 / s_grid[argmin[1]]
-    return ComplexifierScanResult(
-        defect=defect,
-        argmin=(int(argmin[0]), int(argmin[1])),
-        floor=float(defect[argmin]),
-        kappa_recovered=float(kappa),
-        alpha_recovered=float(kappa**2 / (2.0 * constants.m)),
-        max_density_rate=max_density_rate,
-    )
+    return total / len(snapshots), max_density_rate
 
 
 def time_reversal_defect(
@@ -324,7 +299,7 @@ def circulation(
     block = psi2d.values[np.ix_(span[0], span[1])]
     path = np.concatenate([block[-1, :-1], block[:0:-1, -1], block[0, :0:-1], block[:-1, 0], block[-1:, 0]])
     if np.any(np.abs(path) ** 2 <= eps_mask * float(psi2d.density().max())):
-        raise LoopThroughNodeError("loop intersects the masked nodal region")
+        raise ValueError("loop intersects the masked nodal region")
     line_value = constants.hbar * float(np.sum(np.angle(np.multiply(path[1:], np.conj(path[:-1])))))
 
     # Each enclosed plaquette's winding sums its four edge increments,

@@ -252,11 +252,11 @@ def test_criterion_6_bargmann_closure():
     psi = boost(gaussian_packet(grid, 40.0, 1.0, 0.0, C), 1.5, C)
     hydro = polar_decompose(psi, 1e-6, C)
     V = np.zeros(grid.shape)
-    rep = bargmann_check(hydro, V, C.alpha_star, C)
+    entries = bargmann_check(hydro, V, C.alpha_star, C)
     p_val = galilean_generators(hydro, C)["P0"].value
-    hp = abs(rep.entries["hp0"]["value"])
-    hk = abs(rep.entries["hk_plus_p0"]["value"])
-    pk = abs(rep.entries["pk_plus_m00"]["value"])
+    hp = abs(entries["hp0"]["value"])
+    hk = abs(entries["hk_plus_p0"]["value"])
+    pk = abs(entries["pk_plus_m00"]["value"])
     ok = hp <= 1e-10 and hk <= 1e-8 * abs(p_val) and pk <= 1e-10
     report("criterion 6", ok,
            f"|{{H,P}}|={hp:.2e} <= 1e-10, |{{H,K}}+P|={hk:.2e} <= 1e-8|P|={1e-8 * abs(p_val):.2e}, "
@@ -288,18 +288,20 @@ def test_criterion_8_complexifier_rigidity():
     snaps = [wf for _, wf in evolve(psi, V, spec, C).snapshots[1:]]
     p_grid = np.array([0.3, 0.4, 0.45, 0.5, 0.55, 0.6, 0.7])
     s_grid = np.array([0.8, 0.9, 1.0, 1.1, 1.25]) / C.hbar
-    res = complexifier_scan(p_grid, s_grid, snaps, V, C)
-    wall_cells = res.defect[np.abs(p_grid - 0.5) >= 0.1 - 1e-12, :]  # p = 0.4 and 0.6 included
-    unique = np.sum(res.defect <= res.floor * (1 + 1e-12)) == 1
+    defect, _ = complexifier_scan(p_grid, s_grid, snaps, V, C)
+    cell = np.unravel_index(int(np.argmin(defect)), defect.shape)
+    floor = float(defect[cell])
+    wall_cells = defect[np.abs(p_grid - 0.5) >= 0.1 - 1e-12, :]  # p = 0.4 and 0.6 included
+    unique = np.sum(defect <= floor * (1 + 1e-12)) == 1
     ok = (
-        res.argmin == (3, 2)
+        cell == (3, 2)
         and unique
-        and res.floor <= 1e-6
+        and floor <= 1e-6
         and float(np.min(wall_cells)) > 1e-2
     )
     report("criterion 8", ok,
-           f"unique minimum at (p, s hbar) = ({p_grid[res.argmin[0]]}, "
-           f"{s_grid[res.argmin[1]] * C.hbar}), floor {res.floor:.2e} <= 1e-6, "
+           f"unique minimum at (p, s hbar) = ({p_grid[cell[0]]}, "
+           f"{s_grid[cell[1]] * C.hbar}), floor {floor:.2e} <= 1e-6, "
            f"all |p - 1/2| >= 0.1 cells >= {float(np.min(wall_cells)):.2e} > 1e-2")
 
 

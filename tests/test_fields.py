@@ -242,6 +242,30 @@ def test_node_mask_refuses_a_density_zero_everywhere():
         node_mask(np.zeros(8), 1e-6)
 
 
+def test_quotients_by_rho_read_zero_at_and_below_the_roundoff_cut(grid1d, constants):
+    # one guard rule: S_t and the Laplacian quotient divide by rho only above
+    # ROUNDOFF_FLOOR * max(rho), and there keep the bits of the former absolute
+    # guard rho > 1e-300, copied inline
+    psi = gaussian_packet(grid1d, 20.0, 1.0, 1.5, constants)
+    V = harmonic_potential(grid1d, 1.0, constants)
+    rho = psi.density()
+    above = rho > ROUNDOFF_FLOOR * rho.max()
+    assert not above.all() and rho.min() > 1e-300  # a tail below the cut that the absolute guard divided by
+
+    hpsi = -(constants.hbar**2 / (2.0 * constants.m)) * spectral_laplacian(psi.values, grid1d) + V * psi.values
+    old_st = np.zeros(grid1d.shape)
+    np.divide(-(hpsi * np.conj(psi.values)).real, rho, out=old_st, where=rho > 1e-300)
+    everywhere = np.ones(grid1d.shape, dtype=bool)
+    root = np.sqrt(np.clip(rho, 0.0, None))
+    old_lq = np.zeros(grid1d.shape)
+    np.divide(spectral_laplacian(root, grid1d), root, out=old_lq, where=everywhere & (rho > 1e-300))
+
+    for new, old in ((phase_time_derivative(psi, V, constants), old_st),
+                     (laplacian_quotient(rho, grid1d, everywhere), old_lq)):
+        assert np.all(new[~above] == 0.0)
+        assert [v.hex() for v in new[above].tolist()] == [v.hex() for v in old[above].tolist()]
+
+
 def _fisher_el_states(constants):
     """fisher-el's Gaussian, bump and node-masked first excited state at the
     suite's defaults: (rho, signed root, mask, grid) each."""

@@ -1,0 +1,38 @@
+"""The eight cheap suites at their defaults reproduce tests/golden bit for bit:
+every artefact but the verdict byte for byte, and each verdict's exit code,
+measured values and check values with floats compared as float.hex.
+
+The files are written by tests/golden/make_golden.py. Round-off may differ
+under another Python, numpy, FFT backend or set of CPU dispatch targets, so
+there the test skips and names both environments; it never passes without
+comparing.
+"""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+_spec = importlib.util.spec_from_file_location("make_golden", GOLDEN / "make_golden.py")
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
+
+
+@pytest.fixture(scope="module")
+def recording_environment():
+    recorded = json.loads((GOLDEN / "environment.json").read_text())
+    current = make_golden.environment()
+    if current != recorded:
+        pytest.skip(f"golden files were recorded on {recorded}, this environment is {current}")
+
+
+@pytest.mark.parametrize("suite", make_golden.SUITES)
+def test_suite_reproduces_golden_bits(suite, tmp_path, recording_environment):
+    files, verdict = make_golden.record(suite, str(tmp_path))
+    golden = {path.name: path.read_bytes() for path in sorted((GOLDEN / suite).iterdir())}
+    assert sorted(files) == sorted(golden)
+    for name, body in golden.items():
+        assert files[name] == body, f"{suite}/{name} moved"
+    assert verdict == json.loads((GOLDEN / "verdicts.json").read_text())[suite]
+
