@@ -5,8 +5,11 @@ Every wavefunction stepper, evolve and the batched superposition evolution
 run one Strang kernel, _strang, on states stacked as (*batch, *grid.shape).
 The kernel takes its flow, the kind and its couplings, from one
 EvolutionSpec, so a new kick is one spec field and one branch of _strang.
-The DG and beta variants add a state-dependent half-step kick that is absent
-at D = 0 and beta = 0, so there they are the linear step bit for bit.  A
+The DG and beta variants add a state-dependent kick that is absent at D = 0
+and beta = 0, so there they are the linear step bit for bit.  DG kicks by
+half a step at each end of the linear step; beta keeps the kinetic halves
+outside and applies V and its phase, read from the state after the first
+kinetic half, in the middle, so it evaluates its kick once per step.  A
 kick-free flow with V = 0 is diagonal in k, so the kernel advances a chunk of
 n steps as one exact kinetic factor; a snapshot then equals a fresh evolve to
 its time to round-off, not to the bit.  The kernel steps a copy of its input
@@ -158,23 +161,27 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
     advance(values, n_steps, t0=0.0).  spec's own dt and horizon are not
     read: a backward step passes -dt.
 
-    values stacks states as (*batch, *grid.shape).  One step is kick,
-    exp(-iV dt/2h), F^-1 exp(-i h k^2 dt/2m) F over the grid axes,
-    exp(-iV dt/2h), kick; the potential and kinetic factors are built once.
-    The kick is the half-step factor of the state-dependent term, evaluated
-    per state: exp((D/4) dt Lap rho/rho) for DG, exp(-i U_beta dt/2h) for
-    beta, returned in a work array.  The linear kind, D = 0 and beta = 0
-    have no kick, so they are the linear step bit for bit.  With no kick and
-    V = 0 every factor is diagonal in k, and advance takes n steps as one,
-    F^-1 exp(-i h k^2 n dt/2m) F from kin's own kinetic(t), and builds no step factor;
-    it keeps each chunk factor it builds, so evolve's equal chunks share one.
+    values stacks states as (*batch, *grid.shape), and every factor but the
+    kick's is built once.  The linear and DG step is kick, exp(-iV dt/2h),
+    F^-1 exp(-i h k^2 dt/2m) F over the grid axes, exp(-iV dt/2h), kick,
+    where the kick is the DG half-step factor exp((D/4) dt Lap rho/rho) of
+    each state, in a work array.  The beta step puts the kinetic halves
+    outside: F^-1 exp(-i h k^2 dt/4m) F, exp(-iV dt/h), exp(-i U_beta dt/h),
+    F^-1 exp(-i h k^2 dt/4m) F, with U_beta read from each state after the
+    first half, so it evaluates the state-dependent term once per step.  The
+    linear kind, D = 0 and beta = 0 have no kick, so they are the linear
+    step bit for bit.  With no kick and V = 0 every factor is diagonal in k,
+    and advance takes n steps as one, F^-1 exp(-i h k^2 n dt/2m) F from
+    kin's own kinetic(t), and builds no step factor; it keeps each chunk
+    factor it builds, so evolve's equal chunks share one.
 
     advance copies values once and then steps the copy in place, with the
     kicks in work arrays built once per call: it never writes into its
     argument, so a caller may pass back an array it keeps.  Every evolution
-    aborts here: NumericalAbort names the time t0 + done * dt of the first
-    state whose |psi|^2 a kick finds not finite (t0 the time of values), else
-    t0 + n_steps * dt if the state advance returns has a non-finite norm.
+    aborts here: NumericalAbort names the time t0 + done * dt at which the
+    step whose first kick finds a |psi|^2 that is not finite began (t0 the
+    time of values), else t0 + n_steps * dt if the state advance returns has
+    a non-finite norm.
     """
     if spec.kind not in _WAVE_KINDS:
         raise ValueError(f"kind {spec.kind!r} is not a wavefunction evolution")
@@ -185,43 +192,55 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
             return np.exp(factor, out=factor)
     elif spec.kind == "beta_nonlinear" and spec.beta != 0.0:
         def kick(values, work):
-            return _phase_factor(beta_potential(values, grid, spec.beta, spec.eps_reg, work), dt, constants.hbar,
-                                 work.factor)
+            return _phase_factor(beta_potential(values, grid, spec.beta, spec.eps_reg, work), 2.0 * dt,
+                                 constants.hbar, work.factor)
+    middle = spec.kind == "beta_nonlinear" and kick is not None  # the kick sits between kinetic halves
     free = kick is None and not np.any(V)
     def kinetic(t: float) -> np.ndarray:
         return np.exp(-1j * constants.hbar * grid._k2 * t / (2.0 * constants.m))
-    half_v = None if free else np.exp(-1j * V * dt / (2.0 * constants.hbar))
-    kin = None if free else kinetic(dt)
+    v = None if free else np.exp(-1j * V * dt / (constants.hbar if middle else 2.0 * constants.hbar))
+    kin = None if free else kinetic(dt / 2.0 if middle else dt)
     chunk_factors: dict[int, np.ndarray] = {}  # a free flow's kinetic(n_steps * dt) by n_steps
+
+    def transform(values: np.ndarray, factor: np.ndarray) -> None:
+        np.multiply(factor, _over_grid(np.fft.fft, values, grid), out=values)
+        _over_grid(np.fft.ifft, values, grid)
+
+    def checked_kick(values: np.ndarray, work: _Work, t: float) -> np.ndarray:
+        factor = kick(values, work)
+        # The per-state max rho that a kick reads sums to a non-finite value
+        # at the first state that a kick blew up, even one whose entries are
+        # finite but whose |psi|^2 overflows, so the abort names that step.
+        if not math.isfinite(work.peak.sum()):
+            raise NumericalAbort(f"non-finite state at t={t:g}")
+        return factor
 
     def advance(values: np.ndarray, n_steps: int, t0: float = 0.0) -> np.ndarray:
         values = np.array(values, dtype=complex)
         if free and n_steps > 0:
             if n_steps not in chunk_factors:
                 chunk_factors[n_steps] = kinetic(n_steps * dt)
-            np.multiply(chunk_factors[n_steps], _over_grid(np.fft.fft, values, grid), out=values)
-            _over_grid(np.fft.ifft, values, grid)
-        work = None if kick is None else _Work(values.shape, grid, beta=spec.kind == "beta_nonlinear")
+            transform(values, chunk_factors[n_steps])
+        work = None if kick is None else _Work(values.shape, grid, beta=middle)
         # Every product is np.multiply with a fixed operand order: numpy may
         # evaluate `*` on a large temporary in place with swapped operands,
         # and a complex product is not bitwise commutative (FMA), so `*`
         # would make a state's step depend on its batch.
         for done in range(0 if free else n_steps):
-            if kick is not None:
-                factor = kick(values, work)
-                # The per-state max rho that a kick reads sums to a
-                # non-finite value at the first state that a kick blew up,
-                # even one whose entries are finite but whose |psi|^2
-                # overflows, so the abort names that step.
-                if not math.isfinite(work.peak.sum()):
-                    raise NumericalAbort(f"non-finite state at t={t0 + done * dt:g}")
+            if middle:
+                transform(values, kin)
+                factor = checked_kick(values, work, t0 + done * dt)
+                np.multiply(v, values, out=values)
                 np.multiply(values, factor, out=values)
-            np.multiply(half_v, values, out=values)
-            np.multiply(kin, _over_grid(np.fft.fft, values, grid), out=values)
-            _over_grid(np.fft.ifft, values, grid)
-            np.multiply(half_v, values, out=values)
-            if kick is not None:
-                np.multiply(values, kick(values, work), out=values)
+                transform(values, kin)
+            else:
+                if kick is not None:
+                    np.multiply(values, checked_kick(values, work, t0 + done * dt), out=values)
+                np.multiply(v, values, out=values)
+                transform(values, kin)
+                np.multiply(v, values, out=values)
+                if kick is not None:
+                    np.multiply(values, kick(values, work), out=values)
         if not math.isfinite(np.vdot(values, values).real):
             raise NumericalAbort(f"non-finite state at t={t0 + n_steps * dt:g}")
         return values
@@ -295,7 +314,8 @@ def beta_potential(values: np.ndarray, grid: Grid, beta: float, eps_reg: float,
 
 
 def _phase_factor(potential: np.ndarray, dt: float, hbar: float, factor: np.ndarray) -> np.ndarray:
-    """The half-step factor exp(-i potential dt / 2 hbar) of a real potential,
+    """The factor exp(-i potential dt / 2 hbar) of a real potential, which the
+    beta step takes at 2 dt as its whole-step phase exp(-i U_beta dt / hbar),
     written into the complex array factor as cos and sin of its real phase,
     which overwrites potential.  It has the bits of np.exp of the complex
     phase (-i potential) dt / 2 hbar, without that phase's complex products,
@@ -315,7 +335,9 @@ def step_beta(
     eps_reg: float,
     constants: PhysicalConstants,
 ) -> WaveField:
-    """Strang composition with the extra real phase factor exp(-i U_beta dt / hbar).
+    """The Strang step F^-1 exp(-i h k^2 dt/4m) F, exp(-iV dt/h),
+    exp(-i U_beta dt/h), F^-1 exp(-i h k^2 dt/4m) F, with U_beta read from
+    the state after the first kinetic half.
 
     U_beta is real and state-dependent, so the step stays norm-preserving but
     nonlinear.  Exactly step_linear at beta = 0.

@@ -1,5 +1,5 @@
-"""Write the golden artefacts of the eight cheap suites from the current tree,
-and print each value that moved.
+"""Write the golden artefacts of every suite from the current tree, and print
+each value that moved.
 
 Run by hand from the repository root:
 
@@ -9,8 +9,9 @@ Each suite runs at its defaults through ``cli.run_one``. Its folder here
 holds the bytes of every artefact it wrote but its verdict; verdicts.json
 holds each verdict's exit code, measured values and check values, every
 float as ``float.hex``; environment.json holds what the bits depend on.
-tests/test_golden.py reruns the suites and compares them with these files
-bit for bit. Superposition (an 8 s run) is not recorded.
+tests/test_golden.py reruns the eight cheap suites and compares them with
+these files bit for bit; it compares superposition (an 8 s run) from the one
+run that criterion 4 reads too.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 from fisher_hydro import cli
 
 GOLDEN = Path(__file__).resolve().parent
-SUITES = sorted(set(cli.RUNNERS) - {"superposition"})
+SUITES = sorted(set(cli.RUNNERS) - {"superposition"})  # the cheap ones
 
 
 def environment() -> dict:
@@ -46,10 +47,14 @@ def _hex(value):
 
 
 def record(suite: str, outdir: str) -> tuple[dict[str, bytes], dict]:
-    """One default run of suite into outdir: (the bytes of each artefact it
-    wrote but its verdict, by file name; its verdict's exit code, measured
-    values and check values, floats as hex)."""
-    code, verdict = cli.run_one(suite, None, outdir, {})
+    """One default run of suite into outdir, as summarise gives it."""
+    return summarise(suite, *cli.run_one(suite, None, outdir, {}), outdir)
+
+
+def summarise(suite: str, code: int, verdict, outdir: str) -> tuple[dict[str, bytes], dict]:
+    """(the bytes of each artefact but the verdict that a run of suite wrote
+    to outdir, by file name; its verdict's exit code, measured values and
+    check values, floats as hex), from the run's exit code and verdict."""
     if verdict is None:
         raise RuntimeError(f"{suite} exits {code} at its defaults and measures nothing")
     files = {path.name: path.read_bytes() for path in sorted(Path(outdir).iterdir())
@@ -74,7 +79,7 @@ def main() -> None:
     _moved("environment.json", env_path.read_text() if env_path.exists() else "", _dump(environment()))
     verdicts = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for suite in SUITES:
+        for suite in SUITES + ["superposition"]:
             files, verdicts[suite] = record(suite, str(Path(tmp, suite)))
             _moved(f"verdicts.json[{suite}]", _dump(old_verdicts.get(suite, {})), _dump(verdicts[suite]))
             folder = GOLDEN / suite

@@ -43,7 +43,6 @@ from fisher_hydro.stresstests import (
     beta_drops,
     circulation,
     complexifier_scan,
-    superposition_curve,
     time_reversal_defect,
 )
 
@@ -189,11 +188,10 @@ def test_criterion_3_eigenstate_floor_and_perturbation():
            f"R_cont alpha-independent by construction (delta = 0)")
 
 
-def test_criterion_4_superposition_table():
-    t0 = time.perf_counter()
-    config = SuperpositionConfig()
-    rows = superposition_curve(config)
-    runtime = time.perf_counter() - t0
+def test_criterion_4_superposition_table(superposition_run):
+    # the default run of the superposition suite, which the golden test shares
+    assert superposition_run.config == SuperpositionConfig()
+    rows, runtime = superposition_run.rows, superposition_run.runtime_s
     by_beta = {r["beta"]: r for r in rows}
     ratios = [r["refined"] / r["base"] for r in rows if r["beta"] > 0]
     monotone, plateau = beta_drops(rows)

@@ -447,6 +447,16 @@ def test_eps_reg_sensitivity_documented():
     assert superposition_residual(dataclasses.replace(cfg, eps_reg=1e-5), 0.0) <= 1e-10
 
 
+def test_well_posed_beta_row_is_independent_of_the_splitting():
+    # at eps_reg = 1e-4 the base beta = 0.005 row measures the flow, not
+    # amplified round-off (its mirror-image control sits at 1e-13), so the
+    # order of the kick and the kinetic halves in the Strang step moves it by
+    # the splittings' O(dt^2) difference only: kicks outside the kinetic
+    # step read 3.938530624e-4, kinetic halves outside 3.938531648e-4
+    cfg = dataclasses.replace(SuperpositionConfig(), eps_reg=1e-4)
+    assert abs(superposition_residual(cfg, 0.005) / 3.938530624e-4 - 1.0) <= 1e-5
+
+
 def test_batched_beta_evolution_matches_scalar_stepper():
     # the batched kernel that superposition_residual runs and the scalar
     # step_beta must agree to round-off.  Both run the same kernel, so this is
