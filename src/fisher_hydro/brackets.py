@@ -16,6 +16,7 @@ import numpy as np
 
 from .fields import ROUNDOFF_FLOOR, HydroFields, PhysicalConstants, node_mask, quantum_potential
 from .grid import Grid, integrate, spectral_divergence, spectral_gradient
+from .states import _centered
 
 __all__ = [
     "FunctionalDerivs",
@@ -55,9 +56,8 @@ def _centered_coords(hydro: HydroFields) -> tuple[np.ndarray, np.ndarray]:
     rho = hydro.rho
     coords = grid.coords()
     origin = coords[(slice(None), *np.unravel_index(int(np.argmax(rho)), rho.shape))]
-    out = np.empty_like(coords)
+    out = _centered(coords, origin.reshape((grid.dim,) + (1,) * grid.dim), grid.length)
     for axis in range(grid.dim):
-        out[axis] = (coords[axis] - origin[axis] + 0.5 * grid.length) % grid.length - 0.5 * grid.length
         seam = np.abs(np.abs(out[axis]) - 0.5 * grid.length) < _SEAM_CELLS * grid.spacing
         if float(np.sum(rho[seam]) * grid.cell_volume) > _SEAM_MASS:
             raise ValueError(

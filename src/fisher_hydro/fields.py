@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, spectral_gradient, spectral_laplacian
+from .grid import Grid, norm_l2, spectral_gradient, spectral_laplacian
 
 __all__ = [
     "PhysicalConstants",
@@ -66,7 +66,7 @@ class WaveField:
     time: float = 0.0
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2).real * self.grid.cell_volume))
+        return norm_l2(self.values, self.grid)
 
     def normalized(self) -> "WaveField":
         return WaveField(self.grid, self.values / self.norm(), self.time)

@@ -138,7 +138,8 @@ class _Work:
     real rho and scratch shaped like the stack of states, and its complex
     half spectrum.  The beta kick adds a half-spectrum gradient, a real
     second gradient component in 2D and its complex factor.  peak holds the
-    per-state max rho that the last kick read.  Each call builds its own."""
+    per-state max rho of the last kick's density, which _density_spectrum
+    sets and checked_kick reads.  Each call builds its own."""
 
     def __init__(self, shape: tuple[int, ...], grid: Grid, beta: bool) -> None:
         half = shape[:-1] + (grid.n // 2 + 1,)
@@ -150,10 +151,14 @@ class _Work:
         self.peak = None
 
 
-def _density_spectrum(values: np.ndarray, grid: Grid, work: _Work) -> tuple[np.ndarray, np.ndarray]:
-    """rho = |values|^2 in work.rho and its half spectrum in work.spectrum."""
+def _density_spectrum(values: np.ndarray, grid: Grid, work: _Work, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every kick's one density pass: the half spectrum of rho = |values|^2
+    in work.spectrum, and rho + eps max rho in work.rho.  It sets work.peak
+    to each state's max rho, the only place that does."""
     rho = np.add(np.square(values.real, out=work.rho), np.square(values.imag, out=work.real), out=work.rho)
-    return rho, _half_spectrum(rho, grid, work.spectrum)
+    rho_hat = _half_spectrum(rho, grid, work.spectrum)
+    work.peak = rho.max(axis=_grid_axes(grid), keepdims=True)
+    return np.add(rho, eps * work.peak, out=rho), rho_hat
 
 
 def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, spec: EvolutionSpec):
@@ -178,10 +183,11 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
     advance copies values once and then steps the copy in place, with the
     kicks in work arrays built once per call: it never writes into its
     argument, so a caller may pass back an array it keeps.  Every evolution
-    aborts here: NumericalAbort names the time t0 + done * dt at which the
-    step whose first kick finds a |psi|^2 that is not finite began (t0 the
-    time of values), else t0 + n_steps * dt if the state advance returns has
-    a non-finite norm.
+    aborts here: every kick runs through checked_kick, which reads the
+    work.peak that the kick's _density_spectrum sets, so NumericalAbort names
+    the start time t0 + done * dt of the step whose kick finds a |psi|^2 that
+    is not finite (t0 the time of values), else t0 + n_steps * dt if the
+    state advance returns has a non-finite norm.
     """
     if spec.kind not in _WAVE_KINDS:
         raise ValueError(f"kind {spec.kind!r} is not a wavefunction evolution")
@@ -240,7 +246,7 @@ def _strang(V: np.ndarray, grid: Grid, dt: float, constants: PhysicalConstants, 
                 transform(values, kin)
                 np.multiply(v, values, out=values)
                 if kick is not None:
-                    np.multiply(values, kick(values, work), out=values)
+                    np.multiply(values, checked_kick(values, work, t0 + done * dt), out=values)
         if not math.isfinite(np.vdot(values, values).real):
             raise NumericalAbort(f"non-finite state at t={t0 + n_steps * dt:g}")
         return values
@@ -268,10 +274,8 @@ def _dg_exponent(values: np.ndarray, grid: Grid, work: _Work) -> np.ndarray:
     smoothly in the tails.  values may stack states along leading axes; max
     rho is taken per state.
     """
-    rho, rho_hat = _density_spectrum(values, grid, work)
+    rho, rho_hat = _density_spectrum(values, grid, work, _DG_EPS_MASK)
     lap = _real_inverse(np.multiply(grid._neg_k2_half, rho_hat, out=rho_hat), grid, work.real)
-    work.peak = rho.max(axis=_grid_axes(grid), keepdims=True)
-    np.add(rho, _DG_EPS_MASK * work.peak, out=rho)
     return np.divide(lap, rho, out=rho)
 
 
@@ -287,18 +291,14 @@ def step_dg(psi: WaveField, V: np.ndarray, dt: float, D: float, constants: Physi
     return _step(psi, V, dt, constants, EvolutionSpec("dg_diffusion", D=D))
 
 
-def beta_potential(values: np.ndarray, grid: Grid, beta: float, eps_reg: float,
-                   work: _Work | None = None) -> np.ndarray:
-    """Non-Fisher perturbation U_beta = beta |grad rho|^2 / (rho + eps)^2.
+def beta_potential(values: np.ndarray, grid: Grid, beta: float, eps_reg: float, work: _Work) -> np.ndarray:
+    """Non-Fisher perturbation U_beta = beta |grad rho|^2 / (rho + eps)^2, in
+    work.real of a beta _Work.
 
     eps is eps_reg relative to the instantaneous max of rho.  values may
-    stack states along leading axes; each state gets its own eps.  The Strang
-    kernel passes its work arrays: the result is then work.real.  By default
-    the work arrays are fresh.
+    stack states along leading axes; each state gets its own eps.
     """
-    if work is None:
-        work = _Work(values.shape, grid, beta=True)
-    rho, rho_hat = _density_spectrum(values, grid, work)
+    rho, rho_hat = _density_spectrum(values, grid, work, eps_reg)
     grad_sq = work.real
     for axis, ik in enumerate(grid._ik_half):
         component = _real_inverse(np.multiply(ik, rho_hat, out=work.gradient), grid,
@@ -307,8 +307,6 @@ def beta_potential(values: np.ndarray, grid: Grid, beta: float, eps_reg: float,
             np.add(grad_sq, np.square(component, out=component), out=grad_sq)
         else:
             np.square(component, out=grad_sq)
-    work.peak = rho.max(axis=_grid_axes(grid), keepdims=True)
-    np.add(rho, eps_reg * work.peak, out=rho)
     np.square(rho, out=rho)
     return np.divide(np.multiply(beta, grad_sq, out=grad_sq), rho, out=grad_sq)
 

@@ -311,7 +311,7 @@ def test_half_spectrum_kicks_match_full_spectrum_operators(dim, n):
     rho = np.random.default_rng(5).uniform(0.1, 1.0, (2,) + grid.shape)
     values = np.sqrt(rho).astype(complex)
     beta, eps_reg = 0.01, 1e-6
-    U = beta_potential(values, grid, beta, eps_reg)
+    U = beta_potential(values, grid, beta, eps_reg, _Work(values.shape, grid, beta=True))
     exponent = _dg_exponent(values, grid, _Work(values.shape, grid, beta=False))
     for state, u, e in zip(rho, U, exponent):
         grad_sq = np.sum(spectral_gradient(state, grid) ** 2, axis=0)
@@ -491,6 +491,18 @@ def test_single_step_that_blows_up_aborts(constants):
             step_dg(psi, V, 0.01, 40.0, constants)
         with pytest.raises(NumericalAbort, match=message):
             symmetric_pair(psi, V, EvolutionSpec("dg_diffusion", dt=0.01, D=40.0), constants)
+
+
+def test_closing_dg_kick_checks_its_density(constants):
+    # at D = 1e4 the opening kick's factor overflows, so the kinetic step
+    # fills the state with nan: the closing kick reads that density and the
+    # abort names the step's start time, as an opening kick's would, not the
+    # end time of the returned state's norm check
+    grid = make_grid(1, 512, 40.0)
+    psi = gaussian_packet(grid, 20.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalAbort, match=r"^non-finite state at t=0$"):
+            step_dg(psi, np.zeros(grid.shape), 0.01, 1e4, constants)
 
 
 def test_only_the_kernel_raises_numerical_abort():
