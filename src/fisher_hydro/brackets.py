@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ROUNDOFF_FLOOR, HydroFields, PhysicalConstants, node_mask, quantum_potential
+from .fields import ROUNDOFF_FLOOR, HydroFields, PhysicalConstants, density_quotient, node_mask, quantum_potential
 from .grid import Grid, integrate, spectral_divergence, spectral_gradient
 from .states import _centered
 
@@ -74,10 +74,8 @@ def hamiltonian(hydro: HydroFields, V: np.ndarray, alpha: float, constants: Phys
     rho = hydro.rho
     deep = node_mask(rho, ROUNDOFF_FLOOR)
     d_rho = np.sum(hydro.grad_s**2, axis=0) / (2.0 * constants.m) + V + quantum_potential(rho, alpha, grid, deep)
-    kin = np.zeros_like(rho)
-    np.divide(constants.m * np.sum(hydro.j**2, axis=0), 2.0 * rho, out=kin, where=deep)
-    curv = np.zeros_like(rho)
-    np.divide(np.sum(spectral_gradient(rho, grid) ** 2, axis=0), 4.0 * rho, out=curv, where=deep)
+    kin = density_quotient(constants.m * np.sum(hydro.j**2, axis=0), 2.0 * rho)
+    curv = density_quotient(np.sum(spectral_gradient(rho, grid) ** 2, axis=0), 4.0 * rho)
     energy = float(integrate(kin + V * rho + alpha * curv, grid))
     return FunctionalDerivs(d_rho=d_rho, d_S=-spectral_divergence(hydro.j, grid), value=energy)
 

@@ -3,6 +3,8 @@
 polar_decompose gives rho, j and grad S = m j / rho; unwrapped_phase gives S.
 All hydrodynamic quotients are evaluated on a node mask {rho > eps * max(rho)}
 (node_mask); off-mask entries are zeroed and excluded from every norm downstream.
+Every guarded division by rho is density_quotient, 0 at and below ROUNDOFF_FLOOR * max(rho);
+root_laplacian_quotient skips its root's zeros itself, so no caller guards them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "laplacian_quotient",
     "root_laplacian_quotient",
     "phase_time_derivative",
+    "density_quotient",
     "masked_mean",
     "node_mask",
     "DEFAULT_EPS_MASK",
@@ -104,6 +107,13 @@ def node_mask(rho: np.ndarray, eps: float) -> np.ndarray:
     return mask
 
 
+def density_quotient(num: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """num / rho where rho > ROUNDOFF_FLOOR * max(rho), 0 elsewhere; num may stack fields on leading axes."""
+    out = np.zeros(np.shape(num))
+    np.divide(num, rho, out=out, where=node_mask(rho, ROUNDOFF_FLOOR))
+    return out
+
+
 def masked_mean(f: np.ndarray, mask: np.ndarray) -> float:
     """Plain (unweighted) mean over masked-in sites; 0 for an empty mask."""
     count = int(np.count_nonzero(mask))
@@ -151,9 +161,7 @@ def polar_decompose(psi: WaveField, eps_mask: float, constants: PhysicalConstant
 
     grad_psi = spectral_gradient(psi.values, grid)
     j = (constants.hbar / constants.m) * (np.conj(psi.values)[None] * grad_psi).imag
-    grad_s = np.zeros_like(j)
-    np.divide(constants.m * j, rho[None], out=grad_s, where=node_mask(rho, ROUNDOFF_FLOOR)[None])
-    return HydroFields(grid=grid, rho=rho, j=j, grad_s=grad_s, mask=mask)
+    return HydroFields(grid=grid, rho=rho, j=j, grad_s=density_quotient(constants.m * j, rho), mask=mask)
 
 
 def quantum_potential(rho: np.ndarray, coeff: float, grid: Grid, mask: np.ndarray) -> np.ndarray:
@@ -166,11 +174,11 @@ def quantum_potential(rho: np.ndarray, coeff: float, grid: Grid, mask: np.ndarra
 
 
 def root_laplacian_quotient(root: np.ndarray, grid: Grid, where: np.ndarray) -> np.ndarray:
-    """Spectral Delta u / u where `where` holds, 0 elsewhere, for a root u of
-    rho = u^2: sqrt(rho), or a signed eigenfunction, which stays smooth through
-    nodes where sqrt(rho) has a kink."""
+    """Spectral Delta u / u where `where` holds and u != 0, 0 elsewhere, for a
+    root u of rho = u^2: sqrt(rho), or a signed eigenfunction, which stays
+    smooth through nodes where sqrt(rho) has a kink."""
     out = np.zeros(grid.shape)
-    np.divide(spectral_laplacian(root, grid), root, out=out, where=where)
+    np.divide(spectral_laplacian(root, grid), root, out=out, where=where & (root != 0))
     return out
 
 
@@ -187,9 +195,5 @@ def phase_time_derivative(psi: WaveField, V: np.ndarray, constants: PhysicalCons
     masked sites are meaningful.  The sign convention makes a stationary
     state of energy E report S_t = -E.
     """
-    grid = psi.grid
-    hpsi = -(constants.hbar**2 / (2.0 * constants.m)) * spectral_laplacian(psi.values, grid) + V * psi.values
-    rho = psi.density()
-    out = np.zeros(grid.shape)
-    np.divide(-(hpsi * np.conj(psi.values)).real, rho, out=out, where=node_mask(rho, ROUNDOFF_FLOOR))
-    return out
+    hpsi = -(constants.hbar**2 / (2.0 * constants.m)) * spectral_laplacian(psi.values, psi.grid) + V * psi.values
+    return density_quotient(-(hpsi * np.conj(psi.values)).real, psi.density())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ROUNDOFF_FLOOR, node_mask, root_laplacian_quotient
+from .fields import ROUNDOFF_FLOOR, density_quotient, node_mask, root_laplacian_quotient
 from .grid import Grid, integrate, spectral_gradient, spectral_laplacian
 from .propagate import DensityTrajectory
 
@@ -72,11 +72,8 @@ def fisher_information(rho: np.ndarray, grid: Grid) -> float:
     4 |grad u|^2 for rho = u^2).  The tail below the round-off floor would add
     O(1e-11) relative.
     """
-    grad = spectral_gradient(rho, grid)
-    grad_sq = np.sum(grad**2, axis=0)
-    out = np.zeros_like(rho)
-    np.divide(grad_sq, rho, out=out, where=node_mask(rho, ROUNDOFF_FLOOR))
-    return float(integrate(out, grid))
+    grad_sq = np.sum(spectral_gradient(rho, grid) ** 2, axis=0)
+    return float(integrate(density_quotient(grad_sq, rho), grid))
 
 
 def shannon_entropy(rho: np.ndarray, grid: Grid) -> float:
@@ -157,7 +154,7 @@ def el_residual(spec: RegulariserSpec, rho: np.ndarray, root: np.ndarray, grid: 
     if not mask.any():
         raise ValueError("el residual: empty mask")
     lhs = el_derivative(spec, rho, grid, mask)
-    rhs = -4.0 * spec.coefficient * root_laplacian_quotient(root, grid, mask & (np.abs(root) > 0))
+    rhs = -4.0 * spec.coefficient * root_laplacian_quotient(root, grid, mask)
     num = math.sqrt(max(float(np.sum(np.where(mask, (lhs - rhs) ** 2, 0.0))), 0.0))
     den = math.sqrt(max(float(np.sum(np.where(mask, rhs**2, 0.0))), 1e-300))
     return num / den

@@ -287,7 +287,7 @@ def eigen_coefficient_curve(
     """
     if not mask.any():
         raise ValueError("eigen coefficient curve: empty mask")
-    quot = root_laplacian_quotient(signed_root, grid, mask & (np.abs(signed_root) > 0))
+    quot = root_laplacian_quotient(signed_root, grid, mask)
     out = np.empty(len(c_grid))
     for idx, cc in enumerate(c_grid):
         f = V - cc * alpha_base * quot - energy

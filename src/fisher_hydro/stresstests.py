@@ -17,7 +17,7 @@ from .fields import (
     ROUNDOFF_FLOOR,
     PhysicalConstants,
     WaveField,
-    node_mask,
+    density_quotient,
     phase_time_derivative,
     polar_decompose,
     unwrapped_phase,
@@ -212,8 +212,7 @@ def complexifier_scan(
         s_field = unwrapped_phase(wf, constants.hbar)
         rho_t = -spectral_divergence(hydro.j, grid)
         s_t = phase_time_derivative(wf, V, constants)
-        rate_log_rho = np.zeros(grid.shape)
-        np.divide(rho_t, rho, out=rate_log_rho, where=node_mask(rho, ROUNDOFF_FLOOR))
+        rate_log_rho = density_quotient(rho_t, rho)
         max_density_rate = max(max_density_rate, float(np.max(np.abs(rho_t))))
 
         phases = [np.exp(1j * s * s_field) for s in s_grid]

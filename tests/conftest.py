@@ -1,7 +1,6 @@
 import time
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from fisher_hydro import PhysicalConstants, cli, make_grid, stresstests
@@ -25,10 +24,6 @@ def grid1d_fine():
 @pytest.fixture
 def grid2d():
     return make_grid(2, 128, 20.0)
-
-
-def rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
 
 
 @pytest.fixture(scope="session")

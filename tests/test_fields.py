@@ -8,6 +8,7 @@ from fisher_hydro import EvolutionSpec, PhysicalConstants, evolve, make_grid, po
 from fisher_hydro.brackets import bargmann_check
 from fisher_hydro.fields import (
     ROUNDOFF_FLOOR,
+    density_quotient,
     laplacian_quotient,
     masked_mean,
     node_mask,
@@ -245,7 +246,8 @@ def test_node_mask_refuses_a_density_zero_everywhere():
 def test_quotients_by_rho_read_zero_at_and_below_the_roundoff_cut(grid1d, constants):
     # one guard rule: S_t and the Laplacian quotient divide by rho only above
     # ROUNDOFF_FLOOR * max(rho), and there keep the bits of the former absolute
-    # guard rho > 1e-300, copied inline
+    # guard rho > 1e-300, copied inline; density_quotient, on two fields
+    # stacked on a leading axis, keeps the bits of the inline cut divide
     psi = gaussian_packet(grid1d, 20.0, 1.0, 1.5, constants)
     V = harmonic_potential(grid1d, 1.0, constants)
     rho = psi.density()
@@ -259,11 +261,17 @@ def test_quotients_by_rho_read_zero_at_and_below_the_roundoff_cut(grid1d, consta
     root = np.sqrt(np.clip(rho, 0.0, None))
     old_lq = np.zeros(grid1d.shape)
     np.divide(spectral_laplacian(root, grid1d), root, out=old_lq, where=everywhere & (rho > 1e-300))
+    stacked = np.stack((hpsi.real, hpsi.imag))
+    old_q = np.zeros(stacked.shape)
+    np.divide(stacked, rho, out=old_q, where=above)
 
     for new, old in ((phase_time_derivative(psi, V, constants), old_st),
-                     (laplacian_quotient(rho, grid1d, everywhere), old_lq)):
-        assert np.all(new[~above] == 0.0)
-        assert [v.hex() for v in new[above].tolist()] == [v.hex() for v in old[above].tolist()]
+                     (laplacian_quotient(rho, grid1d, everywhere), old_lq),
+                     (density_quotient(stacked, rho), old_q)):
+        assert new.shape == old.shape
+        assert np.all(new[..., ~above] == 0.0)
+        assert ([v.hex() for v in new[..., above].ravel().tolist()]
+                == [v.hex() for v in old[..., above].ravel().tolist()])
 
 
 def _fisher_el_states(constants):
@@ -282,6 +290,19 @@ def _fisher_el_states(constants):
         (rho_b, np.sqrt(rho_b), rho_b > 1e-5 * rho_b.max(), grid_b),
         (rho_e, root_e, (rho_e > 1e-5 * rho_e.max()) & (np.abs(x) >= 0.05), grid),
     ]
+
+
+def test_root_laplacian_quotient_reads_zero_at_the_roots_zeros(constants):
+    # the first excited state's node lies on a grid site, where u = 0 exactly:
+    # a `where` that holds there reads 0, with no division by zero, and keeps
+    # every other bit of the inline divide guarded at u != 0
+    grid = make_grid(1, 1024, 40.0)
+    root = oscillator_state(grid, 1, 1.0, constants).values.real
+    near = np.abs(grid.axes[0] - 20.0) < 1.0
+    assert np.count_nonzero(near & (root == 0)) == 1
+    quot = np.zeros(grid.shape)
+    np.divide(spectral_laplacian(root, grid), root, out=quot, where=near & (root != 0))
+    assert np.array_equal(root_laplacian_quotient(root, grid, near), quot)
 
 
 def test_laplacian_quotients_keep_the_bits_of_the_inline_formulas(constants):

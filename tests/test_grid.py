@@ -182,7 +182,10 @@ def test_only_the_complexifier_reads_the_unwrapped_phase():
     # grad S has one route, m j / rho in polar_decompose (HydroFields.grad_s):
     # no module but fields.py divides j by rho, and no module but
     # stresstests.py, whose complexifier takes exp(i s S), calls
-    # unwrapped_phase.  Strings and comments are not code, so they are dropped.
+    # unwrapped_phase.  np.divide appears only in fields.py, whose
+    # density_quotient is every guarded quotient by rho, and in propagate.py,
+    # whose kicks divide by the regularised density.  Strings and comments are
+    # not code, so they are dropped.
     import io
     import pathlib
     import re
@@ -190,13 +193,17 @@ def test_only_the_complexifier_reads_the_unwrapped_phase():
 
     import fisher_hydro
 
-    divides_j = re.compile(r"\bj\b(\s*\[[^\]]*\])*\s*/\s*(\w+\s*\.\s*)?rho\b|divide\s*\([^,]*\bj\b\s*,[^,]*\brho\b")
+    divides_j = re.compile(
+        r"\bj\b(\s*\[[^\]]*\])*\s*/\s*(\w+\s*\.\s*)?rho\b|(divide|density_quotient)\s*\([^,]*\bj\b\s*,[^,]*\brho\b"
+    )
     unwraps = re.compile(r"(?<!def )\bunwrapped_phase\s*\(")
+    np_divide = re.compile(r"\bnp\s*\.\s*divide\b")
     package = pathlib.Path(fisher_hydro.__file__).parent
     found = {}
     for path in sorted(package.glob("*.py")):
         tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
         code = " ".join(t.string for t in tokens if t.type not in (tokenize.STRING, tokenize.COMMENT))
-        found[path.name] = (bool(divides_j.search(code)), bool(unwraps.search(code)))
-    assert {name for name, (divides, _) in found.items() if divides} == {"fields.py"}
-    assert {name for name, (_, calls) in found.items() if calls} == {"stresstests.py"}
+        found[path.name] = (bool(divides_j.search(code)), bool(unwraps.search(code)), bool(np_divide.search(code)))
+    assert {name for name, (divides, _, _) in found.items() if divides} == {"fields.py"}
+    assert {name for name, (_, calls, _) in found.items() if calls} == {"stresstests.py"}
+    assert {name for name, (_, _, np_divides) in found.items() if np_divides} == {"fields.py", "propagate.py"}

@@ -14,15 +14,16 @@ Three mutants escape all six suites.  The first two are no cases here:
   that tight.  Superposition's linear floors catch it (1.36e-8), at the cost
   of a run of its own;
 - hbar^2 in place of hbar, which moves no bit at the published hbar = 1, so
-  it is a case that fails no row; the hbar -> 2 hbar unit change of
-  tests/test_units.py catches it.
+  it is a case that fails no row; the hbar -> 2 hbar unit changes of
+  tests/test_units.py catch it: there scan-alpha and continuity fail a row,
+  and time-reversal and complexifier pass every row but break their relation.
 """
 import numpy as np
 import pytest
 
 from fisher_hydro import PhysicalConstants, propagate
 from fisher_hydro.cli import EXIT_FALSIFIED, EXIT_PASS, run_one
-from test_units import measured_hex
+from test_units import broken_values, measured_hex
 
 REAL = propagate._strang
 CHEAP = ("scan-alpha", "continuity", "dg-entropy", "time-reversal", "galilei", "complexifier")
@@ -79,3 +80,15 @@ def test_hbar_squared_breaks_the_hbar_unit_change(tmp_path, monkeypatch, test):
     code, measured = measured_hex(test, tmp_path, "2hbar")
     assert code == EXIT_FALSIFIED
     assert measured != defaults
+
+
+@pytest.mark.parametrize("relation, broken", [
+    ("2hbar-time-reversal", {"defect_d0", "defect_diffusive", "floor_ratio"}),
+    ("2hbar-complexifier", {"floor", "off_cell_wall", "max_density_rate"}),
+], ids=["time-reversal", "complexifier"])
+def test_hbar_squared_breaks_the_trap_unit_changes(tmp_path, monkeypatch, relation, broken):
+    # both suites still pass under the mutant at hbar = 2, so the relation is
+    # the check; the first run sits at hbar = 1, where the mutant is the real
+    # kernel bit for bit
+    monkeypatch.setattr(propagate, "_strang", hbar_squared)
+    assert broken_values(tmp_path, relation)[1] == broken
